@@ -38,27 +38,20 @@ from .core import (
     CostSpec,
     Dataset,
     Goal,
-    LabeledItem,
     Mechanism,
     ModelParams,
     Sign,
     VictimSpec,
     eval_cost,
-    modification_distance,
     modification_distances,
-    project_item,
+    project_rows_inplace,
     sigmoid,
     softplus,
 )
 from .gradients import (
-    ItemGradient,
     batch_item_gradients,
     cost_gradient,
     finite_difference_oracle,
-    grad_obj_logistic,
-    grad_obj_ridge,
-    grad_out_logistic,
-    grad_out_ridge,
 )
 from .learners import (
     DEFAULT_SETTINGS,
@@ -84,8 +77,6 @@ __all__ = [
     "Dataset",
     "DEFAULT_SETTINGS",
     "Goal",
-    "ItemGradient",
-    "LabeledItem",
     "Mechanism",
     "ModelParams",
     "SelectionMethod",
@@ -97,17 +88,12 @@ __all__ = [
     "cost_gradient",
     "eval_cost",
     "finite_difference_oracle",
-    "grad_obj_logistic",
-    "grad_obj_ridge",
-    "grad_out_logistic",
-    "grad_out_ridge",
     "lower_bound_approx",
     "lower_bound_pure",
     "min_items_approx",
     "min_items_pure",
-    "modification_distance",
     "modification_distances",
-    "project_item",
+    "project_rows_inplace",
     "sigmoid",
     "softplus",
     "relaxed_attack",

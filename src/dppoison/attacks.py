@@ -298,13 +298,11 @@ def run_attack(victim, data, cost, config, settings=None, selected=None):
                 g = cost_gradient(cost, model)
                 feat, lab = batch_item_gradients(victim, cur, model, b, g, selected)
                 sub_X = Xp[selected] - config.eta * feat
-                sub_y = yp[selected] - config.eta * lab if ridge else yp[selected]
-                norms = np.linalg.norm(sub_X, axis=1)
-                over = norms > 1.0
-                if np.any(over):
-                    sub_X[over] /= norms[over, None]
+                sub_y = yp[selected] - config.eta * lab if ridge else None
+                project_rows_inplace(sub_X, sub_y)
                 Xp[selected] = sub_X
-                yp[selected] = np.clip(sub_y, -1.0, 1.0) if ridge else sub_y
+                if ridge:
+                    yp[selected] = sub_y
                 cur = Dataset(Xp, yp)
             surr = train_mechanism(victim, cur, zero_b, settings, warm_start=surr)
             feats[t] = Xp[selected]

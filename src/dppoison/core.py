@@ -1,10 +1,10 @@
 """Domain types and attack cost functions.
 
-Defines the labeled-item and dataset containers, trained-model parameters,
-the victim description (privacy mechanism, base learner, hyperparameters),
-the attack-goal description with its three cost functions, the projection
-of items onto the feasible set, and the modification distance used by
-deep selection.
+Defines the dataset container, trained-model parameters, the victim
+description (privacy mechanism, base learner, hyperparameters), the
+attack-goal description with its three cost functions, the projection of
+items onto the feasible set, and the modification distance used by deep
+selection.
 """
 
 import enum
@@ -18,14 +18,12 @@ __all__ = [
     "BaseLearner",
     "Goal",
     "Sign",
-    "LabeledItem",
     "Dataset",
     "ModelParams",
     "VictimSpec",
     "CostSpec",
     "eval_cost",
-    "project_item",
-    "modification_distance",
+    "project_rows_inplace",
     "modification_distances",
     "sigmoid",
     "softplus",
@@ -75,25 +73,6 @@ class Sign(str, enum.Enum):
     NON_POSITIVE = "non-positive"
 
 
-@dataclass(frozen=True)
-class LabeledItem:
-    """One training or evaluation item: a feature vector and a scalar label."""
-
-    features: np.ndarray
-    label: float
-
-    def __post_init__(self):
-        f = _readonly(np.atleast_1d(self.features))
-        if f.ndim != 1:
-            raise ValueError("features must be a vector")
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "label", float(self.label))
-
-    @property
-    def dim(self):
-        return self.features.shape[0]
-
-
 class Dataset:
     """Ordered, immutable collection of items sharing one feature dimension.
 
@@ -115,16 +94,6 @@ class Dataset:
         self._X = X
         self._y = y
 
-    @classmethod
-    def from_items(cls, items):
-        items = list(items)
-        if not items:
-            raise ValueError("dataset must contain at least one item")
-        d = items[0].dim
-        if any(it.dim != d for it in items):
-            raise ValueError("all items must share the same dimension")
-        return cls(np.stack([it.features for it in items]), [it.label for it in items])
-
     @property
     def X(self):
         """(n, d) feature matrix, read-only."""
@@ -145,12 +114,6 @@ class Dataset:
 
     def __len__(self):
         return self._X.shape[0]
-
-    def item(self, i):
-        return LabeledItem(self._X[i], self._y[i])
-
-    def items(self):
-        return [self.item(i) for i in range(self.n)]
 
     def with_modified(self, indices, features, labels=None):
         """Return a copy with the given items' coordinates replaced."""
@@ -301,22 +264,13 @@ def eval_cost(cost, model):
 _NORM_SLACK = 4.0 * np.finfo(float).eps
 
 
-def project_item(item):
-    """Project an item onto the feasible set: feature norm at most 1 and
-    label in [-1, 1]. Features are rescaled radially, preserving direction.
-    Already-feasible items are returned unchanged."""
-    nrm = float(np.linalg.norm(item.features))
-    label = min(1.0, max(-1.0, item.label))
-    if nrm <= 1.0 + _NORM_SLACK and label == item.label:
-        return item
-    f = item.features / nrm if nrm > 1.0 + _NORM_SLACK else item.features
-    return LabeledItem(f, label)
-
-
 def project_rows_inplace(X, y=None):
-    """Radially rescale rows of X with norm above 1; clip y into [-1, 1].
+    """Project items onto the feasible set, in place: rows of X with norm
+    above 1 are rescaled radially (direction preserved) and y is clipped
+    into [-1, 1]. Feasible rows are left bit for bit unchanged, so the
+    projection is idempotent.
 
-    Mutates the given arrays; used by the attack loops after each step.
+    Used by the attack loops after each step.
     """
     norms = np.linalg.norm(X, axis=1)
     over = norms > 1.0 + _NORM_SLACK
@@ -326,23 +280,13 @@ def project_rows_inplace(X, y=None):
         np.clip(y, -1.0, 1.0, out=y)
 
 
-def modification_distance(poisoned, clean, base):
-    """Distance between a poisoned item and its clean original.
+def modification_distances(X_pois, y_pois, X_clean, y_clean, base):
+    """Distance between each poisoned item and its clean original, as an
+    (n,) array.
 
     Half the squared feature displacement; for ridge the squared label
     displacement is included as well (logistic labels are never modified).
     """
-    if poisoned.dim != clean.dim:
-        raise ValueError("dimension mismatch between poisoned and clean item")
-    dx = poisoned.features - clean.features
-    r = 0.5 * float(dx @ dx)
-    if BaseLearner(base) is BaseLearner.RIDGE:
-        r += 0.5 * (poisoned.label - clean.label) ** 2
-    return r
-
-
-def modification_distances(X_pois, y_pois, X_clean, y_clean, base):
-    """Vectorized modification distance for every item, as an (n,) array."""
     dx = np.asarray(X_pois, dtype=float) - np.asarray(X_clean, dtype=float)
     r = 0.5 * np.einsum("ij,ij->i", dx, dx)
     if BaseLearner(base) is BaseLearner.RIDGE:

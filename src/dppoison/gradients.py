@@ -17,42 +17,16 @@ the formulas are used as-is with the solver's returned mu.
 A retraining central-difference oracle is included for validation.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .core import BaseLearner, Goal, Mechanism, eval_cost, sigmoid
 from .learners import DEFAULT_SETTINGS, train_mechanism
 
 __all__ = [
-    "ItemGradient",
     "cost_gradient",
-    "grad_obj_logistic",
-    "grad_obj_ridge",
-    "grad_out_logistic",
-    "grad_out_ridge",
     "batch_item_gradients",
     "finite_difference_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class ItemGradient:
-    """Gradient of the attack cost in one item's coordinates. d_label is
-    None for logistic victims (their labels are never modified)."""
-
-    d_features: np.ndarray
-    d_label: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "d_features", np.asarray(self.d_features, dtype=float))
-
-    def norm(self):
-        s = float(self.d_features @ self.d_features)
-        if self.d_label is not None:
-            s += self.d_label**2
-        return s**0.5
 
 
 def cost_gradient(cost, model):
@@ -98,39 +72,6 @@ def _ridge_grads(X, y, theta_eff, lam, mu, cost_grad, idx):
     return d_feat, xv
 
 
-def grad_obj_logistic(data, i, model, lam, cost_grad):
-    """Stochastic gradient of the cost in item i's features for an
-    objective-perturbed logistic victim trained to model."""
-    g = _logistic_grads(data.X, data.y, model.theta, lam, np.asarray(cost_grad, float), np.array([i]))
-    return ItemGradient(g[0])
-
-
-def grad_obj_ridge(data, i, model, lam, cost_grad):
-    """Stochastic gradient in item i's features and label for an
-    objective-perturbed ridge victim; model must carry the solver's mu."""
-    f, l = _ridge_grads(
-        data.X, data.y, model.theta, lam, model.mu, np.asarray(cost_grad, float), np.array([i])
-    )
-    return ItemGradient(f[0], float(l[0]))
-
-
-def grad_out_logistic(data, i, model, b, lam, cost_grad):
-    """As grad_obj_logistic for an output-perturbed victim: the argmin is
-    model.theta - b, while the cost gradient stays evaluated at model."""
-    theta_eff = model.theta - np.asarray(b, dtype=float)
-    g = _logistic_grads(data.X, data.y, theta_eff, lam, np.asarray(cost_grad, float), np.array([i]))
-    return ItemGradient(g[0])
-
-
-def grad_out_ridge(data, i, model, b, lam, cost_grad):
-    """As grad_obj_ridge for an output-perturbed victim."""
-    theta_eff = model.theta - np.asarray(b, dtype=float)
-    f, l = _ridge_grads(
-        data.X, data.y, theta_eff, lam, model.mu, np.asarray(cost_grad, float), np.array([i])
-    )
-    return ItemGradient(f[0], float(l[0]))
-
-
 def batch_item_gradients(victim, data, model, b, cost_grad, indices):
     """Gradients for several items of one trained model, sharing a single
     factored system.
@@ -154,6 +95,8 @@ def finite_difference_oracle(victim, data, i, b, cost, h=1e-5, settings=None):
 
     Validates the analytic gradients; the error decays as O(h^2). Solver
     tolerances must be well below h for the quotients to be meaningful.
+    Returns (features, label) as batch_item_gradients does for one item:
+    a (d,) array and a float (ridge) or None (logistic).
     """
     if not 1e-6 <= h <= 1e-4:
         raise ValueError("h must lie in [1e-6, 1e-4]")
@@ -172,6 +115,5 @@ def finite_difference_oracle(victim, data, i, b, cost, h=1e-5, settings=None):
         xm[c] -= h
         d_feat[c] = (cost_at(xp, y0) - cost_at(xm, y0)) / (2.0 * h)
     if victim.base is BaseLearner.LOGISTIC:
-        return ItemGradient(d_feat)
-    d_label = (cost_at(x0, y0 + h) - cost_at(x0, y0 - h)) / (2.0 * h)
-    return ItemGradient(d_feat, float(d_label))
+        return d_feat, None
+    return d_feat, (cost_at(x0, y0 + h) - cost_at(x0, y0 - h)) / (2.0 * h)

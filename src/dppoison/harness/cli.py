@@ -7,14 +7,18 @@ Subcommands:
   sweep      run the config's sweep over k or epsilon
   evaluate   estimate the clean cost J(D) and its bound, no attack
 
-Global flags: --seed (overrides the config seed), --config, --out,
---threads. Relative file paths inside a config resolve against the
-config file's directory.
+Global flags: --seed (overrides the config seed), --config, --out.
+Relative file paths inside a config resolve against the config file's
+directory.
+
+Run as the installed ``dppoison`` script or, from a source checkout, as
+``python -m dppoison.harness.cli`` with ``src`` on the path.
 """
 
 import argparse
 import json
 import os
+import sys
 
 import yaml
 
@@ -109,7 +113,7 @@ def _cmd_attack(args):
     config = load_config(args.config, args.seed)
     if config.sweep is not None:
         raise SystemExit("config contains a sweep section; use the sweep subcommand")
-    return _report(run_experiment(config, args.out, args.threads))
+    return _report(run_experiment(config, args.out))
 
 
 def _cmd_sweep(args):
@@ -117,12 +121,12 @@ def _cmd_sweep(args):
     config = load_config(args.config, args.seed)
     if config.sweep is None:
         raise SystemExit("config has no sweep section; use the attack subcommand")
-    return _report(run_experiment(config, args.out, args.threads))
+    return _report(run_experiment(config, args.out))
 
 
 def _cmd_evaluate(args):
     _require(args, "config", "out")
-    return _report(run_evaluation(load_config(args.config, args.seed), args.out, args.threads))
+    return _report(run_evaluation(load_config(args.config, args.seed), args.out))
 
 
 def _build_parser():
@@ -130,7 +134,6 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--config", default=None, help="experiment config file (YAML)")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=1, help="threads for cost estimation")
 
     parser = argparse.ArgumentParser(
         prog="dppoison",
@@ -169,6 +172,8 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        raise SystemExit("--threads must be at least 1")
     return args.func(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

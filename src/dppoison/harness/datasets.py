@@ -7,6 +7,7 @@ time via a label map.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -82,7 +83,7 @@ def load_csv_dataset(path, feature_columns=None, label_column="y", label_map=Non
     feature_columns defaults to every non-label column in file order.
     label_map translates string labels (e.g. class names) to numbers;
     without it the label column must parse as a float. Parse problems
-    raise with the offending line number.
+    and non-finite values (nan, inf) raise with the offending line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -101,19 +102,25 @@ def load_csv_dataset(path, feature_columns=None, label_column="y", label_map=Non
         rows, labels = [], []
         for line, rec in enumerate(reader, start=2):
             try:
-                rows.append([float(rec[c]) for c in feature_columns])
+                row = [float(rec[c]) for c in feature_columns]
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line}: bad feature value ({exc})") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{line}: non-finite feature value")
+            rows.append(row)
             raw = rec[label_column]
             if label_map is not None:
                 if raw not in label_map:
                     raise ValueError(f"{path}:{line}: unknown label {raw!r}")
-                labels.append(float(label_map[raw]))
+                label = float(label_map[raw])
             else:
                 try:
-                    labels.append(float(raw))
+                    label = float(raw)
                 except (TypeError, ValueError):
                     raise ValueError(f"{path}:{line}: bad label value {raw!r}") from None
+            if not math.isfinite(label):
+                raise ValueError(f"{path}:{line}: non-finite label {raw!r}")
+            labels.append(label)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return Dataset(np.array(rows), np.array(labels))

@@ -18,9 +18,11 @@ bit for bit (the summary differs only in its runtime entry).
 
 import csv
 import dataclasses
+import enum
 import json
 import os
 import time
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,7 +124,7 @@ class EvalSource:
     """Where the cost's evaluation set comes from (kind 'none' for
     parameter targeting with an explicit target)."""
 
-    kind: str
+    kind: str = "none"
     m: int = 21
     count: int = 10
     class_label: float = 1.0
@@ -200,165 +202,97 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The whole config tree. Its fields, and those of its section classes,
+    are the config schema: see config_from_dict."""
+
     victim: VictimSpec
     cost: CostDescriptor
     data: DataSource
-    eval: EvalSource
     attack: AttackConfig
+    eval: EvalSource = EvalSource()
     seed: int = 0
     sweep: Optional[SweepSpec] = None
     curve_points: int = 21
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "curve_points", int(self.curve_points))
         if self.curve_points < 2:
             raise ValueError("curve_points must be at least 2")
 
 
-def _build_section(raw, fields, section, required=()):
-    """Construct dataclass kwargs from a config mapping, rejecting unknown
-    keys and filling declared defaults."""
+# Fields a config section does not accept: the top-level seed owns the
+# attack's seed.
+_NOT_IN_CONFIG = {AttackConfig: ("seed",)}
+
+
+def _config_fields(cls):
+    return [f for f in dataclasses.fields(cls) if f.name not in _NOT_IN_CONFIG.get(cls, ())]
+
+
+def _section_class(tp):
+    """The section dataclass a field holds (unwrapping Optional), or None."""
+    for t in (tp, *typing.get_args(tp)):
+        if dataclasses.is_dataclass(t):
+            return t
+    return None
+
+
+def _build_section(cls, raw, section, base_dir):
+    """Construct a config dataclass from a mapping, rejecting unknown keys.
+
+    A field with no default is required, and a null value counts as
+    absent. Lists become tuples, sections are built recursively, and
+    ``path`` fields are resolved against base_dir and must exist.
+    """
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ValueError(f"config section {section!r} must be a mapping")
-    unknown = set(raw) - set(fields)
+    fields = _config_fields(cls)
+    unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-    for key in required:
-        if raw.get(key) is None:
-            raise ValueError(f"config section {section!r} needs {key!r}")
-    return {k: raw[k] for k in raw if raw[k] is not None}
-
-
-def _as_tuple(v):
-    return tuple(v) if isinstance(v, (list, tuple)) else v
-
-
-def _resolve_path(path, base_dir):
-    if path is None or base_dir is None or os.path.isabs(path):
-        return path
-    return os.path.join(base_dir, path)
+    kwargs = {}
+    for f in fields:
+        value = raw.get(f.name)
+        if value is None:
+            if f.default is dataclasses.MISSING:
+                raise ValueError(f"config section {section!r} needs {f.name!r}")
+            continue
+        sub = _section_class(f.type)
+        if sub is not None:
+            value = _build_section(sub, value, f.name, base_dir)
+        elif isinstance(value, list):
+            value = tuple(value)
+        elif f.name == "path":
+            if base_dir is not None and not os.path.isabs(value):
+                value = os.path.join(base_dir, value)
+            if not os.path.exists(value):
+                raise ValueError(f"{section} file not found: {value}")
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(raw, base_dir=None):
     """Build an ExperimentConfig from a plain config tree (e.g. parsed
     YAML). Unknown keys anywhere are an error. Relative data/eval paths
     are resolved against base_dir; referenced files must exist."""
-    top = _build_section(raw, ("victim", "cost", "data", "eval", "attack", "seed", "sweep", "curve_points"), "top level", required=("victim", "cost", "data", "attack"))
-
-    v = _build_section(top["victim"], ("mechanism", "base", "lam", "epsilon", "delta", "rho", "noise_scale"), "victim", required=("mechanism", "base", "lam", "epsilon"))
-    victim = VictimSpec(**v)
-
-    c = _build_section(top["cost"], ("goal", "loss", "target", "cbar"), "cost", required=("goal",))
-    if "target" in c:
-        c["target"] = _as_tuple(c["target"])
-    cost = CostDescriptor(**c)
-
-    d = _build_section(top["data"], ("kind", "n", "theta_star", "path", "feature_columns", "label_column", "label_map", "normalize", "normalize_labels", "label_range"), "data", required=("kind",))
-    for key in ("theta_star", "feature_columns", "label_range"):
-        if key in d:
-            d[key] = _as_tuple(d[key])
-    if "path" in d:
-        d["path"] = _resolve_path(d["path"], base_dir)
-        if not os.path.exists(d["path"]):
-            raise ValueError(f"data file not found: {d['path']}")
-    data = DataSource(**d)
-
-    e = _build_section(top.get("eval"), ("kind", "m", "count", "class_label", "include_seed", "extreme", "target_label", "path", "feature_columns", "label_column", "label_map"), "eval")
-    e.setdefault("kind", "none")
-    if "feature_columns" in e:
-        e["feature_columns"] = _as_tuple(e["feature_columns"])
-    if "path" in e:
-        e["path"] = _resolve_path(e["path"], base_dir)
-        if not os.path.exists(e["path"]):
-            raise ValueError(f"eval file not found: {e['path']}")
-    eval_src = EvalSource(**e)
-
-    a = _build_section(top["attack"], ("k", "T", "selection", "mode", "eta", "m_select", "alpha", "T_eval", "relax_T"), "attack", required=("k", "T"))
-    attack = AttackConfig(**a)
-
-    sweep = None
-    if top.get("sweep") is not None:
-        s = _build_section(top["sweep"], ("kind", "values"), "sweep", required=("kind", "values"))
-        sweep = SweepSpec(s["kind"], tuple(s["values"]))
-
-    return ExperimentConfig(
-        victim=victim,
-        cost=cost,
-        data=data,
-        eval=eval_src,
-        attack=attack,
-        seed=int(top.get("seed", 0)),
-        sweep=sweep,
-        curve_points=int(top.get("curve_points", 21)),
-    )
+    return _build_section(ExperimentConfig, raw, "top level", base_dir)
 
 
 def config_to_dict(config):
     """Inverse of config_from_dict: a plain tree suitable for JSON/YAML."""
-    victim = {
-        "mechanism": config.victim.mechanism.value,
-        "base": config.victim.base.value,
-        "lam": config.victim.lam,
-        "epsilon": config.victim.epsilon,
-        "delta": config.victim.delta,
-        "rho": config.victim.rho,
-        "noise_scale": config.victim.noise_scale,
-    }
-    cost = {
-        "goal": config.cost.goal.value,
-        "loss": config.cost.loss,
-        "target": list(config.cost.target) if isinstance(config.cost.target, tuple) else config.cost.target,
-        "cbar": config.cost.cbar,
-    }
-    data = {
-        "kind": config.data.kind,
-        "n": config.data.n,
-        "theta_star": list(config.data.theta_star),
-        "path": config.data.path,
-        "feature_columns": list(config.data.feature_columns) if config.data.feature_columns else None,
-        "label_column": config.data.label_column,
-        "label_map": dict(config.data.label_map) if config.data.label_map else None,
-        "normalize": config.data.normalize,
-        "normalize_labels": config.data.normalize_labels,
-        "label_range": list(config.data.label_range),
-    }
-    ev = {
-        "kind": config.eval.kind,
-        "m": config.eval.m,
-        "count": config.eval.count,
-        "class_label": config.eval.class_label,
-        "include_seed": config.eval.include_seed,
-        "extreme": config.eval.extreme,
-        "target_label": config.eval.target_label,
-        "path": config.eval.path,
-        "feature_columns": list(config.eval.feature_columns) if config.eval.feature_columns else None,
-        "label_column": config.eval.label_column,
-        "label_map": dict(config.eval.label_map) if config.eval.label_map else None,
-    }
-    attack = {
-        "k": config.attack.k,
-        "T": config.attack.T,
-        "selection": config.attack.selection.value,
-        "mode": config.attack.mode.value,
-        "eta": config.attack.eta,
-        "m_select": config.attack.m_select,
-        "alpha": config.attack.alpha,
-        "T_eval": config.attack.T_eval,
-        "relax_T": config.attack.relax_T,
-    }
-    out = {
-        "victim": victim,
-        "cost": cost,
-        "data": data,
-        "eval": ev,
-        "attack": attack,
-        "seed": config.seed,
-        "curve_points": config.curve_points,
-        "sweep": None,
-    }
-    if config.sweep is not None:
-        out["sweep"] = {"kind": config.sweep.kind, "values": list(config.sweep.values)}
+    out = {}
+    for f in _config_fields(type(config)):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
     return out
 
 
@@ -491,8 +425,21 @@ def _estimate_dict(est):
     return {"mean": est.mean, "stderr": est.stderr, "samples": est.samples}
 
 
-def _summary_base(config, data, out_dir):
-    return {
+def _run(config, out_dir, key, mode_rows):
+    """Build the data and cost, collect the mode's costs.csv rows, and
+    write costs.csv and summary.json; returns the summary.
+
+    mode_rows(config, data, cost, out_dir, summary) yields
+    (key value, estimate, bound) per row and records its details in the
+    summary. A solver failure ends the rows early and is recorded in the
+    summary; the rows before it are kept.
+    """
+    t0 = time.perf_counter()
+    os.makedirs(out_dir, exist_ok=True)
+    data = build_dataset(config)
+    eval_set = build_eval_set(config, data)
+    cost = build_cost(config, data, eval_set)
+    summary = {
         "config": config_to_dict(config),
         "seed": config.seed,
         "n": data.n,
@@ -500,18 +447,37 @@ def _summary_base(config, data, out_dir):
         "out_dir": os.path.abspath(out_dir),
         "error": None,
     }
-
-
-def _finish_summary(summary, out_dir, t0):
+    rows = []
+    try:
+        for value, est, bound in mode_rows(config, data, cost, out_dir, summary):
+            rows.append([_cell(value), _cell(est.mean), _cell(est.stderr), _cell(bound)])
+    except SolverError as exc:
+        summary["error"] = f"solver failure after {len(rows)} cost rows: {exc}"
+    _write_csv(os.path.join(out_dir, "costs.csv"), [key, "mean", "stderr", "lower_bound"], rows)
     summary["runtime_seconds"] = time.perf_counter() - t0
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
 
 
-def _run_attack_curve(config, data, cost, out_dir, threads, summary):
+def _clean_cost(config, victim, data, cost, *key):
+    """Monte-Carlo estimate of J(D) and the conservative endpoint of it
+    that the bound takes."""
+    est = estimate_attack_cost(
+        victim, data, cost, config.attack.T_eval, subseed(config.seed, STAGE_MC_CLEAN, *key)
+    )
+    return est, conservative_clean_cost(est, cost.sign)
+
+
+def _evaluation_rows(config, data, cost, out_dir, summary):
+    est, j_clean = _clean_cost(config, config.victim, data, cost)
+    summary["clean_cost"] = _estimate_dict(est)
+    summary["lower_bound"] = bound_for(config.victim, cost, config.attack.k, j_clean)
+    yield 0, est, summary["lower_bound"]
+
+
+def _curve_rows(config, data, cost, out_dir, summary):
     victim = config.victim
     atk = dataclasses.replace(config.attack, seed=config.seed)
     trace = run_attack(victim, data, cost, atk)
@@ -521,39 +487,21 @@ def _run_attack_curve(config, data, cost, out_dir, threads, summary):
     if len(trace.surrogate_costs) > 0:
         summary["final_surrogate_cost"] = float(trace.surrogate_costs[-1])
         summary["final_surrogate_model"] = _surrogate_model_dict(victim, trace)
-
-    rows = []
-    est_rows = []
-    try:
-        clean_est = estimate_attack_cost(
-            victim, data, cost, atk.T_eval, subseed(config.seed, STAGE_MC_CLEAN), threads
-        )
-        summary["clean_cost"] = _estimate_dict(clean_est)
-        j_clean = conservative_clean_cost(clean_est, cost.sign)
-        bound = bound_for(victim, cost, atk.k, j_clean)
-        summary["lower_bound"] = bound
-        last = int(trace.iterations[-1]) if len(trace.iterations) else 0
-        iters = curve_iterations(last, config.curve_points)
-        _write_trace(os.path.join(out_dir, "trace.csv"), trace, iters)
-        for t in iters:
-            if t == 0:
-                est = clean_est
-            else:
-                est = estimate_attack_cost(
-                    victim,
-                    trace.dataset_at(t),
-                    cost,
-                    atk.T_eval,
-                    subseed(config.seed, STAGE_CURVE, int(t)),
-                    threads,
-                )
-            rows.append([str(int(t)), _cell(est.mean), _cell(est.stderr), _cell(bound)])
-            est_rows.append({"iteration": int(t), **_estimate_dict(est)})
-        summary["final_cost"] = est_rows[-1] if est_rows else None
-    except SolverError as exc:
-        summary["error"] = f"cost estimation failed: {exc}"
-    summary["curve"] = est_rows
-    _write_csv(os.path.join(out_dir, "costs.csv"), ["iteration", "mean", "stderr", "lower_bound"], rows)
+    summary["curve"] = []
+    clean_est, j_clean = _clean_cost(config, victim, data, cost)
+    summary["clean_cost"] = _estimate_dict(clean_est)
+    bound = summary["lower_bound"] = bound_for(victim, cost, atk.k, j_clean)
+    last = int(trace.iterations[-1]) if len(trace.iterations) else 0
+    iters = curve_iterations(last, config.curve_points)
+    _write_trace(os.path.join(out_dir, "trace.csv"), trace, iters)
+    for t in iters:
+        est = clean_est
+        if t > 0:
+            seed = subseed(config.seed, STAGE_CURVE, int(t))
+            est = estimate_attack_cost(victim, trace.dataset_at(t), cost, atk.T_eval, seed)
+        summary["curve"].append({"iteration": int(t), **_estimate_dict(est)})
+        yield t, est, bound
+    summary["final_cost"] = summary["curve"][-1] if summary["curve"] else None
 
 
 def _surrogate_model_dict(victim, trace):
@@ -572,132 +520,54 @@ def _sweep_selection_scores(config, data, cost):
     raise ValueError("a k sweep needs shallow or deep selection")
 
 
-def _run_k_sweep(config, data, cost, out_dir, threads, summary):
+def _sweep_rows(config, data, cost, out_dir, summary):
+    """One row per swept value: attack with that k (items ranked once, by
+    the configured selection) or that epsilon (selected afresh, against
+    its own clean estimate), then estimate the poisoned cost."""
+    kind, values = config.sweep.kind, config.sweep.values
     victim = config.victim
-    values = config.sweep.values
-    if values[-1] > data.n:
-        raise ValueError(f"sweep k={values[-1]} exceeds dataset size n={data.n}")
-    rows = []
-    sweep_rows = []
-    try:
+    if kind == "k":
+        if values[-1] > data.n:
+            raise ValueError(f"sweep k={values[-1]} exceeds dataset size n={data.n}")
         scores = _sweep_selection_scores(config, data, cost)
-        clean_est = estimate_attack_cost(
-            victim, data, cost, config.attack.T_eval, subseed(config.seed, STAGE_MC_CLEAN), threads
-        )
+        clean_est, j_clean = _clean_cost(config, victim, data, cost)
         summary["clean_cost"] = _estimate_dict(clean_est)
-        j_clean = conservative_clean_cost(clean_est, cost.sign)
-        for i, k in enumerate(values):
-            selected = top_k_indices(scores, k)
-            atk = dataclasses.replace(
-                config.attack, k=k, seed=subseed(config.seed, STAGE_SWEEP, i)
-            )
-            trace = run_attack(victim, data, cost, atk, selected=selected)
-            if trace.error is not None:
-                summary["error"] = f"k={k}: {trace.error}"
-            est = estimate_attack_cost(
-                victim,
-                trace.final_data,
-                cost,
-                atk.T_eval,
-                subseed(config.seed, STAGE_MC_POISONED, i),
-                threads,
-            )
-            bound = bound_for(victim, cost, k, j_clean)
-            rows.append([str(int(k)), _cell(est.mean), _cell(est.stderr), _cell(bound)])
-            sweep_rows.append({"k": int(k), "lower_bound": bound, **_estimate_dict(est)})
-    except SolverError as exc:
-        summary["error"] = f"sweep failed: {exc}"
-    summary["sweep_rows"] = sweep_rows
-    _write_csv(os.path.join(out_dir, "costs.csv"), ["k", "mean", "stderr", "lower_bound"], rows)
+    summary["sweep_rows"] = []
+    for i, value in enumerate(values):
+        atk = dataclasses.replace(config.attack, seed=subseed(config.seed, STAGE_SWEEP, i))
+        row = {kind: value}
+        selected = None
+        if kind == "k":
+            atk = dataclasses.replace(atk, k=value)
+            selected = top_k_indices(scores, value)
+        else:
+            victim = dataclasses.replace(config.victim, epsilon=value)
+            clean_est, j_clean = _clean_cost(config, victim, data, cost, i)
+            row["clean"] = _estimate_dict(clean_est)
+        trace = run_attack(victim, data, cost, atk, selected=selected)
+        if trace.error is not None:
+            summary["error"] = f"{kind}={value}: {trace.error}"
+        seed = subseed(config.seed, STAGE_MC_POISONED, i)
+        est = estimate_attack_cost(victim, trace.final_data, cost, atk.T_eval, seed)
+        row["lower_bound"] = bound_for(victim, cost, atk.k, j_clean)
+        summary["sweep_rows"].append({**row, **_estimate_dict(est)})
+        yield value, est, row["lower_bound"]
 
 
-def _run_epsilon_sweep(config, data, cost, out_dir, threads, summary):
-    values = config.sweep.values
-    rows = []
-    sweep_rows = []
-    try:
-        for i, eps in enumerate(values):
-            victim = dataclasses.replace(config.victim, epsilon=eps)
-            atk = dataclasses.replace(config.attack, seed=subseed(config.seed, STAGE_SWEEP, i))
-            clean_est = estimate_attack_cost(
-                victim, data, cost, atk.T_eval, subseed(config.seed, STAGE_MC_CLEAN, i), threads
-            )
-            j_clean = conservative_clean_cost(clean_est, cost.sign)
-            trace = run_attack(victim, data, cost, atk)
-            if trace.error is not None:
-                summary["error"] = f"epsilon={eps}: {trace.error}"
-            est = estimate_attack_cost(
-                victim,
-                trace.final_data,
-                cost,
-                atk.T_eval,
-                subseed(config.seed, STAGE_MC_POISONED, i),
-                threads,
-            )
-            bound = bound_for(victim, cost, atk.k, j_clean)
-            rows.append([_cell(float(eps)), _cell(est.mean), _cell(est.stderr), _cell(bound)])
-            sweep_rows.append(
-                {
-                    "epsilon": float(eps),
-                    "lower_bound": bound,
-                    "clean": _estimate_dict(clean_est),
-                    **_estimate_dict(est),
-                }
-            )
-    except SolverError as exc:
-        summary["error"] = f"sweep failed: {exc}"
-    summary["sweep_rows"] = sweep_rows
-    _write_csv(os.path.join(out_dir, "costs.csv"), ["epsilon", "mean", "stderr", "lower_bound"], rows)
-
-
-def run_experiment(config, out_dir, threads=1):
+def run_experiment(config, out_dir):
     """Run the configured experiment and write its report files.
 
     Returns the summary dict (also written to summary.json). Solver
     failures are recorded in the summary; partial outputs are retained.
     """
-    t0 = time.perf_counter()
-    os.makedirs(out_dir, exist_ok=True)
-    data = build_dataset(config)
-    eval_set = build_eval_set(config, data)
-    cost = build_cost(config, data, eval_set)
-    summary = _summary_base(config, data, out_dir)
     if config.sweep is None:
-        _run_attack_curve(config, data, cost, out_dir, threads, summary)
-    elif config.sweep.kind == "k":
-        _run_k_sweep(config, data, cost, out_dir, threads, summary)
-    else:
-        _run_epsilon_sweep(config, data, cost, out_dir, threads, summary)
-    return _finish_summary(summary, out_dir, t0)
+        return _run(config, out_dir, "iteration", _curve_rows)
+    return _run(config, out_dir, config.sweep.kind, _sweep_rows)
 
 
-def run_evaluation(config, out_dir, threads=1):
+def run_evaluation(config, out_dir):
     """Estimate the clean cost J(D) and its bound without attacking."""
-    t0 = time.perf_counter()
-    os.makedirs(out_dir, exist_ok=True)
-    data = build_dataset(config)
-    eval_set = build_eval_set(config, data)
-    cost = build_cost(config, data, eval_set)
-    summary = _summary_base(config, data, out_dir)
-    rows = []
-    try:
-        est = estimate_attack_cost(
-            config.victim,
-            data,
-            cost,
-            config.attack.T_eval,
-            subseed(config.seed, STAGE_MC_CLEAN),
-            threads,
-        )
-        summary["clean_cost"] = _estimate_dict(est)
-        j_clean = conservative_clean_cost(est, cost.sign)
-        bound = bound_for(config.victim, cost, config.attack.k, j_clean)
-        summary["lower_bound"] = bound
-        rows.append(["0", _cell(est.mean), _cell(est.stderr), _cell(bound)])
-    except SolverError as exc:
-        summary["error"] = f"cost estimation failed: {exc}"
-    _write_csv(os.path.join(out_dir, "costs.csv"), ["iteration", "mean", "stderr", "lower_bound"], rows)
-    return _finish_summary(summary, out_dir, t0)
+    return _run(config, out_dir, "iteration", _evaluation_rows)
 
 
 def write_dataset_files(config, out_dir):

@@ -1,6 +1,5 @@
 """Monte Carlo estimation of the expected attack cost under mechanism noise."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,31 +31,22 @@ class CostEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def estimate_attack_cost(victim, data, cost, T_e, seed, threads=1, settings=None):
+def estimate_attack_cost(victim, data, cost, T_e, seed, settings=None):
     """Estimate E_b[C(M(data, b))] from T_e independent noise draws.
 
     Sample s always uses the dedicated stream substream(seed, s) and a cold
-    solver start, so the estimate is reproducible bit for bit regardless of
-    threads.
+    solver start, so draw s depends only on (seed, s): the first m values
+    of a larger estimate equal those of a T_e=m one bit for bit.
     """
     if T_e < 2:
         raise ValueError("T_e must be at least 2 for a standard error")
     if settings is None:
         settings = DEFAULT_SETTINGS
     scale = victim.noise_scale_for(data.n)
-
-    def one(s):
-        b = sample_noise(data.dim, scale, substream(seed, s))
-        return eval_cost(cost, train_mechanism(victim, data, b, settings=settings))
-
     samples = np.empty(T_e)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for s, value in zip(range(T_e), pool.map(one, range(T_e))):
-                samples[s] = value
-    else:
-        for s in range(T_e):
-            samples[s] = one(s)
+    for s in range(T_e):
+        b = sample_noise(data.dim, scale, substream(seed, s))
+        samples[s] = eval_cost(cost, train_mechanism(victim, data, b, settings=settings))
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(T_e))
     return CostEstimate(mean, stderr, T_e, samples)

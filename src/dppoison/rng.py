@@ -3,7 +3,7 @@
 Every randomized stage of the pipeline (data generation, selection, SGD
 noise, Monte-Carlo evaluation, ...) owns a stream derived from the user
 seed and a fixed stage key, so results are reproducible bit-for-bit and
-independent of evaluation order or thread count.
+independent of evaluation order.
 """
 
 import numpy as np

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -90,6 +92,20 @@ class TestBound:
         )
         assert code == 0
         assert json.loads(out)["lower_bound"] == pytest.approx(-0.5 * math.exp(1.0))
+
+    def test_module_entry_point(self):
+        # `python -m dppoison.harness.cli` is the way to run the CLI from a
+        # source checkout; it must run main and exit with its status
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        argv = ["bound", "--j", "0.5", "--epsilon", "0.1", "--k", "10"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "dppoison.harness.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["lower_bound"] == pytest.approx(0.5 * math.exp(-1.0))
 
     def test_delta_without_cbar_fails(self, capsys):
         with pytest.raises(ValueError):
@@ -187,14 +203,3 @@ class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             main([])
-
-    def test_threads_validated(self, config_path, tmp_path):
-        with pytest.raises(SystemExit, match="threads"):
-            main(
-                [
-                    "attack",
-                    "--config", config_path,
-                    "--out", str(tmp_path / "o"),
-                    "--threads", "0",
-                ]
-            )

@@ -10,14 +10,12 @@ from dppoison import (
     CostSpec,
     Dataset,
     Goal,
-    LabeledItem,
     ModelParams,
     Sign,
     VictimSpec,
     eval_cost,
-    modification_distance,
     modification_distances,
-    project_item,
+    project_rows_inplace,
     sigmoid,
     softplus,
 )
@@ -34,8 +32,8 @@ class TestDataset:
         d = Dataset([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], [1.0, -1.0, 1.0])
         assert d.n == len(d) == 3
         assert d.dim == 2
-        assert d.item(1).label == -1.0
-        np.testing.assert_array_equal(d.item(1).features, [0.3, 0.4])
+        assert d.y[1] == -1.0
+        np.testing.assert_array_equal(d.X[1], [0.3, 0.4])
 
     def test_arrays_are_readonly(self):
         d = Dataset([[0.1], [0.2]], [1.0, -1.0])
@@ -48,15 +46,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset([[0.1], [0.2]], [1.0])
 
-    def test_from_items_requires_common_dim(self):
-        items = [LabeledItem(vec(0.1, 0.2), 1.0), LabeledItem(vec(0.3), -1.0)]
-        with pytest.raises(ValueError):
-            Dataset.from_items(items)
-
-    def test_from_items_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Dataset.from_items([])
-
     def test_with_modified_leaves_original_untouched(self):
         d = Dataset([[0.1], [0.2], [0.3]], [1.0, 1.0, -1.0])
         d2 = d.with_modified([1], vec(0.9)[None, :], vec(-1.0))
@@ -68,17 +57,6 @@ class TestDataset:
     def test_empty_dataset_is_allowed(self):
         d = Dataset(np.empty((0, 3)), np.empty(0))
         assert d.n == 0 and d.dim == 3
-
-
-class TestLabeledItem:
-    def test_scalar_features_become_1d(self):
-        it = LabeledItem(0.5, 1)
-        assert it.dim == 1
-        assert it.label == 1.0
-
-    def test_matrix_features_rejected(self):
-        with pytest.raises(ValueError):
-            LabeledItem(np.zeros((2, 2)), 1.0)
 
 
 class TestVictimSpec:
@@ -185,21 +163,32 @@ class TestEvalCost:
             eval_cost(c, ModelParams(vec(1.0)))
 
 
+def project(features, label):
+    """Project one item through project_rows_inplace; returns (features, label)."""
+    X = vec(*features)[None, :]
+    y = vec(label)
+    project_rows_inplace(X, y)
+    return X[0], y[0]
+
+
 class TestProjection:
     def test_feasible_item_unchanged(self):
-        it = LabeledItem(vec(0.3, 0.4), 0.5)
-        out = project_item(it)
-        assert out is it
+        X = np.array([[0.3, 0.4], [0.6, 0.8]])
+        y = vec(0.5, -1.0)
+        before = X.copy(), y.copy()
+        project_rows_inplace(X, y)
+        np.testing.assert_array_equal(X, before[0])
+        np.testing.assert_array_equal(y, before[1])
 
     def test_radial_rescale(self):
-        out = project_item(LabeledItem(vec(3.0, 4.0), 0.5))
-        np.testing.assert_allclose(out.features, [0.6, 0.8])
-        assert out.label == 0.5
+        f, label = project((3.0, 4.0), 0.5)
+        np.testing.assert_allclose(f, [0.6, 0.8])
+        assert label == 0.5
 
     def test_label_clamp(self):
-        out = project_item(LabeledItem(vec(0.1), 1.7))
-        assert out.label == 1.0
-        np.testing.assert_array_equal(out.features, [0.1])
+        f, label = project((0.1,), 1.7)
+        assert label == 1.0
+        np.testing.assert_array_equal(f, [0.1])
 
     @given(
         st.lists(finite_floats, min_size=1, max_size=4),
@@ -207,29 +196,29 @@ class TestProjection:
     )
     @settings(max_examples=200, deadline=None)
     def test_idempotent_and_feasible(self, features, label):
-        once = project_item(LabeledItem(vec(*features), label))
-        twice = project_item(once)
-        assert np.linalg.norm(once.features) <= 1.0 + 1e-12
-        assert -1.0 <= once.label <= 1.0
-        np.testing.assert_array_equal(twice.features, once.features)
-        assert twice.label == once.label
+        once = project(features, label)
+        twice = project(once[0], once[1])
+        assert np.linalg.norm(once[0]) <= 1.0 + 1e-12
+        assert -1.0 <= once[1] <= 1.0
+        np.testing.assert_array_equal(twice[0], once[0])
+        assert twice[1] == once[1]
+
+
+def distance(xa, ya, xb, yb, base):
+    """modification_distances of a single pair of items."""
+    return modification_distances(vec(*xa)[None, :], vec(ya), vec(*xb)[None, :], vec(yb), base)[0]
 
 
 class TestModificationDistance:
     def test_identical_items(self):
-        a = LabeledItem(vec(0.1, 0.2), 1.0)
-        assert modification_distance(a, a, BaseLearner.LOGISTIC) == 0.0
-        assert modification_distance(a, a, BaseLearner.RIDGE) == 0.0
+        assert distance((0.1, 0.2), 1.0, (0.1, 0.2), 1.0, BaseLearner.LOGISTIC) == 0.0
+        assert distance((0.1, 0.2), 1.0, (0.1, 0.2), 1.0, BaseLearner.RIDGE) == 0.0
 
     def test_logistic_ignores_label(self):
-        a = LabeledItem(vec(0.6, 0.8), 1.0)
-        b = LabeledItem(vec(0.0, 0.0), -1.0)
-        assert modification_distance(a, b, "logistic") == pytest.approx(0.5)
+        assert distance((0.6, 0.8), 1.0, (0.0, 0.0), -1.0, "logistic") == pytest.approx(0.5)
 
     def test_ridge_includes_label(self):
-        a = LabeledItem(vec(1.0, 0.0), 1.0)
-        b = LabeledItem(vec(0.0, 0.0), 0.0)
-        assert modification_distance(a, b, "ridge") == pytest.approx(1.0)
+        assert distance((1.0, 0.0), 1.0, (0.0, 0.0), 0.0, "ridge") == pytest.approx(1.0)
 
     @given(
         st.lists(finite_floats, min_size=2, max_size=2),
@@ -239,11 +228,10 @@ class TestModificationDistance:
     )
     @settings(max_examples=200, deadline=None)
     def test_symmetric_in_the_difference(self, xa, xb, ya, yb):
-        a = LabeledItem(vec(*xa), ya)
-        b = LabeledItem(vec(*xb), yb)
         for base in BaseLearner:
-            assert modification_distance(a, b, base) == modification_distance(b, a, base)
-            assert modification_distance(a, b, base) >= 0.0
+            ab = distance(xa, ya, xb, yb, base)
+            assert ab == distance(xb, yb, xa, ya, base)
+            assert ab >= 0.0
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -252,9 +240,12 @@ class TestModificationDistance:
         for base in BaseLearner:
             batch = modification_distances(Xp, yp, Xc, yc, base)
             for i in range(8):
-                one = modification_distance(
-                    LabeledItem(Xp[i], yp[i]), LabeledItem(Xc[i], yc[i]), base
-                )
+                # per-row reference: half the squared displacement, label
+                # included for ridge only
+                dx = Xp[i] - Xc[i]
+                one = 0.5 * float(dx @ dx)
+                if base is BaseLearner.RIDGE:
+                    one += 0.5 * (yp[i] - yc[i]) ** 2
                 assert batch[i] == pytest.approx(one, rel=1e-15)
 
 

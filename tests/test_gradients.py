@@ -18,18 +18,19 @@ from dppoison import (
     cost_gradient,
     eval_cost,
     finite_difference_oracle,
-    grad_obj_logistic,
-    grad_obj_ridge,
-    grad_out_logistic,
-    grad_out_ridge,
     sigmoid,
-    train_base_logistic,
     train_base_ridge_constrained,
     train_mechanism,
 )
 from dppoison.learners import SolverSettings
 
 TIGHT = SolverSettings(grad_tol=1e-12)
+
+
+def item_gradient(victim, data, i, model, b, cost_grad):
+    """batch_item_gradients for the single item i: ((d,), float or None)."""
+    feats, labels = batch_item_gradients(victim, data, model, b, cost_grad, [i])
+    return feats[0], None if labels is None else labels[0]
 
 
 class TestCostGradient:
@@ -87,21 +88,17 @@ class TestScalarOracle:
             bval = float(rng.normal(scale=0.5))
             cg = float(rng.normal())
             data = Dataset([[x]], [y])
-            model = train_mechanism(
-                random_victim(rng, "logistic", "objective", lam=lam),
-                data,
-                np.array([bval]),
-                TIGHT,
-            )
+            victim = random_victim(rng, "logistic", "objective", lam=lam)
+            model = train_mechanism(victim, data, np.array([bval]), TIGHT)
             theta = float(model.theta[0])
             p = float(sigmoid(-y * theta * x))
             w = p * (1.0 - p)
             dg_dtheta = lam + w * x * x
             dg_dx = -y * p + w * x * theta
             oracle = -(dg_dx / dg_dtheta) * cg
-            got = grad_obj_logistic(data, 0, model, lam, np.array([cg]))
-            assert got.d_features[0] == pytest.approx(oracle, abs=1e-8)
-            assert got.d_label is None
+            feats, label = item_gradient(victim, data, 0, model, np.array([bval]), [cg])
+            assert feats[0] == pytest.approx(oracle, abs=1e-8)
+            assert label is None
 
 
 class TestReductions:
@@ -110,34 +107,30 @@ class TestReductions:
         cdata = random_classification_data(rng, n=8, d=3)
         rdata = random_regression_data(rng, n=8, d=3)
         zero = np.zeros(3)
-        lm = train_base_logistic(cdata, lam=1.0)
-        rm = train_base_ridge_constrained(rdata, lam=1.0, rho=0.5)
         b = rng.standard_normal(3)
-        for g in (
-            grad_obj_logistic(cdata, 2, lm, 1.0, zero),
-            grad_out_logistic(cdata, 2, ModelParams(lm.theta + b), b, 1.0, zero),
-            grad_obj_ridge(rdata, 2, rm, 1.0, zero),
-            grad_out_ridge(rdata, 2, ModelParams(rm.theta + b, rm.mu), b, 1.0, zero),
-        ):
-            assert np.all(g.d_features == 0.0)
-            if g.d_label is not None:
-                assert g.d_label == 0.0
+        for base, data in (("logistic", cdata), ("ridge", rdata)):
+            for mech in ("objective", "output"):
+                victim = random_victim(rng, base, mech, lam=1.0, rho=0.5)
+                model = train_mechanism(victim, data, b)
+                feats, label = item_gradient(victim, data, 2, model, b, zero)
+                assert np.all(feats == 0.0)
+                assert label is None if base == "logistic" else label == 0.0
 
     def test_output_with_zero_noise_equals_objective(self):
         rng = np.random.default_rng(4)
-        cdata = random_classification_data(rng, n=8, d=3)
         cg = rng.standard_normal(3)
-        model = train_base_logistic(cdata, lam=1.0)
-        a = grad_obj_logistic(cdata, 1, model, 1.0, cg)
-        b = grad_out_logistic(cdata, 1, model, np.zeros(3), 1.0, cg)
-        np.testing.assert_array_equal(a.d_features, b.d_features)
-
-        rdata = random_regression_data(rng, n=8, d=3)
-        rmodel = train_base_ridge_constrained(rdata, lam=1.0, rho=0.5)
-        c = grad_obj_ridge(rdata, 1, rmodel, 1.0, cg)
-        d = grad_out_ridge(rdata, 1, rmodel, np.zeros(3), 1.0, cg)
-        np.testing.assert_array_equal(c.d_features, d.d_features)
-        assert c.d_label == d.d_label
+        zero = np.zeros(3)
+        for base, data in (
+            ("logistic", random_classification_data(rng, n=8, d=3)),
+            ("ridge", random_regression_data(rng, n=8, d=3)),
+        ):
+            obj = random_victim(rng, base, "objective", lam=1.0, rho=0.5)
+            out = random_victim(rng, base, "output", lam=1.0, rho=0.5)
+            model = train_mechanism(obj, data, zero)
+            a = item_gradient(obj, data, 1, model, zero, cg)
+            c = item_gradient(out, data, 1, model, zero, cg)
+            np.testing.assert_array_equal(a[0], c[0])
+            assert a[1] == c[1]
 
     def test_linearity_in_cost_gradient(self):
         rng = np.random.default_rng(5)
@@ -153,21 +146,6 @@ class TestReductions:
         np.testing.assert_allclose(fc, a * f1 + f2, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(lc, a * l1 + l2, rtol=1e-12, atol=1e-14)
 
-    def test_batch_matches_single_item_calls(self):
-        rng = np.random.default_rng(6)
-        data = random_classification_data(rng, n=9, d=3)
-        victim = random_victim(rng, "logistic", "output", lam=2.0)
-        b = rng.standard_normal(3) * 0.3
-        model = train_mechanism(victim, data, b)
-        cg = rng.standard_normal(3)
-        feats, labs = batch_item_gradients(victim, data, model, b, cg, np.arange(data.n))
-        assert labs is None
-        for i in range(data.n):
-            single = grad_out_logistic(data, i, model, b, victim.lam, cg)
-            # BLAS picks different kernels for one-row and many-row
-            # products, so agreement is to rounding, not bit-exact
-            np.testing.assert_allclose(feats[i], single.d_features, rtol=1e-13, atol=1e-16)
-
 
 class TestRidgeClosedFormOracle:
     def test_unconstrained_gradient_matches_closed_form(self):
@@ -180,11 +158,12 @@ class TestRidgeClosedFormOracle:
             lam = 2.0
             target = ModelParams(rng.standard_normal(3) * 0.1)
             cost = CostSpec(goal=Goal.PARAMETER_TARGETING, target_model=target, loss="squared")
+            victim = random_victim(rng, "ridge", "objective", lam=lam, rho=100.0)
             model = train_base_ridge_constrained(data, lam, rho=100.0)
             assert model.mu == 0.0
             cg = cost_gradient(cost, model)
             i = int(rng.integers(data.n))
-            got = grad_obj_ridge(data, i, model, lam, cg)
+            got_feats, got_label = item_gradient(victim, data, i, model, np.zeros(3), cg)
 
             def closed_form_cost(X, y):
                 theta = np.linalg.solve(X.T @ X + lam * np.eye(3), X.T @ y)
@@ -196,23 +175,24 @@ class TestRidgeClosedFormOracle:
                 Xp[i, c] += h
                 Xm[i, c] -= h
                 fd[c] = (closed_form_cost(Xp, data.y) - closed_form_cost(Xm, data.y)) / (2 * h)
-            np.testing.assert_allclose(got.d_features, fd, rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(got_feats, fd, rtol=1e-6, atol=1e-9)
 
             yp, ym = data.y.copy(), data.y.copy()
             yp[i] += h
             ym[i] -= h
             fd_label = (closed_form_cost(data.X, yp) - closed_form_cost(data.X, ym)) / (2 * h)
-            assert got.d_label == pytest.approx(fd_label, rel=1e-6, abs=1e-9)
+            assert got_label == pytest.approx(fd_label, rel=1e-6, abs=1e-9)
 
     def test_label_gradient_sign(self):
         # d_label = x_i' H^{-1} cost_grad; with cost_grad = x_i and H
         # positive definite the quadratic form is strictly positive
         rng = np.random.default_rng(8)
         data = random_regression_data(rng, n=8, d=3)
+        victim = random_victim(rng, "ridge", "objective", lam=1.0, rho=100.0)
         model = train_base_ridge_constrained(data, lam=1.0, rho=100.0)
         for i in range(data.n):
-            g = grad_obj_ridge(data, i, model, 1.0, data.X[i])
-            assert g.d_label > 0.0
+            _, label = item_gradient(victim, data, i, model, np.zeros(3), data.X[i])
+            assert label > 0.0
 
 
 class TestFiniteDifferenceOracle:
@@ -233,11 +213,14 @@ class TestFiniteDifferenceOracle:
             goal=Goal.PARAMETER_TARGETING, target_model=ModelParams(rng.standard_normal(2))
         )
         model = train_mechanism(victim, data, np.zeros(2), TIGHT)
-        exact = grad_obj_logistic(data, 0, model, victim.lam, cost_gradient(cost, model))
+        exact, _ = item_gradient(victim, data, 0, model, np.zeros(2), cost_gradient(cost, model))
         errs = []
         for h in (1e-4, 5e-5):
-            fd = finite_difference_oracle(victim, data, 0, np.zeros(2), cost, h=h, settings=TIGHT)
-            errs.append(np.linalg.norm(fd.d_features - exact.d_features))
+            fd, label = finite_difference_oracle(
+                victim, data, 0, np.zeros(2), cost, h=h, settings=TIGHT
+            )
+            assert label is None
+            errs.append(np.linalg.norm(fd - exact))
         # both already deep in agreement; the larger step cannot be better
         # than the smaller one by more than solver noise
         assert errs[0] <= 1e-7

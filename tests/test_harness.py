@@ -114,6 +114,22 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=r":2"):
             load_csv_dataset(path)
 
+    @pytest.mark.parametrize(
+        "body, label_map",
+        [
+            ("x0,y\n0.5,1.0\nnan,1.0\n", None),
+            ("x0,y\n0.5,1.0\n-inf,1.0\n", None),
+            ("x0,y\n0.5,1.0\n0.25,inf\n", None),
+            ("x0,y\n0.5,a\n0.25,b\n", {"a": 1.0, "b": float("nan")}),
+        ],
+        ids=["nan-feature", "inf-feature", "inf-label", "mapped-nan-label"],
+    )
+    def test_non_finite_value_reports_line(self, tmp_path, body, label_map):
+        path = tmp_path / "d.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=r"d\.csv:3: non-finite"):
+            load_csv_dataset(path, label_map=label_map)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x0,y\n")
@@ -244,13 +260,13 @@ class TestEstimateAttackCost:
         wide = estimate_attack_cost(victim, data, cost, 400, seed=8)
         assert wide.stderr / narrow.stderr == pytest.approx(2.0, abs=0.6)
 
-    def test_thread_count_does_not_change_results(self):
+    def test_draw_depends_only_on_seed_and_index(self):
+        # draw s comes from substream(seed, s) alone, so a shorter estimate
+        # is a bit-exact prefix of a longer one
         victim, data, cost = small_estimation_setup()
-        one = estimate_attack_cost(victim, data, cost, 64, seed=5, threads=1)
-        four = estimate_attack_cost(victim, data, cost, 64, seed=5, threads=4)
-        assert one.mean == four.mean
-        assert one.stderr == four.stderr
-        np.testing.assert_array_equal(one.values, four.values)
+        long = estimate_attack_cost(victim, data, cost, 64, seed=5)
+        short = estimate_attack_cost(victim, data, cost, 32, seed=5)
+        np.testing.assert_array_equal(long.values[:32], short.values)
 
     def test_solver_failure_propagates(self):
         victim, data, cost = small_estimation_setup()
@@ -323,11 +339,72 @@ class TestConfigParsing:
             again = config_from_dict(config_to_dict(cfg))
             assert again == cfg, name
 
-    def test_unknown_key_rejected(self, one_d_config_path):
-        raw = yaml.safe_load(open(one_d_config_path))
-        raw["victim"]["spice"] = 1.0
-        with pytest.raises(ValueError, match="spice"):
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("top", "spice"),
+            ("victim", "spice"),
+            ("cost", "spice"),
+            ("data", "spice"),
+            ("eval", "spice"),
+            ("attack", "spice"),
+            ("sweep", "spice"),
+            # the top-level seed owns the attack's seed
+            ("attack", "seed"),
+        ],
+    )
+    def test_unknown_key_rejected(self, section, key):
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["sweep"] = {"kind": "k", "values": [2, 5]}
+        (raw if section == "top" else raw[section])[key] = 1
+        with pytest.raises(ValueError, match=f"unknown keys.*{key}"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("top", "victim"),
+            ("top", "cost"),
+            ("top", "data"),
+            ("top", "attack"),
+            ("victim", "mechanism"),
+            ("victim", "base"),
+            ("victim", "lam"),
+            ("victim", "epsilon"),
+            ("cost", "goal"),
+            ("data", "kind"),
+            ("attack", "k"),
+            ("attack", "T"),
+            ("sweep", "kind"),
+            ("sweep", "values"),
+        ],
+    )
+    def test_missing_required_key_rejected(self, section, key):
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["sweep"] = {"kind": "k", "values": [2, 5]}
+        del (raw if section == "top" else raw[section])[key]
+        with pytest.raises(ValueError, match=key):
+            config_from_dict(raw)
+
+    def test_section_keys(self):
+        # every key each section accepts: adding one is a new config option
+        raw = config_to_dict(config_from_dict(yaml.safe_load(ONE_D_CONFIG)))
+        assert {k: sorted(v) if isinstance(v, dict) else None for k, v in raw.items()} == {
+            "victim": ["base", "delta", "epsilon", "lam", "mechanism", "noise_scale", "rho"],
+            "cost": ["cbar", "goal", "loss", "target"],
+            "data": [
+                "feature_columns", "kind", "label_column", "label_map", "label_range",
+                "n", "normalize", "normalize_labels", "path", "theta_star",
+            ],
+            "eval": [
+                "class_label", "count", "extreme", "feature_columns", "include_seed",
+                "kind", "label_column", "label_map", "m", "path", "target_label",
+            ],
+            "attack": ["T", "T_eval", "alpha", "eta", "k", "m_select", "mode", "relax_T", "selection"],
+            "seed": None,
+            "sweep": None,
+            "curve_points": None,
+        }
 
     def test_missing_file_rejected(self, tmp_path):
         raw = yaml.safe_load(ONE_D_CONFIG)
@@ -394,7 +471,7 @@ class TestRunExperiment:
     def test_attack_error_recorded_not_raised(self, one_d_config_path, tmp_path, monkeypatch):
         import dppoison.harness.experiment as experiment
 
-        def boom(victim, data, cost, T_e, seed, threads=1, settings=None):
+        def boom(victim, data, cost, T_e, seed, settings=None):
             raise SolverError("instrumented failure")
 
         monkeypatch.setattr(experiment, "estimate_attack_cost", boom)
