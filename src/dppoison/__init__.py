@@ -21,8 +21,6 @@ from .attacks import (
     relaxed_attack,
     run_attack,
     deep_scores,
-    select_deep,
-    select_shallow,
     shallow_scores,
     top_k_indices,
 )
@@ -100,8 +98,6 @@ __all__ = [
     "run_attack",
     "sample_noise",
     "deep_scores",
-    "select_deep",
-    "select_shallow",
     "shallow_scores",
     "subseed",
     "substream",

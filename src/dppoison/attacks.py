@@ -26,7 +26,7 @@ from .core import (
     project_rows_inplace,
 )
 from .gradients import batch_item_gradients, cost_gradient
-from .learners import DEFAULT_SETTINGS, SolverError, sample_noise, train_mechanism
+from .learners import SolverError, sample_noise, train_mechanism
 from .rng import STAGE_SELECT, STAGE_SGD, substream
 
 __all__ = [
@@ -36,10 +36,8 @@ __all__ = [
     "AttackTrace",
     "top_k_indices",
     "shallow_scores",
-    "select_shallow",
     "relaxed_attack",
     "deep_scores",
-    "select_deep",
     "run_attack",
 ]
 
@@ -101,11 +99,14 @@ class AttackConfig:
 class AttackTrace:
     """Full record of one attack run.
 
-    Snapshot s describes the poisoned set after ``iterations[s]`` SGD
-    steps (snapshot 0 is the untouched data), holding the selected items'
-    coordinates and the surrogate cost C(M(D, 0)). On a mid-run solver
-    failure the trace is truncated at the last completed iteration and
-    ``error`` is set.
+    Snapshot s holds the selected items' coordinates after
+    ``iterations[s]`` SGD steps. Snapshot 0, the untouched data, is always
+    recorded, and ``final_data`` is always ``dataset_at(iterations[-1])``.
+    ``surrogate_costs`` is [C(M(D, 0)), C(M(D_T, 0))], the noiseless
+    surrogate's cost on the clean and the final data. On a solver failure
+    ``error`` is set, the trace ends at the last completed step and
+    ``surrogate_costs`` keeps only the clean cost (none if the clean
+    solve failed).
     """
 
     selected: np.ndarray
@@ -144,7 +145,6 @@ def shallow_scores(victim, data, cost, mode, m_select, rng, settings=None):
     before taking norms; SV mode uses the exact zero-noise gradient. For
     ridge victims features and label contribute jointly to the norm.
     """
-    settings = settings or DEFAULT_SETTINGS
     mode = AttackMode(mode)
     n, d = data.n, data.dim
     idx = np.arange(n)
@@ -171,9 +171,43 @@ def shallow_scores(victim, data, cost, mode, m_select, rng, settings=None):
     return np.sqrt(norms2)
 
 
-def select_shallow(victim, data, cost, k, mode, m_select, rng, settings=None):
-    """Top-k items by initial gradient norm."""
-    return top_k_indices(shallow_scores(victim, data, cost, mode, m_select, rng, settings), k)
+def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, settings, warm=None):
+    """Projected gradient descent on the given items; yields the dataset
+    after each of T steps.
+
+    Each step trains the victim on the current data (a fresh noise draw in
+    DPV mode, zero noise in SV mode), warm-started from the previous
+    step's model; moves every item along its gradient, plus alpha times
+    its displacement from the clean item when alpha is nonzero; and
+    projects the moved items back to the feasible set. A SolverError
+    propagates from the step that failed.
+    """
+    n, d = data.n, data.dim
+    ridge = victim.base is BaseLearner.RIDGE
+    dpv = AttackMode(mode) is AttackMode.DPV
+    scale = victim.noise_scale_for(n)
+    X, y = data.X.copy(), data.y.copy()
+    X0, y0 = X[items], y[items]
+    Xs, ys = X0.copy(), y0.copy()  # the moved items, scattered into X, y each step
+    cur = data
+    for _ in range(T):
+        b = sample_noise(d, scale, rng) if dpv else np.zeros(d)
+        model = warm = train_mechanism(victim, cur, b, settings, warm_start=warm)
+        if len(items) > 0:
+            g = cost_gradient(cost, model)
+            feat, lab = batch_item_gradients(victim, cur, model, b, g, items)
+            if alpha:
+                feat = feat + alpha * (Xs - X0)
+                if ridge:
+                    lab = lab + alpha * (ys - y0)
+            Xs -= eta * feat
+            if ridge:
+                ys -= eta * lab
+            project_rows_inplace(Xs, ys if ridge else None)
+            X[items] = Xs
+            y[items] = ys
+            cur = Dataset(X, y)
+        yield cur
 
 
 def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng, settings=None):
@@ -186,29 +220,9 @@ def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng, settings=None):
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    settings = settings or DEFAULT_SETTINGS
-    mode = AttackMode(mode)
-    n, d = data.n, data.dim
-    ridge = victim.base is BaseLearner.RIDGE
-    idx = np.arange(n)
-    X0 = data.X.copy()
-    y0 = data.y.copy()
-    Xp = X0.copy()
-    yp = y0.copy()
-    scale = victim.noise_scale_for(n)
     cur = data
-    warm = None
-    for _ in range(T):
-        b = sample_noise(d, scale, rng) if mode is AttackMode.DPV else np.zeros(d)
-        model = train_mechanism(victim, cur, b, settings, warm_start=warm)
-        warm = model
-        g = cost_gradient(cost, model)
-        feat, lab = batch_item_gradients(victim, cur, model, b, g, idx)
-        Xp -= eta * (feat + alpha * (Xp - X0))
-        if ridge:
-            yp -= eta * (lab + alpha * (yp - y0))
-        project_rows_inplace(Xp, yp if ridge else None)
-        cur = Dataset(Xp, yp)
+    for cur in _descend(victim, data, cost, np.arange(data.n), eta, alpha, T, mode, rng, settings):
+        pass
     return cur
 
 
@@ -219,11 +233,6 @@ def deep_scores(victim, data, cost, config, rng, settings=None):
         victim, data, cost, config.alpha, config.eta, T, config.mode, rng, settings
     )
     return modification_distances(relaxed.X, relaxed.y, data.X, data.y, victim.base)
-
-
-def select_deep(victim, data, cost, k, config, rng, settings=None):
-    """Top-k items by how far the relaxed attack moved them."""
-    return top_k_indices(deep_scores(victim, data, cost, config, rng, settings), k)
 
 
 def _select(victim, data, cost, config, settings):
@@ -239,84 +248,56 @@ def _select(victim, data, cost, config, settings):
         raise ValueError("selection 'all' requires k = n")
     rng = substream(config.seed, STAGE_SELECT)
     if config.selection is SelectionMethod.SHALLOW:
-        return select_shallow(
-            victim, data, cost, config.k, config.mode, config.m_select, rng, settings
-        )
-    return select_deep(victim, data, cost, config.k, config, rng, settings)
+        scores = shallow_scores(victim, data, cost, config.mode, config.m_select, rng, settings)
+    else:
+        scores = deep_scores(victim, data, cost, config, rng, settings)
+    return top_k_indices(scores, config.k)
 
 
 def run_attack(victim, data, cost, config, settings=None, selected=None):
     """Run the two-step attack and return its trace.
 
     Step I picks the items per config.selection (or uses ``selected`` as
-    given). Step II runs T iterations; each one trains the victim on the
-    current poisoned set (with a fresh noise draw in DPV mode, zero noise
-    in SV mode), steps every selected item along its gradient
-    simultaneously, and projects the modified items back to the feasible
-    set. Unselected items never change. Deterministic given
-    (data, config, selected).
+    given). Step II takes T projected gradient steps on the selected items
+    (fresh noise per step in DPV mode, zero noise in SV mode), the first
+    warm-started from the noiseless model on the clean data. Unselected
+    items never change. The noiseless surrogate is trained on the clean
+    and the final data only. Deterministic given (data, config, selected).
     """
-    settings = settings or DEFAULT_SETTINGS
     n, d = data.n, data.dim
     if selected is None:
         selected = _select(victim, data, cost, config, settings)
     selected = np.sort(np.asarray(selected, dtype=int))
     if len(selected) > 0 and (selected[0] < 0 or selected[-1] >= n):
         raise ValueError("selected indices out of range")
-    ridge = victim.base is BaseLearner.RIDGE
-    dpv = config.mode is AttackMode.DPV
-    scale = victim.noise_scale_for(n)
-    sgd_rng = substream(config.seed, STAGE_SGD)
     zero_b = np.zeros(d)
-
-    m = len(selected)
-    feats = np.empty((config.T + 1, m, d))
-    labels = np.empty((config.T + 1, m))
-    costs = np.empty(config.T + 1)
-
-    Xp = data.X.copy()
-    yp = data.y.copy()
+    feats = np.empty((config.T + 1, len(selected), d))
+    labels = np.empty((config.T + 1, len(selected)))
+    feats[0], labels[0] = data.X[selected], data.y[selected]
+    costs = []
+    steps = 0
     cur = data
     error = None
-    recorded = 0
+    rng = substream(config.seed, STAGE_SGD)
     try:
-        surr = train_mechanism(victim, cur, zero_b, settings)
-        feats[0] = Xp[selected]
-        labels[0] = yp[selected]
-        costs[0] = eval_cost(cost, surr)
-        recorded = 1
-        warm_noisy = surr
-        for t in range(1, config.T + 1):
-            if dpv:
-                b = sample_noise(d, scale, sgd_rng)
-                model = train_mechanism(victim, cur, b, settings, warm_start=warm_noisy)
-                warm_noisy = model
-            else:
-                b = zero_b
-                model = surr
-            if m > 0:
-                g = cost_gradient(cost, model)
-                feat, lab = batch_item_gradients(victim, cur, model, b, g, selected)
-                sub_X = Xp[selected] - config.eta * feat
-                sub_y = yp[selected] - config.eta * lab if ridge else None
-                project_rows_inplace(sub_X, sub_y)
-                Xp[selected] = sub_X
-                if ridge:
-                    yp[selected] = sub_y
-                cur = Dataset(Xp, yp)
-            surr = train_mechanism(victim, cur, zero_b, settings, warm_start=surr)
-            feats[t] = Xp[selected]
-            labels[t] = yp[selected]
-            costs[t] = eval_cost(cost, surr)
-            recorded = t + 1
+        clean = train_mechanism(victim, data, zero_b, settings)
+        costs.append(eval_cost(cost, clean))
+        for cur in _descend(
+            victim, data, cost, selected, config.eta, 0.0, config.T, config.mode, rng,
+            settings, warm=clean,
+        ):
+            steps += 1
+            feats[steps], labels[steps] = cur.X[selected], cur.y[selected]
+        final = train_mechanism(victim, cur, zero_b, settings, warm_start=clean)
+        costs.append(eval_cost(cost, final))
     except SolverError as exc:
-        error = f"solver failure at iteration {recorded}: {exc}"
+        error = f"solver failure after {steps} steps: {exc}"
     return AttackTrace(
         selected=selected,
-        iterations=np.arange(recorded),
-        features=feats[:recorded].copy(),
-        labels=labels[:recorded].copy(),
-        surrogate_costs=costs[:recorded].copy(),
+        iterations=np.arange(steps + 1),
+        features=feats[: steps + 1],
+        labels=labels[: steps + 1],
+        surrogate_costs=np.array(costs),
         clean_data=data,
         final_data=cur,
         error=error,

@@ -108,25 +108,15 @@ def _cmd_bound(args):
     return 0
 
 
-def _cmd_attack(args):
+def _cmd_run(args):
     _require(args, "config", "out")
     config = load_config(args.config, args.seed)
-    if config.sweep is not None:
-        raise SystemExit("config contains a sweep section; use the sweep subcommand")
-    return _report(run_experiment(config, args.out))
-
-
-def _cmd_sweep(args):
-    _require(args, "config", "out")
-    config = load_config(args.config, args.seed)
-    if config.sweep is None:
+    if args.command == "sweep" and config.sweep is None:
         raise SystemExit("config has no sweep section; use the attack subcommand")
-    return _report(run_experiment(config, args.out))
-
-
-def _cmd_evaluate(args):
-    _require(args, "config", "out")
-    return _report(run_evaluation(load_config(args.config, args.seed), args.out))
+    if args.command != "sweep" and config.sweep is not None:
+        raise SystemExit("config contains a sweep section; use the sweep subcommand")
+    run = run_evaluation if args.command == "evaluate" else run_experiment
+    return _report(run(config, args.out))
 
 
 def _build_parser():
@@ -160,13 +150,13 @@ def _build_parser():
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("attack", parents=[common], help="run one experiment")
-    p.set_defaults(func=_cmd_attack)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", parents=[common], help="run the config's k or epsilon sweep")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("evaluate", parents=[common], help="estimate the clean cost only")
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_run)
     return parser
 
 

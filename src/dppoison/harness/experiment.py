@@ -404,11 +404,7 @@ def _cell(v):
 
 
 def _write_trace(path, trace, iterations):
-    if len(trace.selected) == 0 or len(trace.iterations) == 0:
-        d = trace.clean_data.dim
-    else:
-        d = trace.features.shape[2]
-    header = ["iteration", "item"] + [f"x{j}" for j in range(d)] + ["y"]
+    header = ["iteration", "item"] + [f"x{j}" for j in range(trace.clean_data.dim)] + ["y"]
     rows = []
     for t in iterations:
         pos = int(np.searchsorted(trace.iterations, t))
@@ -482,17 +478,16 @@ def _curve_rows(config, data, cost, out_dir, summary):
     atk = dataclasses.replace(config.attack, seed=config.seed)
     trace = run_attack(victim, data, cost, atk)
     summary["selected"] = [int(i) for i in trace.selected]
-    if trace.error is not None:
-        summary["error"] = trace.error
-    if len(trace.surrogate_costs) > 0:
+    if trace.error is None:
         summary["final_surrogate_cost"] = float(trace.surrogate_costs[-1])
         summary["final_surrogate_model"] = _surrogate_model_dict(victim, trace)
+    else:
+        summary["error"] = trace.error
     summary["curve"] = []
     clean_est, j_clean = _clean_cost(config, victim, data, cost)
     summary["clean_cost"] = _estimate_dict(clean_est)
     bound = summary["lower_bound"] = bound_for(victim, cost, atk.k, j_clean)
-    last = int(trace.iterations[-1]) if len(trace.iterations) else 0
-    iters = curve_iterations(last, config.curve_points)
+    iters = curve_iterations(int(trace.iterations[-1]), config.curve_points)
     _write_trace(os.path.join(out_dir, "trace.csv"), trace, iters)
     for t in iters:
         est = clean_est
@@ -501,7 +496,7 @@ def _curve_rows(config, data, cost, out_dir, summary):
             est = estimate_attack_cost(victim, trace.dataset_at(t), cost, atk.T_eval, seed)
         summary["curve"].append({"iteration": int(t), **_estimate_dict(est)})
         yield t, est, bound
-    summary["final_cost"] = summary["curve"][-1] if summary["curve"] else None
+    summary["final_cost"] = summary["curve"][-1]
 
 
 def _surrogate_model_dict(victim, trace):

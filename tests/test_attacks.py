@@ -12,18 +12,19 @@ from dppoison import (
     Goal,
     ModelParams,
     SelectionMethod,
+    SolverError,
     VictimSpec,
     batch_item_gradients,
     cost_gradient,
+    deep_scores,
     modification_distances,
     relaxed_attack,
     run_attack,
-    select_deep,
-    select_shallow,
     shallow_scores,
     top_k_indices,
     train_mechanism,
 )
+from dppoison import attacks
 from dppoison.harness import gen_1d_dataset, gen_2d_dataset, gen_eval_grid_1d, gen_eval_grid_2d
 from dppoison.learners import SolverSettings
 from dppoison.rng import STAGE_DATA, substream
@@ -71,7 +72,7 @@ class TestShallowSelection:
         )
         oracle_scores = np.linalg.norm(feats, axis=1)
         rng = substream(0, 2)
-        got = select_shallow(victim, data, cost, 5, AttackMode.SV, 10, rng)
+        got = top_k_indices(shallow_scores(victim, data, cost, AttackMode.SV, 10, rng), 5)
         np.testing.assert_array_equal(got, top_k_indices(oracle_scores, 5))
 
     def test_ridge_scores_include_label_component(self):
@@ -139,14 +140,16 @@ class TestDeepSelection:
     def test_k_n_selects_everything(self):
         victim, data, cost = small_logistic_setup(7)
         config = AttackConfig(k=data.n, T=10, selection=SelectionMethod.DEEP, mode=AttackMode.SV)
-        got = select_deep(victim, data, cost, data.n, config, np.random.default_rng(0))
+        got = top_k_indices(
+            deep_scores(victim, data, cost, config, np.random.default_rng(0)), data.n
+        )
         np.testing.assert_array_equal(got, np.arange(data.n))
 
     def test_deterministic_given_seed(self):
         victim, data, cost = small_logistic_setup(8)
         config = AttackConfig(k=5, T=20, selection=SelectionMethod.DEEP, mode=AttackMode.DPV)
-        a = select_deep(victim, data, cost, 5, config, substream(3, 2))
-        b = select_deep(victim, data, cost, 5, config, substream(3, 2))
+        a = top_k_indices(deep_scores(victim, data, cost, config, substream(3, 2)), 5)
+        b = top_k_indices(deep_scores(victim, data, cost, config, substream(3, 2)), 5)
         np.testing.assert_array_equal(a, b)
 
 
@@ -260,8 +263,50 @@ class TestRunAttack:
         config = AttackConfig(k=data.n, T=5, selection=SelectionMethod.ALL, mode=AttackMode.SV)
         trace = run_attack(victim, data, cost, config, settings=SolverSettings(max_iters=1))
         assert trace.error is not None
-        assert len(trace.iterations) == 0
-        assert trace.features.shape[0] == 0
+        np.testing.assert_array_equal(trace.iterations, [0])
+        assert trace.features.shape[0] == 1
+        assert len(trace.surrogate_costs) == 0
+        np.testing.assert_array_equal(trace.final_data.X, data.X)
+
+    def test_mid_run_failure_keeps_final_data_at_last_snapshot(self, monkeypatch):
+        victim, data, cost = small_logistic_setup(19)
+        config = AttackConfig(k=4, T=10, selection=SelectionMethod.SHALLOW, mode=AttackMode.DPV)
+        calls = []
+
+        def third_call_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SolverError("instrumented failure")
+            return train_mechanism(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, "train_mechanism", third_call_fails)
+        trace = run_attack(victim, data, cost, config, selected=[1, 4, 6, 9])
+        assert "instrumented failure" in trace.error
+        np.testing.assert_array_equal(trace.iterations, [0, 1])
+        assert len(trace.surrogate_costs) == 1
+        last = trace.dataset_at(trace.iterations[-1])
+        np.testing.assert_array_equal(trace.final_data.X, last.X)
+        np.testing.assert_array_equal(trace.final_data.y, last.y)
+        assert not np.array_equal(trace.final_data.X, data.X)
+
+    @pytest.mark.parametrize("T", [5, 25])
+    def test_surrogate_trained_on_clean_and_final_data_only(self, monkeypatch, T):
+        victim, data, cost = small_logistic_setup(20)
+        config = AttackConfig(k=4, T=T, selection=SelectionMethod.SHALLOW, mode=AttackMode.DPV)
+        noiseless = []
+
+        def counting(victim, data, b, *args, **kwargs):
+            if not np.any(b):
+                noiseless.append(data)
+            return train_mechanism(victim, data, b, *args, **kwargs)
+
+        monkeypatch.setattr(attacks, "train_mechanism", counting)
+        trace = run_attack(victim, data, cost, config, selected=[0, 2, 5, 7])
+        assert trace.error is None
+        assert len(noiseless) == 2
+        assert noiseless[0] is data
+        np.testing.assert_array_equal(noiseless[1].X, trace.final_data.X)
+        assert len(trace.surrogate_costs) == 2
 
     def test_dataset_at_reconstruction(self):
         victim, data, cost = small_logistic_setup(18)

@@ -194,6 +194,33 @@ class TestEvaluate:
         assert "clean_mean" in line
         assert not os.path.exists(os.path.join(out_dir, "trace.csv"))
 
+    def test_sweep_config_rejected(self, tmp_path):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(TINY_CONFIG + "sweep: {kind: epsilon, values: [0.5, 1.0]}\n")
+        with pytest.raises(SystemExit, match="sweep"):
+            main(["evaluate", "--config", str(path), "--out", str(tmp_path / "o")])
+
+
+class TestRunConfigs:
+    def test_runs_each_config_with_its_subcommand(self, config_path, tmp_path, capsys):
+        sweep_path = tmp_path / "sweep.yaml"
+        sweep_path.write_text(TINY_CONFIG + "sweep: {kind: epsilon, values: [0.5, 1.0]}\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        out = tmp_path / "runs"
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "tools", "run_configs.py"), str(out),
+             config_path, str(sweep_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "sweep" / "costs.csv").read_text().startswith("epsilon,")
+        assert not (out / "sweep" / "trace.csv").exists()
+        run_cli(capsys, "attack", "--config", config_path, "--out", str(tmp_path / "direct"))
+        for name in ("costs.csv", "trace.csv"):
+            assert (out / "tiny" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
 
 class TestParser:
     def test_unknown_subcommand(self):

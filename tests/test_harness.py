@@ -482,6 +482,26 @@ class TestRunExperiment:
         assert (out / "summary.json").exists()
         assert (out / "costs.csv").exists()
 
+    def test_attack_solver_failure_keeps_iteration_zero(
+        self, one_d_config_path, tmp_path, monkeypatch
+    ):
+        import dppoison.attacks as attacks
+
+        def boom(*args, **kwargs):
+            raise SolverError("instrumented failure")
+
+        monkeypatch.setattr(attacks, "train_mechanism", boom)
+        cfg = load_config(one_d_config_path)
+        out = tmp_path / "broken"
+        summary = run_experiment(cfg, str(out))
+        assert "instrumented failure" in summary["error"]
+        assert "final_surrogate_cost" not in summary
+        _, rows = read_csv_rows(out / "costs.csv")
+        assert [r[0] for r in rows] == ["0"]
+        _, trows = read_csv_rows(out / "trace.csv")
+        assert len(trows) == 11
+        assert {r[0] for r in trows} == {"0"}
+
     def test_budget_size_still_beats_smaller_budget(self, tmp_path):
         # qualitative check: a 10-item budget leaves the attacker strictly
         # worse off than poisoning everything
