@@ -24,13 +24,7 @@ from .attacks import (
     shallow_scores,
     top_k_indices,
 )
-from .bounds import (
-    BoundQuery,
-    lower_bound_approx,
-    lower_bound_pure,
-    min_items_approx,
-    min_items_pure,
-)
+from .bounds import BoundQuery, lower_bound, min_items
 from .core import (
     BaseLearner,
     CostSpec,
@@ -86,10 +80,8 @@ __all__ = [
     "cost_gradient",
     "eval_cost",
     "finite_difference_oracle",
-    "lower_bound_approx",
-    "lower_bound_pure",
-    "min_items_approx",
-    "min_items_pure",
+    "lower_bound",
+    "min_items",
     "modification_distances",
     "project_rows_inplace",
     "sigmoid",

@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     BaseLearner,
     Dataset,
+    ModelParams,
     eval_cost,
     modification_distances,
     project_rows_inplace,
@@ -63,6 +64,7 @@ class AttackConfig:
     weighs the modification penalty of the relaxed attack used by deep
     selection; relax_T overrides its iteration count (default: T).
     T_eval is the Monte-Carlo sample count used when estimating costs.
+    The seed an attack draws from is an argument of run_attack.
     """
 
     k: int
@@ -73,7 +75,6 @@ class AttackConfig:
     m_select: int = 1000
     alpha: float = 1e-4
     T_eval: int = 1000
-    seed: int = 0
     relax_T: Optional[int] = None
 
     def __post_init__(self):
@@ -103,9 +104,10 @@ class AttackTrace:
     ``iterations[s]`` SGD steps. Snapshot 0, the untouched data, is always
     recorded, and ``final_data`` is always ``dataset_at(iterations[-1])``.
     ``surrogate_costs`` is [C(M(D, 0)), C(M(D_T, 0))], the noiseless
-    surrogate's cost on the clean and the final data. On a solver failure
-    ``error`` is set, the trace ends at the last completed step and
-    ``surrogate_costs`` keeps only the clean cost (none if the clean
+    surrogate's cost on the clean and the final data, and ``final_model``
+    is that surrogate on the final data. On a solver failure ``error`` is
+    set, the trace ends at the last completed step, ``final_model`` is None
+    and ``surrogate_costs`` keeps only the clean cost (none if the clean
     solve failed).
     """
 
@@ -116,6 +118,7 @@ class AttackTrace:
     surrogate_costs: np.ndarray
     clean_data: Dataset
     final_data: Dataset
+    final_model: Optional[ModelParams] = None
     error: Optional[str] = None
 
     def dataset_at(self, iteration):
@@ -138,7 +141,7 @@ def top_k_indices(scores, k):
     return np.sort(order[:k])
 
 
-def shallow_scores(victim, data, cost, mode, m_select, rng, settings=None):
+def shallow_scores(victim, data, cost, mode, m_select, rng):
     """Initial-gradient norm of every clean item.
 
     DPV mode averages the stochastic gradient over m_select noise draws
@@ -156,7 +159,7 @@ def shallow_scores(victim, data, cost, mode, m_select, rng, settings=None):
     warm = None
     for _ in range(draws):
         b = sample_noise(d, scale, rng) if mode is AttackMode.DPV else np.zeros(d)
-        model = train_mechanism(victim, data, b, settings, warm_start=warm)
+        model = train_mechanism(victim, data, b, warm_start=warm)
         warm = model
         g = cost_gradient(cost, model)
         feat, lab = batch_item_gradients(victim, data, model, b, g, idx)
@@ -171,7 +174,7 @@ def shallow_scores(victim, data, cost, mode, m_select, rng, settings=None):
     return np.sqrt(norms2)
 
 
-def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, settings, warm=None):
+def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, warm=None):
     """Projected gradient descent on the given items; yields the dataset
     after each of T steps.
 
@@ -179,8 +182,9 @@ def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, settings, warm
     DPV mode, zero noise in SV mode), warm-started from the previous
     step's model; moves every item along its gradient, plus alpha times
     its displacement from the clean item when alpha is nonzero; and
-    projects the moved items back to the feasible set. A SolverError
-    propagates from the step that failed.
+    projects the moved items back to the feasible set. With no items a
+    step neither draws noise nor trains. A SolverError propagates from
+    the step that failed.
     """
     n, d = data.n, data.dim
     ridge = victim.base is BaseLearner.RIDGE
@@ -191,9 +195,9 @@ def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, settings, warm
     Xs, ys = X0.copy(), y0.copy()  # the moved items, scattered into X, y each step
     cur = data
     for _ in range(T):
-        b = sample_noise(d, scale, rng) if dpv else np.zeros(d)
-        model = warm = train_mechanism(victim, cur, b, settings, warm_start=warm)
         if len(items) > 0:
+            b = sample_noise(d, scale, rng) if dpv else np.zeros(d)
+            model = warm = train_mechanism(victim, cur, b, warm_start=warm)
             g = cost_gradient(cost, model)
             feat, lab = batch_item_gradients(victim, cur, model, b, g, items)
             if alpha:
@@ -210,7 +214,7 @@ def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, settings, warm
         yield cur
 
 
-def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng, settings=None):
+def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):
     """Attack with no budget: every item takes gradient steps on the cost
     plus alpha times its modification distance, projected each iteration.
 
@@ -221,21 +225,19 @@ def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng, settings=None):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     cur = data
-    for cur in _descend(victim, data, cost, np.arange(data.n), eta, alpha, T, mode, rng, settings):
+    for cur in _descend(victim, data, cost, np.arange(data.n), eta, alpha, T, mode, rng):
         pass
     return cur
 
 
-def deep_scores(victim, data, cost, config, rng, settings=None):
+def deep_scores(victim, data, cost, config, rng):
     """Modification distance of every item after a relaxed attack run."""
     T = config.relax_T if config.relax_T is not None else config.T
-    relaxed = relaxed_attack(
-        victim, data, cost, config.alpha, config.eta, T, config.mode, rng, settings
-    )
+    relaxed = relaxed_attack(victim, data, cost, config.alpha, config.eta, T, config.mode, rng)
     return modification_distances(relaxed.X, relaxed.y, data.X, data.y, victim.base)
 
 
-def _select(victim, data, cost, config, settings):
+def _select(victim, data, cost, config, seed):
     n = data.n
     if config.k > n:
         raise ValueError(f"budget k={config.k} exceeds dataset size n={n}")
@@ -246,15 +248,15 @@ def _select(victim, data, cost, config, settings):
         return np.arange(n)
     if config.selection is SelectionMethod.ALL:
         raise ValueError("selection 'all' requires k = n")
-    rng = substream(config.seed, STAGE_SELECT)
+    rng = substream(seed, STAGE_SELECT)
     if config.selection is SelectionMethod.SHALLOW:
-        scores = shallow_scores(victim, data, cost, config.mode, config.m_select, rng, settings)
+        scores = shallow_scores(victim, data, cost, config.mode, config.m_select, rng)
     else:
-        scores = deep_scores(victim, data, cost, config, rng, settings)
+        scores = deep_scores(victim, data, cost, config, rng)
     return top_k_indices(scores, config.k)
 
 
-def run_attack(victim, data, cost, config, settings=None, selected=None):
+def run_attack(victim, data, cost, config, seed=0, selected=None):
     """Run the two-step attack and return its trace.
 
     Step I picks the items per config.selection (or uses ``selected`` as
@@ -262,11 +264,13 @@ def run_attack(victim, data, cost, config, settings=None, selected=None):
     (fresh noise per step in DPV mode, zero noise in SV mode), the first
     warm-started from the noiseless model on the clean data. Unselected
     items never change. The noiseless surrogate is trained on the clean
-    and the final data only. Deterministic given (data, config, selected).
+    and the final data only; the trace keeps the final one. Selection and
+    the SGD noise draw from their own substreams of ``seed``, so the run
+    is deterministic given (data, config, seed, selected).
     """
     n, d = data.n, data.dim
     if selected is None:
-        selected = _select(victim, data, cost, config, settings)
+        selected = _select(victim, data, cost, config, seed)
     selected = np.sort(np.asarray(selected, dtype=int))
     if len(selected) > 0 and (selected[0] < 0 or selected[-1] >= n):
         raise ValueError("selected indices out of range")
@@ -277,18 +281,17 @@ def run_attack(victim, data, cost, config, settings=None, selected=None):
     costs = []
     steps = 0
     cur = data
-    error = None
-    rng = substream(config.seed, STAGE_SGD)
+    final = error = None
+    rng = substream(seed, STAGE_SGD)
     try:
-        clean = train_mechanism(victim, data, zero_b, settings)
+        clean = train_mechanism(victim, data, zero_b)
         costs.append(eval_cost(cost, clean))
         for cur in _descend(
-            victim, data, cost, selected, config.eta, 0.0, config.T, config.mode, rng,
-            settings, warm=clean,
+            victim, data, cost, selected, config.eta, 0.0, config.T, config.mode, rng, warm=clean
         ):
             steps += 1
             feats[steps], labels[steps] = cur.X[selected], cur.y[selected]
-        final = train_mechanism(victim, cur, zero_b, settings, warm_start=clean)
+        final = train_mechanism(victim, cur, zero_b, warm_start=clean)
         costs.append(eval_cost(cost, final))
     except SolverError as exc:
         error = f"solver failure after {steps} steps: {exc}"
@@ -300,5 +303,6 @@ def run_attack(victim, data, cost, config, settings=None, selected=None):
         surrogate_costs=np.array(costs),
         clean_data=data,
         final_data=cur,
+        final_model=final,
         error=error,
     )

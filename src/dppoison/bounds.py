@@ -4,9 +4,9 @@ An attacker who modifies at most k items of the training set of an
 epsilon-differentially-private learner can shrink (or grow) the expected
 attack cost J only by a factor exp(k*epsilon): privacy itself bounds how
 effective poisoning can be, independently of the learning procedure.
-These calculators evaluate that bound, its (epsilon, delta) relaxation,
-and the implied minimum number of items an attacker must touch to reach
-a given cost reduction.
+Two calculators evaluate that bound (or its (epsilon, delta) relaxation,
+chosen by the query's delta) and the implied minimum number of items an
+attacker must touch to reach a given cost reduction.
 
 Sign conventions: for a nonnegative cost the attacker drives J toward 0
 from above, so the bound is a floor below J(D); for a nonpositive cost
@@ -21,13 +21,7 @@ from typing import Optional
 
 from .core import Sign
 
-__all__ = [
-    "BoundQuery",
-    "lower_bound_pure",
-    "min_items_pure",
-    "lower_bound_approx",
-    "min_items_approx",
-]
+__all__ = ["BoundQuery", "lower_bound", "min_items"]
 
 # exp overflows shortly above this; callers may legally ask for huge k
 # (e.g. tau = infinity sweeps), so clamp instead of overflowing.
@@ -81,44 +75,7 @@ class BoundQuery:
             raise ValueError("cbar must be positive")
 
 
-def lower_bound_pure(q):
-    """Floor on J after poisoning k items of a pure epsilon-DP learner.
-
-    exp(-k*eps) * J(D) for a nonnegative cost, exp(k*eps) * J(D) for a
-    nonpositive one. For k*eps beyond exp range the limit value is
-    returned directly (0, or -inf for a nonpositive cost, which carries
-    no finite floor without cbar).
-    """
-    if q.delta != 0:
-        raise ValueError("lower_bound_pure requires delta = 0")
-    ke = q.k * q.epsilon
-    if q.sign is Sign.NON_NEGATIVE:
-        if ke > _EXP_LIMIT:
-            return 0.0
-        return math.exp(-ke) * q.j_clean
-    if q.j_clean == 0.0:
-        return 0.0
-    if ke > _EXP_LIMIT:
-        return -math.inf
-    return math.exp(ke) * q.j_clean
-
-
-def min_items_pure(epsilon, tau):
-    """Minimum modified items to cut the cost of a pure epsilon-DP learner
-    by a factor tau: ceil(log(tau) / epsilon).
-
-    tau = inf returns inf: pure privacy never lets the cost reach zero.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if tau < 1.0:
-        raise ValueError("tau must be at least 1")
-    if math.isinf(tau):
-        return math.inf
-    return _ceil_with_slack(math.log(tau) / epsilon)
-
-
-def lower_bound_approx(q):
+def lower_bound(q):
     """Floor on J after poisoning k items of an (epsilon, delta)-DP learner.
 
     With a = cbar * delta / (exp(eps) - 1):
@@ -126,15 +83,20 @@ def lower_bound_approx(q):
         nonnegative cost:  max(exp(-k*eps) * (J + a) - a, 0)
         nonpositive cost:  max(exp(+k*eps) * (J - a) + a, -cbar)
 
-    Both reduce exactly to the pure bound at delta = 0. The nonpositive
-    branch amplifies with exp(+k*eps): each modified item can cut at most
-    a factor exp(eps) plus the delta slack from the cost, and unwinding
-    that recursion k times multiplies the (shifted) clean cost by
-    exp(k*eps). The cost can never fall below -cbar, hence the clamp.
+    At delta = 0 this is the pure bound: a = 0 and no -cbar clamp, so the
+    floor is exactly exp(-k*eps) * J, or exp(k*eps) * J for a nonpositive
+    cost. The nonpositive branch amplifies with exp(+k*eps): each
+    modified item can cut at most a factor exp(eps) plus the delta slack
+    from the cost, and unwinding that recursion k times multiplies the
+    (shifted) clean cost by exp(k*eps). With delta > 0 the cost can never
+    fall below -cbar, hence the clamp. For k*eps beyond exp range the
+    limit value is returned directly (0, -cbar, or -inf for a pure
+    nonpositive cost, which carries no finite floor without cbar).
     """
-    if q.cbar is None:
-        raise ValueError("lower_bound_approx requires cbar")
-    a = q.cbar * q.delta / math.expm1(q.epsilon)
+    if q.delta == 0.0:
+        a, floor = 0.0, -math.inf
+    else:
+        a, floor = q.cbar * q.delta / math.expm1(q.epsilon), -q.cbar
     ke = q.k * q.epsilon
     if q.sign is Sign.NON_NEGATIVE:
         if ke > _EXP_LIMIT:
@@ -142,36 +104,39 @@ def lower_bound_approx(q):
         return max(math.exp(-ke) * (q.j_clean + a) - a, 0.0)
     shifted = q.j_clean - a
     if shifted == 0.0:
-        return max(a, -q.cbar)
+        return max(a, floor)
     if ke > _EXP_LIMIT:
-        return -q.cbar
-    return max(math.exp(ke) * shifted + a, -q.cbar)
+        return floor
+    return max(math.exp(ke) * shifted + a, floor)
 
 
-def min_items_approx(q):
-    """Minimum modified items to reach a cost-reduction factor tau under
-    (epsilon, delta) privacy.
+def min_items(q):
+    """Minimum modified items to cut the cost by a factor tau.
 
-    Nonnegative cost (target J(D)/tau, tau >= 1):
+    Pure privacy (delta = 0): ceil(log(tau) / eps), and tau = inf returns
+    inf, since pure privacy never lets the cost reach zero.
+
+    With delta > 0, for a nonnegative cost (target J(D)/tau, tau >= 1):
         ceil((1/eps) * log(((e^eps - 1) J tau + cbar delta tau)
                            / ((e^eps - 1) J + cbar delta tau)))
-    and the tau = inf limit is finite for delta > 0: the weaker guarantee
-    lets an attacker null the cost with finitely many items.
+    and the tau = inf limit is finite: the weaker guarantee lets an
+    attacker null the cost with finitely many items.
 
-    Nonpositive cost (target tau * J(D), tau in [1, -cbar/J(D)]):
+    With delta > 0, for a nonpositive cost (target tau * J(D), tau in
+    [1, -cbar/J(D)]):
         ceil((1/eps) * log(((e^eps - 1) J tau - cbar delta)
                            / ((e^eps - 1) J - cbar delta)))
     """
-    if q.cbar is None:
-        raise ValueError("min_items_approx requires cbar")
-    if q.j_clean == 0.0:
-        raise ValueError("min_items_approx requires j_clean != 0")
-    em1 = math.expm1(q.epsilon)
     j, tau = q.j_clean, q.tau
+    if q.delta == 0.0:
+        if math.isinf(tau):
+            return math.inf
+        return _ceil_with_slack(math.log(tau) / q.epsilon)
+    if j == 0.0:
+        raise ValueError("min_items with delta > 0 requires j_clean != 0")
+    em1 = math.expm1(q.epsilon)
     if q.sign is Sign.NON_NEGATIVE:
         if math.isinf(tau):
-            if q.delta == 0.0:
-                return math.inf
             ratio = 1.0 + em1 * j / (q.cbar * q.delta)
         else:
             ratio = (em1 * j * tau + q.cbar * q.delta * tau) / (em1 * j + q.cbar * q.delta * tau)

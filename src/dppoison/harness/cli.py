@@ -17,18 +17,13 @@ Run as the installed ``dppoison`` script or, from a source checkout, as
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import yaml
 
-from ..bounds import (
-    BoundQuery,
-    lower_bound_approx,
-    lower_bound_pure,
-    min_items_approx,
-    min_items_pure,
-)
+from ..bounds import BoundQuery, lower_bound, min_items
 from ..core import Sign
 from .experiment import (
     config_from_dict,
@@ -86,25 +81,21 @@ def _cmd_gen_data(args):
 
 
 def _cmd_bound(args):
-    sign = Sign(args.sign)
     query = BoundQuery(
         j_clean=args.j,
         epsilon=args.epsilon,
         k=args.k,
         delta=args.delta,
         cbar=args.cbar,
-        sign=sign,
+        sign=args.sign,
         tau=args.tau if args.tau is not None else 1.0,
     )
-    if args.delta == 0.0:
-        result = {"lower_bound": lower_bound_pure(query)}
-        if args.tau is not None:
-            result["min_items"] = min_items_pure(args.epsilon, args.tau)
-    else:
-        result = {"lower_bound": lower_bound_approx(query)}
-        if args.tau is not None:
-            result["min_items"] = min_items_approx(query)
-    print(json.dumps(result, sort_keys=True))
+    result = {"lower_bound": lower_bound(query)}
+    if args.tau is not None:
+        result["min_items"] = min_items(query)
+    # JSON has no infinity: write non-finite values as strings ("inf", "-inf").
+    result = {key: v if math.isfinite(v) else str(v) for key, v in result.items()}
+    print(json.dumps(result, sort_keys=True, allow_nan=False))
     return 0
 
 

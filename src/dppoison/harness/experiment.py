@@ -36,13 +36,15 @@ from ..attacks import (
     shallow_scores,
     top_k_indices,
 )
-from ..bounds import BoundQuery, lower_bound_approx, lower_bound_pure
+from ..bounds import BoundQuery, lower_bound
 from ..core import BaseLearner, CostSpec, Goal, ModelParams, Sign, VictimSpec
+# Nothing here calls train_mechanism, but perfbench/tracer.py rebinds it in
+# this module, so the name stays.
 from ..learners import (
     SolverError,
     train_base_logistic,
     train_base_ridge_constrained,
-    train_mechanism,
+    train_mechanism,  # noqa: F401
 )
 from ..rng import (
     STAGE_DATA,
@@ -221,15 +223,6 @@ class ExperimentConfig:
             raise ValueError("curve_points must be at least 2")
 
 
-# Fields a config section does not accept: the top-level seed owns the
-# attack's seed.
-_NOT_IN_CONFIG = {AttackConfig: ("seed",)}
-
-
-def _config_fields(cls):
-    return [f for f in dataclasses.fields(cls) if f.name not in _NOT_IN_CONFIG.get(cls, ())]
-
-
 def _section_class(tp):
     """The section dataclass a field holds (unwrapping Optional), or None."""
     for t in (tp, *typing.get_args(tp)):
@@ -249,7 +242,7 @@ def _build_section(cls, raw, section, base_dir):
         raw = {}
     if not isinstance(raw, dict):
         raise ValueError(f"config section {section!r} must be a mapping")
-    fields = _config_fields(cls)
+    fields = dataclasses.fields(cls)
     unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
@@ -284,7 +277,7 @@ def config_from_dict(raw, base_dir=None):
 def config_to_dict(config):
     """Inverse of config_from_dict: a plain tree suitable for JSON/YAML."""
     out = {}
-    for f in _config_fields(type(config)):
+    for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if dataclasses.is_dataclass(value):
             value = config_to_dict(value)
@@ -371,18 +364,8 @@ def conservative_clean_cost(estimate, sign):
 
 def bound_for(victim, cost, k, j_clean):
     """Theoretical lower bound on the k-item attack cost for this victim."""
-    if victim.delta == 0.0:
-        q = BoundQuery(j_clean, victim.epsilon, k=k, sign=cost.sign)
-        return lower_bound_pure(q)
-    q = BoundQuery(
-        j_clean,
-        victim.epsilon,
-        k=k,
-        delta=victim.delta,
-        cbar=cost.cbar,
-        sign=cost.sign,
-    )
-    return lower_bound_approx(q)
+    q = BoundQuery(j_clean, victim.epsilon, k=k, delta=victim.delta, cbar=cost.cbar, sign=cost.sign)
+    return lower_bound(q)
 
 
 def curve_iterations(T, points):
@@ -474,13 +457,13 @@ def _evaluation_rows(config, data, cost, out_dir, summary):
 
 
 def _curve_rows(config, data, cost, out_dir, summary):
-    victim = config.victim
-    atk = dataclasses.replace(config.attack, seed=config.seed)
-    trace = run_attack(victim, data, cost, atk)
+    victim, atk = config.victim, config.attack
+    trace = run_attack(victim, data, cost, atk, config.seed)
     summary["selected"] = [int(i) for i in trace.selected]
     if trace.error is None:
+        model = trace.final_model
         summary["final_surrogate_cost"] = float(trace.surrogate_costs[-1])
-        summary["final_surrogate_model"] = _surrogate_model_dict(victim, trace)
+        summary["final_surrogate_model"] = {"theta": [float(v) for v in model.theta], "mu": model.mu}
     else:
         summary["error"] = trace.error
     summary["curve"] = []
@@ -499,14 +482,8 @@ def _curve_rows(config, data, cost, out_dir, summary):
     summary["final_cost"] = summary["curve"][-1]
 
 
-def _surrogate_model_dict(victim, trace):
-    model = train_mechanism(victim, trace.final_data, np.zeros(trace.final_data.dim))
-    return {"theta": [float(v) for v in model.theta], "mu": model.mu}
-
-
 def _sweep_selection_scores(config, data, cost):
-    victim = config.victim
-    atk = dataclasses.replace(config.attack, seed=config.seed)
+    victim, atk = config.victim, config.attack
     rng = substream(config.seed, STAGE_SELECT)
     if atk.selection is SelectionMethod.SHALLOW:
         return shallow_scores(victim, data, cost, atk.mode, atk.m_select, rng)
@@ -528,18 +505,18 @@ def _sweep_rows(config, data, cost, out_dir, summary):
         clean_est, j_clean = _clean_cost(config, victim, data, cost)
         summary["clean_cost"] = _estimate_dict(clean_est)
     summary["sweep_rows"] = []
+    atk = config.attack
     for i, value in enumerate(values):
-        atk = dataclasses.replace(config.attack, seed=subseed(config.seed, STAGE_SWEEP, i))
         row = {kind: value}
         selected = None
         if kind == "k":
-            atk = dataclasses.replace(atk, k=value)
+            atk = dataclasses.replace(config.attack, k=value)
             selected = top_k_indices(scores, value)
         else:
             victim = dataclasses.replace(config.victim, epsilon=value)
             clean_est, j_clean = _clean_cost(config, victim, data, cost, i)
             row["clean"] = _estimate_dict(clean_est)
-        trace = run_attack(victim, data, cost, atk, selected=selected)
+        trace = run_attack(victim, data, cost, atk, subseed(config.seed, STAGE_SWEEP, i), selected)
         if trace.error is not None:
             summary["error"] = f"{kind}={value}: {trace.error}"
         seed = subseed(config.seed, STAGE_MC_POISONED, i)

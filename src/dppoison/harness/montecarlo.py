@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import eval_cost
-from ..learners import DEFAULT_SETTINGS, sample_noise, train_mechanism
+from ..learners import sample_noise, train_mechanism
 from ..rng import substream
 
 __all__ = ["CostEstimate", "estimate_attack_cost"]
@@ -31,7 +31,7 @@ class CostEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def estimate_attack_cost(victim, data, cost, T_e, seed, settings=None):
+def estimate_attack_cost(victim, data, cost, T_e, seed):
     """Estimate E_b[C(M(data, b))] from T_e independent noise draws.
 
     Sample s always uses the dedicated stream substream(seed, s) and a cold
@@ -40,13 +40,11 @@ def estimate_attack_cost(victim, data, cost, T_e, seed, settings=None):
     """
     if T_e < 2:
         raise ValueError("T_e must be at least 2 for a standard error")
-    if settings is None:
-        settings = DEFAULT_SETTINGS
     scale = victim.noise_scale_for(data.n)
     samples = np.empty(T_e)
     for s in range(T_e):
         b = sample_noise(data.dim, scale, substream(seed, s))
-        samples[s] = eval_cost(cost, train_mechanism(victim, data, b, settings=settings))
+        samples[s] = eval_cost(cost, train_mechanism(victim, data, b))
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(T_e))
     return CostEstimate(mean, stderr, T_e, samples)

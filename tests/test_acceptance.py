@@ -26,10 +26,8 @@ from dppoison import (
     batch_item_gradients,
     cost_gradient,
     finite_difference_oracle,
-    lower_bound_approx,
-    lower_bound_pure,
-    min_items_approx,
-    min_items_pure,
+    lower_bound,
+    min_items,
     sigmoid,
     train_base_ridge_constrained,
     train_mechanism,
@@ -287,18 +285,19 @@ def test_criterion_3_bound_consistency():
     taus = [1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 50.0, math.inf]
     j, cbar = 0.5, 1.0
 
+    # at delta = 0 the bound is exactly exp(-/+ k eps) J(D) and the budget
+    # exactly ceil(log(tau) / eps), with or without cbar
     exact = True
     for eps in epsilons:
+        eps = float(eps)
         for k in range(0, 31, 3):
-            qn = BoundQuery(j, float(eps), k=k, cbar=cbar)
-            if lower_bound_approx(qn) != lower_bound_pure(qn):
+            qn = BoundQuery(j, eps, k=k, cbar=cbar)
+            if lower_bound(qn) != math.exp(-k * eps) * j:
                 exact = False
-            qp = BoundQuery(-j, float(eps), k=k, cbar=cbar, sign=Sign.NON_POSITIVE)
-            if math.exp(k * eps) * -j >= -cbar and lower_bound_approx(qp) != lower_bound_pure(qp):
+            qp = BoundQuery(-j, eps, k=k, cbar=cbar, sign=Sign.NON_POSITIVE)
+            if lower_bound(qp) != math.exp(k * eps) * -j:
                 exact = False
-            if min_items_approx(BoundQuery(j, float(eps), cbar=cbar, tau=2.0)) != min_items_pure(
-                float(eps), 2.0
-            ):
+            if min_items(BoundQuery(j, eps, cbar=cbar, tau=2.0)) != math.ceil(math.log(2.0) / eps):
                 exact = False
 
     checked = 0
@@ -307,15 +306,15 @@ def test_criterion_3_bound_consistency():
         for delta in deltas:
             for tau in taus:
                 query = BoundQuery(j, float(eps), delta=float(delta), cbar=cbar, tau=tau)
-                k = min_items_approx(query)
+                k = min_items(query)
                 target = 0.0 if math.isinf(tau) else j / tau
                 slack = 1e-9 * max(1.0, abs(target))
-                at_k = lower_bound_approx(
+                at_k = lower_bound(
                     BoundQuery(j, float(eps), k=int(k), delta=float(delta), cbar=cbar)
                 )
                 ok = at_k <= target + slack
                 if k > 0:
-                    at_prev = lower_bound_approx(
+                    at_prev = lower_bound(
                         BoundQuery(j, float(eps), k=int(k) - 1, delta=float(delta), cbar=cbar)
                     )
                     ok = ok and at_prev > target - slack

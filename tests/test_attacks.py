@@ -17,6 +17,7 @@ from dppoison import (
     batch_item_gradients,
     cost_gradient,
     deep_scores,
+    eval_cost,
     modification_distances,
     relaxed_attack,
     run_attack,
@@ -26,7 +27,6 @@ from dppoison import (
 )
 from dppoison import attacks
 from dppoison.harness import gen_1d_dataset, gen_2d_dataset, gen_eval_grid_1d, gen_eval_grid_2d
-from dppoison.learners import SolverSettings
 from dppoison.rng import STAGE_DATA, substream
 
 
@@ -172,21 +172,29 @@ class TestAttackConfig:
 
 
 class TestRunAttack:
-    def test_zero_budget_is_a_no_op(self):
+    def test_zero_budget_is_a_no_op(self, monkeypatch):
         victim, data, cost = small_logistic_setup(9)
         config = AttackConfig(k=0, T=5, selection=SelectionMethod.SHALLOW)
+        noisy = []
+
+        def counting(victim, data, b, *args, **kwargs):
+            if np.any(b):
+                noisy.append(b)
+            return train_mechanism(victim, data, b, *args, **kwargs)
+
+        monkeypatch.setattr(attacks, "train_mechanism", counting)
         trace = run_attack(victim, data, cost, config)
         assert trace.error is None
         assert len(trace.selected) == 0
+        np.testing.assert_array_equal(trace.iterations, np.arange(config.T + 1))
         np.testing.assert_array_equal(trace.final_data.X, data.X)
         assert np.all(trace.surrogate_costs == trace.surrogate_costs[0])
+        assert noisy == []
 
     def test_budget_respected_and_feasible(self):
         victim, data, cost = small_logistic_setup(10)
-        config = AttackConfig(
-            k=4, T=30, selection=SelectionMethod.SHALLOW, mode=AttackMode.DPV, seed=5
-        )
-        trace = run_attack(victim, data, cost, config)
+        config = AttackConfig(k=4, T=30, selection=SelectionMethod.SHALLOW, mode=AttackMode.DPV)
+        trace = run_attack(victim, data, cost, config, seed=5)
         assert trace.error is None
         untouched = np.setdiff1d(np.arange(data.n), trace.selected)
         np.testing.assert_array_equal(trace.final_data.X[untouched], data.X[untouched])
@@ -205,17 +213,17 @@ class TestRunAttack:
         cost = CostSpec(
             goal=Goal.PARAMETER_TARGETING, target_model=ModelParams([0.4, 0.0]), loss="squared"
         )
-        config = AttackConfig(k=10, T=40, selection=SelectionMethod.ALL, seed=2)
-        trace = run_attack(victim, data, cost, config)
+        config = AttackConfig(k=10, T=40, selection=SelectionMethod.ALL)
+        trace = run_attack(victim, data, cost, config, seed=2)
         assert trace.error is None
         assert np.abs(trace.labels).max() <= 1.0
         assert np.linalg.norm(trace.features, axis=2).max() <= 1.0 + 1e-12
 
     def test_bit_identical_reruns(self):
         victim, data, cost = small_logistic_setup(12)
-        config = AttackConfig(k=6, T=25, selection=SelectionMethod.DEEP, mode=AttackMode.DPV, seed=9)
-        a = run_attack(victim, data, cost, config)
-        b = run_attack(victim, data, cost, config)
+        config = AttackConfig(k=6, T=25, selection=SelectionMethod.DEEP, mode=AttackMode.DPV)
+        a = run_attack(victim, data, cost, config, seed=9)
+        b = run_attack(victim, data, cost, config, seed=9)
         np.testing.assert_array_equal(a.selected, b.selected)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.surrogate_costs, b.surrogate_costs)
@@ -258,14 +266,20 @@ class TestRunAttack:
         with pytest.raises(ValueError):
             run_attack(victim, data, cost, config, selected=[3, data.n])
 
-    def test_solver_failure_truncates_trace(self):
+    def test_solver_failure_truncates_trace(self, monkeypatch):
         victim, data, cost = small_logistic_setup(17)
         config = AttackConfig(k=data.n, T=5, selection=SelectionMethod.ALL, mode=AttackMode.SV)
-        trace = run_attack(victim, data, cost, config, settings=SolverSettings(max_iters=1))
+
+        def fails(*args, **kwargs):
+            raise SolverError("instrumented failure")
+
+        monkeypatch.setattr(attacks, "train_mechanism", fails)
+        trace = run_attack(victim, data, cost, config)
         assert trace.error is not None
         np.testing.assert_array_equal(trace.iterations, [0])
         assert trace.features.shape[0] == 1
         assert len(trace.surrogate_costs) == 0
+        assert trace.final_model is None
         np.testing.assert_array_equal(trace.final_data.X, data.X)
 
     def test_mid_run_failure_keeps_final_data_at_last_snapshot(self, monkeypatch):
@@ -307,6 +321,7 @@ class TestRunAttack:
         assert noiseless[0] is data
         np.testing.assert_array_equal(noiseless[1].X, trace.final_data.X)
         assert len(trace.surrogate_costs) == 2
+        assert eval_cost(cost, trace.final_model) == trace.surrogate_costs[-1]
 
     def test_dataset_at_reconstruction(self):
         victim, data, cost = small_logistic_setup(18)

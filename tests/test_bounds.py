@@ -4,19 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dppoison import (
-    BoundQuery,
-    Sign,
-    lower_bound_approx,
-    lower_bound_pure,
-    min_items_approx,
-    min_items_pure,
-)
+from dppoison import BoundQuery, Sign, lower_bound, min_items
 
 
 def q(j, eps, **kw):
     return BoundQuery(j_clean=j, epsilon=eps, **kw)
+
+
+# |J|, epsilon and k with k * epsilon <= 500, inside exp range, where the
+# delta = 0 floor has the closed form exp(-/+ k * eps) * J.
+magnitudes = st.floats(min_value=0.0, max_value=1e3)
+epsilons = st.floats(min_value=1e-3, max_value=5.0)
+budgets = st.integers(min_value=0, max_value=100)
+signs = st.sampled_from(Sign)
+deltas = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+cbars = st.floats(min_value=0.1, max_value=10.0)
+
+
+def signed(j, sign):
+    return j if sign is Sign.NON_NEGATIVE else -j
 
 
 class TestQueryValidation:
@@ -44,50 +53,52 @@ class TestQueryValidation:
 
 class TestPureBound:
     def test_k_zero_returns_clean_cost(self):
-        assert lower_bound_pure(q(0.5, 0.1)) == 0.5
+        assert lower_bound(q(0.5, 0.1)) == 0.5
 
     def test_nonnegative_decay(self):
         # ten items at eps = 0.1 shrink the floor by exactly e^{-1}
-        got = lower_bound_pure(q(0.5, 0.1, k=10))
+        got = lower_bound(q(0.5, 0.1, k=10))
         assert got == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
 
     def test_nonpositive_amplification(self):
-        got = lower_bound_pure(q(-0.5, 0.1, k=10, sign=Sign.NON_POSITIVE))
+        got = lower_bound(q(-0.5, 0.1, k=10, sign=Sign.NON_POSITIVE))
         assert got == pytest.approx(-0.5 * math.exp(1.0), rel=1e-12)
 
     def test_overflow_guard(self):
-        assert lower_bound_pure(q(0.5, 1.0, k=10_000)) == 0.0
-        assert lower_bound_pure(q(-0.5, 1.0, k=10_000, sign=Sign.NON_POSITIVE)) == -math.inf
-        assert lower_bound_pure(q(0.0, 1.0, k=10_000, sign=Sign.NON_POSITIVE)) == 0.0
+        assert lower_bound(q(0.5, 1.0, k=10_000)) == 0.0
+        assert lower_bound(q(-0.5, 1.0, k=10_000, sign=Sign.NON_POSITIVE)) == -math.inf
+        assert lower_bound(q(0.0, 1.0, k=10_000, sign=Sign.NON_POSITIVE)) == 0.0
 
     def test_requires_delta_zero(self):
-        with pytest.raises(ValueError):
-            lower_bound_pure(q(0.5, 0.1, delta=0.01, cbar=1.0))
+        # the pure floor applies only at delta = 0; delta > 0 weakens it
+        assert lower_bound(q(0.5, 0.1, k=10, delta=0.01, cbar=1.0)) < 0.5 * math.exp(-1.0)
 
-    def test_monotone_in_k(self):
-        for sign, j in ((Sign.NON_NEGATIVE, 0.7), (Sign.NON_POSITIVE, -0.7)):
-            vals = [lower_bound_pure(q(j, 0.3, k=k, sign=sign)) for k in range(20)]
-            assert all(b <= a for a, b in zip(vals, vals[1:]))
+    @settings(max_examples=300, deadline=None)
+    @given(j=magnitudes, eps=epsilons, k=st.integers(min_value=0, max_value=2000), sign=signs)
+    def test_monotone_in_k(self, j, eps, k, sign):
+        # also across the k * eps > 700 limit
+        j = signed(j, sign)
+        assert lower_bound(q(j, eps, k=k + 1, sign=sign)) <= lower_bound(q(j, eps, k=k, sign=sign))
 
 
 class TestMinItemsPure:
     def test_tau_one_needs_nothing(self):
-        assert min_items_pure(0.1, 1.0) == 0
+        assert min_items(q(0.5, 0.1, tau=1.0)) == 0
 
     def test_tau_e(self):
-        assert min_items_pure(0.1, math.e) == 10
+        assert min_items(q(0.5, 0.1, tau=math.e)) == 10
 
     def test_tau_twenty(self):
-        assert min_items_pure(0.1, 20.0) == 30
+        assert min_items(q(0.5, 0.1, tau=20.0)) == 30
 
     def test_tau_inf(self):
-        assert min_items_pure(0.1, math.inf) == math.inf
+        assert min_items(q(0.5, 0.1, tau=math.inf)) == math.inf
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            min_items_pure(0.0, 2.0)
+            min_items(q(0.5, 0.0, tau=2.0))
         with pytest.raises(ValueError):
-            min_items_pure(0.1, 0.9)
+            min_items(q(0.5, 0.1, tau=0.9))
 
 
 class TestApproxBound:
@@ -95,33 +106,34 @@ class TestApproxBound:
         # eps=0.1, delta=0.01, cbar=1, J=0.5, k=10:
         #   a = 0.01/(e^0.1 - 1) = 0.0950833
         #   e^{-1} (0.5 + a) - a = 0.123836
-        got = lower_bound_approx(q(0.5, 0.1, k=10, delta=0.01, cbar=1.0))
+        got = lower_bound(q(0.5, 0.1, k=10, delta=0.01, cbar=1.0))
         a = 0.01 / math.expm1(0.1)
         assert got == pytest.approx(math.exp(-1.0) * (0.5 + a) - a, rel=1e-12)
         assert got == pytest.approx(0.1238, abs=1e-4)
 
-    def test_delta_zero_equals_pure_nonnegative(self):
-        for k in (0, 1, 7, 40):
-            query = q(0.5, 0.3, k=k, cbar=2.0)
-            assert lower_bound_approx(query) == lower_bound_pure(query)
+    @settings(max_examples=300, deadline=None)
+    @given(j=magnitudes, eps=epsilons, k=budgets, cbar=st.none() | cbars)
+    def test_delta_zero_equals_pure_nonnegative(self, j, eps, k, cbar):
+        assert lower_bound(q(j, eps, k=k, cbar=cbar)) == math.exp(-k * eps) * j
 
-    def test_delta_zero_equals_pure_nonpositive(self):
-        # equality holds until the -cbar clamp becomes active
-        for k in (0, 1, 3):
-            query = q(-0.5, 0.3, k=k, cbar=5.0, sign=Sign.NON_POSITIVE)
-            assert lower_bound_approx(query) == lower_bound_pure(query)
+    @settings(max_examples=300, deadline=None)
+    @given(j=magnitudes, eps=epsilons, k=budgets, cbar=st.none() | cbars)
+    def test_delta_zero_equals_pure_nonpositive(self, j, eps, k, cbar):
+        # at delta = 0 a given cbar does not clamp the floor
+        got = lower_bound(q(-j, eps, k=k, cbar=cbar, sign=Sign.NON_POSITIVE))
+        assert got == math.exp(k * eps) * -j
 
     def test_nonpositive_clamped_at_cbar(self):
-        got = lower_bound_approx(q(-0.5, 0.3, k=50, delta=0.01, cbar=2.0, sign=Sign.NON_POSITIVE))
+        got = lower_bound(q(-0.5, 0.3, k=50, delta=0.01, cbar=2.0, sign=Sign.NON_POSITIVE))
         assert got == -2.0
 
     def test_floor_never_below_zero_nonnegative(self):
-        got = lower_bound_approx(q(0.001, 0.5, k=100, delta=0.2, cbar=1.0))
+        got = lower_bound(q(0.001, 0.5, k=100, delta=0.2, cbar=1.0))
         assert got == 0.0
 
     def test_requires_cbar(self):
         with pytest.raises(ValueError):
-            lower_bound_approx(q(0.5, 0.1))
+            lower_bound(q(0.5, 0.1, delta=0.01))
 
     def test_approx_never_tighter_than_pure_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -134,48 +146,49 @@ class TestApproxBound:
                 delta=float(rng.uniform(0.0, 0.3)),
                 cbar=float(rng.uniform(0.5, 5.0)),
             )
-            pure = lower_bound_pure(
-                q(query.j_clean, eps, k=query.k)
-            )
+            pure = lower_bound(q(query.j_clean, eps, k=query.k))
             # delta slack can only weaken the floor
-            assert lower_bound_approx(query) <= pure + 1e-12
+            assert lower_bound(query) <= pure + 1e-12
 
-    def test_monotone_in_k_both_signs(self):
-        for sign, j in ((Sign.NON_NEGATIVE, 0.7), (Sign.NON_POSITIVE, -0.7)):
-            vals = [
-                lower_bound_approx(q(j, 0.3, k=k, delta=0.02, cbar=1.5, sign=sign))
-                for k in range(30)
-            ]
-            assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-            assert all(v >= -1.5 for v in vals)
+    @settings(max_examples=300, deadline=None)
+    @given(j=magnitudes, eps=epsilons, k=budgets, sign=signs, delta=deltas, cbar=cbars)
+    def test_monotone_in_k_both_signs(self, j, eps, k, sign, delta, cbar):
+        j = signed(j, sign)
+        now = lower_bound(q(j, eps, k=k, delta=delta, cbar=cbar, sign=sign))
+        later = lower_bound(q(j, eps, k=k + 1, delta=delta, cbar=cbar, sign=sign))
+        assert later <= now
+        if delta > 0:
+            assert later >= -cbar
 
 
 class TestMinItemsApprox:
     def test_delta_zero_reduces_to_pure(self):
-        for tau in (1.0, 1.5, math.e, 20.0):
-            query = q(0.5, 0.1, cbar=1.0, tau=tau)
-            assert min_items_approx(query) == min_items_pure(0.1, tau)
+        # ceil(log(tau) / eps) at delta = 0, and the delta > 0 formula
+        # reaches the same count as delta -> 0
+        for tau, pure in ((1.0, 0), (1.5, 5), (math.e, 10), (20.0, 30)):
+            assert min_items(q(0.5, 0.1, cbar=1.0, tau=tau)) == pure
+            assert min_items(q(0.5, 0.1, delta=1e-12, cbar=1.0, tau=tau)) == pure
 
     def test_tau_inf_is_finite_with_delta(self):
         query = q(0.5, 0.1, delta=0.01, cbar=1.0, tau=math.inf)
-        k = min_items_approx(query)
+        k = min_items(query)
         assert k == 19
         expected = math.ceil(math.log1p(math.expm1(0.1) * 0.5 / 0.01) / 0.1)
         assert k == expected
 
     def test_tau_inf_delta_zero_is_infinite(self):
-        assert min_items_approx(q(0.5, 0.1, cbar=1.0, tau=math.inf)) == math.inf
+        assert min_items(q(0.5, 0.1, cbar=1.0, tau=math.inf)) == math.inf
 
     def test_zero_clean_cost_rejected(self):
         with pytest.raises(ValueError):
-            min_items_approx(q(0.0, 0.1, delta=0.01, cbar=1.0, tau=2.0))
+            min_items(q(0.0, 0.1, delta=0.01, cbar=1.0, tau=2.0))
 
     def test_nonpositive_tau_range(self):
         # cbar/|J| = 4, so tau up to 4 is admissible and 5 is not
         ok = q(-0.5, 0.2, delta=0.01, cbar=2.0, sign=Sign.NON_POSITIVE, tau=4.0)
-        assert min_items_approx(ok) >= 0
+        assert min_items(ok) >= 0
         with pytest.raises(ValueError):
-            min_items_approx(
+            min_items(
                 q(-0.5, 0.2, delta=0.01, cbar=2.0, sign=Sign.NON_POSITIVE, tau=5.0)
             )
 
@@ -183,14 +196,14 @@ class TestMinItemsApprox:
         # at the returned k the bound must have passed tau * J
         for tau in (1.5, 2.0, 3.0):
             query = q(-0.5, 0.2, delta=0.005, cbar=2.0, sign=Sign.NON_POSITIVE, tau=tau)
-            k = min_items_approx(query)
+            k = min_items(query)
             target = tau * query.j_clean
-            at_k = lower_bound_approx(
+            at_k = lower_bound(
                 q(-0.5, 0.2, k=k, delta=0.005, cbar=2.0, sign=Sign.NON_POSITIVE)
             )
             assert at_k <= target + 1e-9
             if k > 0:
-                at_prev = lower_bound_approx(
+                at_prev = lower_bound(
                     q(-0.5, 0.2, k=k - 1, delta=0.005, cbar=2.0, sign=Sign.NON_POSITIVE)
                 )
                 assert at_prev > target - 1e-9

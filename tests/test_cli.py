@@ -107,6 +107,25 @@ class TestBound:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["lower_bound"] == pytest.approx(0.5 * math.exp(-1.0))
 
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["--j", "0.5", "--epsilon", "0.1", "--tau", "inf"], "min_items", "inf"),
+            (
+                ["--j", "-0.5", "--epsilon", "1", "--k", "1000", "--sign", "non-positive"],
+                "lower_bound",
+                "-inf",
+            ),
+        ],
+    )
+    def test_infinite_values_are_valid_json(self, capsys, argv, key, value):
+        def no_constants(name):
+            raise ValueError(f"not JSON: {name}")
+
+        code, out = run_cli(capsys, "bound", *argv)
+        assert code == 0
+        assert json.loads(out, parse_constant=no_constants)[key] == value
+
     def test_delta_without_cbar_fails(self, capsys):
         with pytest.raises(ValueError):
             main(["bound", "--j", "0.5", "--epsilon", "0.1", "--delta", "0.01"])

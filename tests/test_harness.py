@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 import yaml
 
-from dppoison import CostSpec, Dataset, Goal, SolverError, VictimSpec
+from dppoison import CostSpec, Dataset, Goal, ModelParams, SolverError, VictimSpec, eval_cost
 from dppoison.harness import (
     CostEstimate,
+    build_cost,
+    build_dataset,
+    build_eval_set,
     build_nn_eval_set,
     config_from_dict,
     config_to_dict,
@@ -30,7 +33,6 @@ from dppoison.harness import (
     write_dataset_files,
 )
 from dppoison.harness.cli import load_config
-from dppoison.learners import SolverSettings
 from dppoison.rng import STAGE_DATA, substream
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
@@ -268,12 +270,16 @@ class TestEstimateAttackCost:
         short = estimate_attack_cost(victim, data, cost, 32, seed=5)
         np.testing.assert_array_equal(long.values[:32], short.values)
 
-    def test_solver_failure_propagates(self):
+    def test_solver_failure_propagates(self, monkeypatch):
+        import dppoison.harness.montecarlo as montecarlo
+
+        def fails(*args, **kwargs):
+            raise SolverError("instrumented failure")
+
+        monkeypatch.setattr(montecarlo, "train_mechanism", fails)
         victim, data, cost = small_estimation_setup()
         with pytest.raises(SolverError):
-            estimate_attack_cost(
-                victim, data, cost, 8, seed=0, settings=SolverSettings(max_iters=1)
-            )
+            estimate_attack_cost(victim, data, cost, 8, seed=0)
 
 
 class TestCurveIterations:
@@ -349,7 +355,8 @@ class TestConfigParsing:
             ("eval", "spice"),
             ("attack", "spice"),
             ("sweep", "spice"),
-            # the top-level seed owns the attack's seed
+            # an attack's seed is a run_attack argument, set from the
+            # top-level seed
             ("attack", "seed"),
         ],
     )
@@ -459,6 +466,16 @@ class TestRunExperiment:
         for name in ("costs.csv", "trace.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_summary_model_is_the_final_surrogate(self, one_d_config_path, tmp_path):
+        # the summary's model is the one whose cost is final_surrogate_cost
+        cfg = load_config(one_d_config_path)
+        summary = run_experiment(cfg, str(tmp_path / "run"))
+        data = build_dataset(cfg)
+        cost = build_cost(cfg, data, build_eval_set(cfg, data))
+        model = summary["final_surrogate_model"]
+        got = eval_cost(cost, ModelParams(np.array(model["theta"]), model["mu"]))
+        assert got == summary["final_surrogate_cost"]
+
     def test_echoed_config_reproduces_run(self, one_d_config_path, tmp_path):
         cfg = load_config(one_d_config_path)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -471,7 +488,7 @@ class TestRunExperiment:
     def test_attack_error_recorded_not_raised(self, one_d_config_path, tmp_path, monkeypatch):
         import dppoison.harness.experiment as experiment
 
-        def boom(victim, data, cost, T_e, seed, settings=None):
+        def boom(victim, data, cost, T_e, seed):
             raise SolverError("instrumented failure")
 
         monkeypatch.setattr(experiment, "estimate_attack_cost", boom)
@@ -510,8 +527,8 @@ class TestRunExperiment:
         data = gen_2d_dataset(60, (1.0, 1.0), substream(2, STAGE_DATA))
         victim = VictimSpec("objective", "logistic", lam=10.0, epsilon=0.1)
         cost = CostSpec(goal=Goal.LABEL_TARGETING, eval_set=gen_eval_grid_2d())
-        small = AttackConfig(k=10, T=150, selection="deep", mode="sv", seed=0)
-        full = AttackConfig(k=60, T=150, selection="all", mode="sv", seed=0)
+        small = AttackConfig(k=10, T=150, selection="deep", mode="sv")
+        full = AttackConfig(k=60, T=150, selection="all", mode="sv")
         j_small = run_attack(victim, data, cost, small).surrogate_costs[-1]
         j_full = run_attack(victim, data, cost, full).surrogate_costs[-1]
         assert j_full < j_small
