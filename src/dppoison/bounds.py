@@ -44,7 +44,8 @@ class BoundQuery:
     """Inputs shared by the bound calculators.
 
     j_clean is the attack cost on the clean data, k the number of items
-    the attacker may modify, tau the desired cost-reduction factor.
+    the attacker may modify, tau the desired cost-reduction factor. cbar
+    bounds |C|, so it bounds |j_clean| as well.
     """
 
     j_clean: float
@@ -73,6 +74,8 @@ class BoundQuery:
             raise ValueError("delta > 0 requires cbar")
         if self.cbar is not None and self.cbar <= 0:
             raise ValueError("cbar must be positive")
+        if self.cbar is not None and abs(self.j_clean) > self.cbar:
+            raise ValueError("|j_clean| cannot exceed cbar, which bounds |C|")
 
 
 def lower_bound(q):

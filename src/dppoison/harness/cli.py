@@ -16,8 +16,6 @@ Run as the installed ``dppoison`` script or, from a source checkout, as
 """
 
 import argparse
-import json
-import math
 import os
 import sys
 
@@ -27,6 +25,7 @@ from ..bounds import BoundQuery, lower_bound, min_items
 from ..core import Sign
 from .experiment import (
     config_from_dict,
+    json_dumps,
     run_evaluation,
     run_experiment,
     write_dataset_files,
@@ -68,7 +67,7 @@ def _report(summary):
         line["clean_mean"] = clean["mean"]
     if summary.get("error"):
         line["error"] = summary["error"]
-    print(json.dumps(line, sort_keys=True))
+    print(json_dumps(line, sort_keys=True))
     return 1 if summary.get("error") else 0
 
 
@@ -81,21 +80,22 @@ def _cmd_gen_data(args):
 
 
 def _cmd_bound(args):
-    query = BoundQuery(
-        j_clean=args.j,
-        epsilon=args.epsilon,
-        k=args.k,
-        delta=args.delta,
-        cbar=args.cbar,
-        sign=args.sign,
-        tau=args.tau if args.tau is not None else 1.0,
-    )
-    result = {"lower_bound": lower_bound(query)}
-    if args.tau is not None:
-        result["min_items"] = min_items(query)
-    # JSON has no infinity: write non-finite values as strings ("inf", "-inf").
-    result = {key: v if math.isfinite(v) else str(v) for key, v in result.items()}
-    print(json.dumps(result, sort_keys=True, allow_nan=False))
+    try:
+        query = BoundQuery(
+            j_clean=args.j,
+            epsilon=args.epsilon,
+            k=args.k,
+            delta=args.delta,
+            cbar=args.cbar,
+            sign=args.sign,
+            tau=args.tau if args.tau is not None else 1.0,
+        )
+        result = {"lower_bound": lower_bound(query)}
+        if args.tau is not None:
+            result["min_items"] = min_items(query)
+    except ValueError as exc:
+        raise SystemExit(f"bound: {exc}") from None
+    print(json_dumps(result, sort_keys=True))
     return 0
 
 

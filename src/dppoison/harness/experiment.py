@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import enum
 import json
+import math
 import os
 import time
 import typing
@@ -84,6 +85,7 @@ __all__ = [
     "conservative_clean_cost",
     "bound_for",
     "curve_iterations",
+    "json_dumps",
     "run_experiment",
     "run_evaluation",
     "write_dataset_files",
@@ -400,6 +402,22 @@ def _write_trace(path, trace, iterations):
     _write_csv(path, header, rows)
 
 
+def _finite_json(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _finite_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
+def json_dumps(value, **kwargs):
+    """JSON text of value. JSON has no infinity or NaN, so non-finite
+    floats are written as the strings "inf", "-inf" and "nan"."""
+    return json.dumps(_finite_json(value), allow_nan=False, **kwargs)
+
+
 def _estimate_dict(est):
     return {"mean": est.mean, "stderr": est.stderr, "samples": est.samples}
 
@@ -435,8 +453,7 @@ def _run(config, out_dir, key, mode_rows):
     _write_csv(os.path.join(out_dir, "costs.csv"), [key, "mean", "stderr", "lower_bound"], rows)
     summary["runtime_seconds"] = time.perf_counter() - t0
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 

@@ -10,6 +10,11 @@ from ..rng import substream
 
 __all__ = ["CostEstimate", "estimate_attack_cost"]
 
+# Draws per train_mechanism call. A block's batched solve holds (rows, n)
+# work arrays and one model per row, so the block size, not T_e, sets the
+# peak memory of an estimate.
+_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class CostEstimate:
@@ -35,16 +40,23 @@ def estimate_attack_cost(victim, data, cost, T_e, seed):
     """Estimate E_b[C(M(data, b))] from T_e independent noise draws.
 
     Sample s always uses the dedicated stream substream(seed, s) and a cold
-    solver start, so draw s depends only on (seed, s): the first m values
-    of a larger estimate equal those of a T_e=m one bit for bit.
+    solver start. Draws are trained in blocks of _BLOCK rows, one
+    train_mechanism call per block; the last block is padded with zero
+    rows whose results are dropped. Every block has the same shape, so
+    draw s depends only on (seed, s): the first m values of a larger
+    estimate equal those of a T_e=m one bit for bit.
     """
     if T_e < 2:
         raise ValueError("T_e must be at least 2 for a standard error")
     scale = victim.noise_scale_for(data.n)
     samples = np.empty(T_e)
-    for s in range(T_e):
-        b = sample_noise(data.dim, scale, substream(seed, s))
-        samples[s] = eval_cost(cost, train_mechanism(victim, data, b))
+    for lo in range(0, T_e, _BLOCK):
+        draws = range(lo, min(lo + _BLOCK, T_e))
+        noise = np.zeros((_BLOCK, data.dim))
+        for row, s in enumerate(draws):
+            noise[row] = sample_noise(data.dim, scale, substream(seed, s))
+        for s, model in zip(draws, train_mechanism(victim, data, noise)):
+            samples[s] = eval_cost(cost, model)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(T_e))
     return CostEstimate(mean, stderr, T_e, samples)

@@ -2,8 +2,9 @@
 
 Provides the spherically symmetric noise sampler, a damped-Newton solver
 for L2-regularized logistic regression (optionally with a linear noise
-term in the objective), a norm-constrained ridge solver that returns the
-dual variable of the constraint, and the mechanism dispatcher.
+term in the objective) and its batched form for a stack of noise draws,
+a norm-constrained ridge solver that returns the dual variable of the
+constraint, and the mechanism dispatcher.
 
 All solvers are pure functions of (data, noise, settings): repeated calls
 return bit-identical results. Problem sizes here are small and dense, so
@@ -72,6 +73,16 @@ def _logistic_objective(theta, X, y, lam, b):
     return float(np.sum(softplus(-t)) + 0.5 * lam * (theta @ theta) + b @ theta)
 
 
+def _logistic_objective_rows(theta, X, y, lam, B):
+    """_logistic_objective of each row of theta with its row of B, as (m,)."""
+    t = (theta @ X.T) * y
+    return (
+        np.sum(softplus(-t), axis=1)
+        + 0.5 * lam * np.einsum("ij,ij->i", theta, theta)
+        + np.einsum("ij,ij->i", B, theta)
+    )
+
+
 def _solve_logistic(X, y, lam, b, settings, warm_start=None):
     """Damped Newton on the perturbed logistic objective.
 
@@ -85,6 +96,7 @@ def _solve_logistic(X, y, lam, b, settings, warm_start=None):
     else:
         theta = np.zeros(d)
     eye = np.eye(d)
+    f0 = _logistic_objective(theta, X, y, lam, b)
     for _ in range(settings.max_iters):
         t = y * (X @ theta)
         p = sigmoid(-t)  # 1 / (1 + exp(t_j))
@@ -94,7 +106,6 @@ def _solve_logistic(X, y, lam, b, settings, warm_start=None):
         w = p * (1.0 - p)
         H = lam * eye + X.T @ (X * w[:, None])
         step = np.linalg.solve(H, grad)
-        f0 = _logistic_objective(theta, X, y, lam, b)
         # Near the optimum the predicted decrease drops below the rounding
         # resolution of the objective; without this slack the line search
         # rejects steps on floating-point noise and the iteration stalls.
@@ -107,7 +118,7 @@ def _solve_logistic(X, y, lam, b, settings, warm_start=None):
                 cand = theta - size * direction
                 f_cand = _logistic_objective(cand, X, y, lam, b)
                 if f_cand <= f0 - 1e-4 * size * slope + f_slack:
-                    theta = cand
+                    theta, f0 = cand, f_cand
                     accepted = True
                     break
                 size *= 0.5
@@ -118,9 +129,67 @@ def _solve_logistic(X, y, lam, b, settings, warm_start=None):
     raise SolverError(f"logistic solver did not converge within {settings.max_iters} iterations")
 
 
+def _solve_logistic_rows(X, y, lam, B, settings, warm_start=None):
+    """_solve_logistic's damped Newton run on all rows of the (m, d) noise
+    stack B at once; returns the (m, d) solutions, one per row.
+
+    Each row follows the scalar rules: its own gradient test, the Armijo
+    test with the same slack, the gradient-step fallback, and a
+    SolverError if it stalls or is unconverged after max_iters. Shapes
+    stay (m, ...) throughout; a converged row is frozen by a mask, and
+    each row carries its accepted objective value forward.
+    """
+    m, d = B.shape
+    n = X.shape[0]
+    theta = np.zeros((m, d))
+    if warm_start is not None:
+        theta += np.asarray(warm_start, dtype=float)
+    # rows of outer products x_j x_j', so every Hessian is one weighted sum
+    outer = (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
+    eye = np.eye(d)
+    f = _logistic_objective_rows(theta, X, y, lam, B)
+    active = np.ones(m, dtype=bool)
+    for _ in range(settings.max_iters):
+        p = sigmoid(-(theta @ X.T) * y)
+        grad = lam * theta - (p * y) @ X + B
+        active &= np.linalg.norm(grad, axis=1) > settings.grad_tol
+        if not active.any():
+            return theta
+        H = lam * eye + ((p * (1.0 - p)) @ outer).reshape(m, d, d)
+        step = np.linalg.solve(H, grad[:, :, None])[:, :, 0]
+        f_slack = 1e-12 * np.maximum(1.0, np.abs(f))
+        pending = active.copy()
+        for direction in (step, grad / (lam + n)):
+            slope = np.einsum("ij,ij->i", grad, direction)
+            size = 1.0
+            for _ in range(60):
+                cand = theta - size * direction
+                f_cand = _logistic_objective_rows(cand, X, y, lam, B)
+                ok = pending & (f_cand <= f - 1e-4 * size * slope + f_slack)
+                theta[ok] = cand[ok]
+                f[ok] = f_cand[ok]
+                pending &= ~ok
+                if not pending.any():
+                    break
+                size *= 0.5
+            if not pending.any():
+                break
+        if pending.any():
+            raise SolverError("logistic solver stalled: no descent step found")
+    raise SolverError(f"logistic solver did not converge within {settings.max_iters} iterations")
+
+
 def _check_classification_labels(y):
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    if not np.all(np.abs(y) == 1.0):
         raise ValueError("classification labels must be -1 or +1")
+
+
+def _as_noise(b, dim):
+    """b as floats: one (dim,) draw or an (m, dim) stack of draws."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[-1] != dim:
+        raise ValueError("noise dimension does not match the dataset")
+    return b
 
 
 def train_base_logistic(data, lam, settings=None, warm_start=None):
@@ -136,17 +205,22 @@ def train_objective_perturbed_logistic(data, lam, b, settings=None, warm_start=N
 
         lam*theta - sum_j y_j x_j / (1 + exp(y_j theta.x_j)) + b = 0
 
-    within grad_tol."""
+    within grad_tol.
+
+    b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
+    of draws, which returns a list of m, one per row. A stack is solved by
+    one batched damped Newton, each row from warm_start (or zero); a
+    single draw uses the scalar solver, which is faster for one row."""
     settings = settings or DEFAULT_SETTINGS
     if lam <= 0:
         raise ValueError("lam must be positive")
     _check_classification_labels(data.y)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (data.dim,):
-        raise ValueError("noise dimension does not match the dataset")
+    b = _as_noise(b, data.dim)
     warm = warm_start.theta if isinstance(warm_start, ModelParams) else warm_start
-    theta = _solve_logistic(data.X, data.y, lam, b, settings, warm_start=warm)
-    return ModelParams(theta, 0.0)
+    if b.ndim == 1:
+        return ModelParams(_solve_logistic(data.X, data.y, lam, b, settings, warm_start=warm), 0.0)
+    thetas = _solve_logistic_rows(data.X, data.y, lam, b, settings, warm_start=warm)
+    return [ModelParams(theta, 0.0) for theta in thetas]
 
 
 def train_base_ridge_constrained(data, lam, rho, b=None, settings=None):
@@ -209,18 +283,27 @@ def train_mechanism(victim, data, b, settings=None, warm_start=None):
     Objective perturbation adds b.theta to the training objective; output
     perturbation trains the base learner and adds b to the result (so the
     norm constraint of a ridge victim applies to theta - b). Deterministic
-    given (data, b)."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (data.dim,):
-        raise ValueError("noise dimension does not match the dataset")
-    if victim.base is BaseLearner.LOGISTIC:
-        if victim.mechanism is Mechanism.OBJECTIVE:
+    given (data, b).
+
+    b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
+    of draws, which returns a list of m, one per row. For a stack, output
+    perturbation solves the base learner once, and an objective-perturbed
+    logistic victim solves all rows in one batched Newton."""
+    b = _as_noise(b, data.dim)
+
+    def per_row(train):
+        return train(b) if b.ndim == 1 else [train(row) for row in b]
+
+    if victim.mechanism is Mechanism.OBJECTIVE:
+        if victim.base is BaseLearner.LOGISTIC:
             return train_objective_perturbed_logistic(
                 data, victim.lam, b, settings, warm_start=warm_start
             )
+        return per_row(
+            lambda row: train_base_ridge_constrained(data, victim.lam, victim.rho, row, settings)
+        )
+    if victim.base is BaseLearner.LOGISTIC:
         base = train_base_logistic(data, victim.lam, settings, warm_start=warm_start)
-        return ModelParams(base.theta + b, 0.0)
-    if victim.mechanism is Mechanism.OBJECTIVE:
-        return train_base_ridge_constrained(data, victim.lam, victim.rho, b, settings)
-    base = train_base_ridge_constrained(data, victim.lam, victim.rho, None, settings)
-    return ModelParams(base.theta + b, base.mu)
+    else:
+        base = train_base_ridge_constrained(data, victim.lam, victim.rho, None, settings)
+    return per_row(lambda row: ModelParams(base.theta + row, base.mu))

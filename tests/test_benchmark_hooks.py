@@ -10,6 +10,7 @@ import importlib.util
 import inspect
 import os
 
+import numpy as np
 import pytest
 
 from dppoison import train_mechanism
@@ -25,7 +26,8 @@ def load_tracer():
     return module
 
 
-TARGETS = load_tracer()._TARGETS
+TRACER = load_tracer()
+TARGETS = TRACER._TARGETS
 
 
 @pytest.mark.parametrize("module_name, attr", [t[:2] for t in TARGETS])
@@ -39,3 +41,12 @@ def test_train_mechanism_positions():
     params = list(inspect.signature(train_mechanism).parameters)
     assert params[2] == "b"
     assert params[4] == "warm_start"
+
+
+def test_noise_stack_is_a_cold_solve():
+    # the Monte-Carlo estimate trains a block of draws, padded with zero
+    # rows, in one call
+    stack = np.zeros((32, 3))
+    stack[:5] = np.random.default_rng(0).standard_normal((5, 3))
+    assert TRACER._solve_kind((None, None, stack), {}) == "learners.solve_cold"
+    assert TRACER._solve_kind((), {"b": stack, "warm_start": None}) == "learners.solve_cold"

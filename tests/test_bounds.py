@@ -28,6 +28,12 @@ def signed(j, sign):
     return j if sign is Sign.NON_NEGATIVE else -j
 
 
+def within(j, cbar):
+    """Scale a drawn |J| from [0, 1e3] into [0, cbar]: cbar bounds |C|, so
+    a query with |J| > cbar is invalid."""
+    return j if cbar is None else j / 1e3 * cbar
+
+
 class TestQueryValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -41,6 +47,8 @@ class TestQueryValidation:
             dict(j_clean=0.5, epsilon=0.1, sign=Sign.NON_POSITIVE),
             dict(j_clean=0.5, epsilon=0.1, delta=0.01),
             dict(j_clean=0.5, epsilon=0.1, delta=0.01, cbar=0.0),
+            dict(j_clean=1e308, epsilon=5.0, delta=0.5, cbar=1.0, tau=2.0),
+            dict(j_clean=-2.0, epsilon=0.1, cbar=1.0, sign=Sign.NON_POSITIVE),
         ],
     )
     def test_rejected(self, kwargs):
@@ -114,12 +122,14 @@ class TestApproxBound:
     @settings(max_examples=300, deadline=None)
     @given(j=magnitudes, eps=epsilons, k=budgets, cbar=st.none() | cbars)
     def test_delta_zero_equals_pure_nonnegative(self, j, eps, k, cbar):
+        j = within(j, cbar)
         assert lower_bound(q(j, eps, k=k, cbar=cbar)) == math.exp(-k * eps) * j
 
     @settings(max_examples=300, deadline=None)
     @given(j=magnitudes, eps=epsilons, k=budgets, cbar=st.none() | cbars)
     def test_delta_zero_equals_pure_nonpositive(self, j, eps, k, cbar):
         # at delta = 0 a given cbar does not clamp the floor
+        j = within(j, cbar)
         got = lower_bound(q(-j, eps, k=k, cbar=cbar, sign=Sign.NON_POSITIVE))
         assert got == math.exp(k * eps) * -j
 
@@ -139,13 +149,11 @@ class TestApproxBound:
         rng = np.random.default_rng(5)
         for _ in range(200):
             eps = float(rng.uniform(0.05, 2.0))
-            query = q(
-                float(rng.uniform(0.0, 3.0)),
-                eps,
-                k=int(rng.integers(0, 40)),
-                delta=float(rng.uniform(0.0, 0.3)),
-                cbar=float(rng.uniform(0.5, 5.0)),
-            )
+            j = float(rng.uniform(0.0, 3.0))
+            k = int(rng.integers(0, 40))
+            delta = float(rng.uniform(0.0, 0.3))
+            cbar = float(rng.uniform(0.5, 5.0))
+            query = q(min(j, cbar), eps, k=k, delta=delta, cbar=cbar)
             pure = lower_bound(q(query.j_clean, eps, k=query.k))
             # delta slack can only weaken the floor
             assert lower_bound(query) <= pure + 1e-12
@@ -153,7 +161,7 @@ class TestApproxBound:
     @settings(max_examples=300, deadline=None)
     @given(j=magnitudes, eps=epsilons, k=budgets, sign=signs, delta=deltas, cbar=cbars)
     def test_monotone_in_k_both_signs(self, j, eps, k, sign, delta, cbar):
-        j = signed(j, sign)
+        j = signed(within(j, cbar), sign)
         now = lower_bound(q(j, eps, k=k, delta=delta, cbar=cbar, sign=sign))
         later = lower_bound(q(j, eps, k=k + 1, delta=delta, cbar=cbar, sign=sign))
         assert later <= now

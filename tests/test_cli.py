@@ -49,6 +49,26 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def run_module(*argv):
+    """Run `python -m dppoison.harness.cli` from the source checkout."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, "-m", "dppoison.harness.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def strict_json(text):
+    """json.loads that rejects the non-JSON constants Infinity and NaN."""
+
+    def no_constants(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=no_constants)
+
+
 class TestBound:
     def test_pure(self, capsys):
         code, out = run_cli(capsys, "bound", "--j", "0.5", "--epsilon", "0.1", "--k", "10")
@@ -96,14 +116,7 @@ class TestBound:
     def test_module_entry_point(self):
         # `python -m dppoison.harness.cli` is the way to run the CLI from a
         # source checkout; it must run main and exit with its status
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        path = [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-        argv = ["bound", "--j", "0.5", "--epsilon", "0.1", "--k", "10"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "dppoison.harness.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_module("bound", "--j", "0.5", "--epsilon", "0.1", "--k", "10")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["lower_bound"] == pytest.approx(0.5 * math.exp(-1.0))
 
@@ -119,16 +132,22 @@ class TestBound:
         ],
     )
     def test_infinite_values_are_valid_json(self, capsys, argv, key, value):
-        def no_constants(name):
-            raise ValueError(f"not JSON: {name}")
-
         code, out = run_cli(capsys, "bound", *argv)
         assert code == 0
-        assert json.loads(out, parse_constant=no_constants)[key] == value
+        assert strict_json(out)[key] == value
 
     def test_delta_without_cbar_fails(self, capsys):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit, match="^bound: delta > 0 requires cbar$"):
             main(["bound", "--j", "0.5", "--epsilon", "0.1", "--delta", "0.01"])
+
+    def test_invalid_query_is_one_line_without_traceback(self):
+        # cbar bounds |C|, so |J| = 1e308 > cbar = 1 is an invalid query
+        proc = run_module(
+            "bound", "--j", "1e308", "--epsilon", "5", "--delta", "0.5", "--cbar", "1", "--tau", "2"
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr == "bound: |j_clean| cannot exceed cbar, which bounds |C|\n"
 
 
 class TestGenData:
@@ -155,6 +174,17 @@ class TestAttack:
         assert "final_mean" in line and "lower_bound" in line
         summary = json.load(open(os.path.join(out_dir, "summary.json")))
         assert summary["error"] is None
+
+    def test_infinite_bound_is_valid_json(self, tmp_path, capsys):
+        # k * epsilon = 900 overflows the pure bound of a nonpositive cost
+        path = tmp_path / "eps100.yaml"
+        path.write_text(TINY_CONFIG.replace("epsilon: 0.5", "epsilon: 100.0"))
+        out_dir = str(tmp_path / "run")
+        code, out = run_cli(capsys, "attack", "--config", str(path), "--out", out_dir)
+        assert code == 0
+        assert strict_json(out)["lower_bound"] == "-inf"
+        with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
+            assert strict_json(fh.read())["lower_bound"] == "-inf"
 
     def test_seed_override_echoed(self, config_path, tmp_path, capsys):
         out_dir = str(tmp_path / "run")

@@ -263,12 +263,36 @@ class TestEstimateAttackCost:
         assert wide.stderr / narrow.stderr == pytest.approx(2.0, abs=0.6)
 
     def test_draw_depends_only_on_seed_and_index(self):
-        # draw s comes from substream(seed, s) alone, so a shorter estimate
-        # is a bit-exact prefix of a longer one
+        # draw s comes from substream(seed, s) alone and is solved in a
+        # block of fixed shape, so a shorter estimate is a bit-exact prefix
+        # of a longer one, also when its last block is padded
         victim, data, cost = small_estimation_setup()
-        long = estimate_attack_cost(victim, data, cost, 64, seed=5)
-        short = estimate_attack_cost(victim, data, cost, 32, seed=5)
-        np.testing.assert_array_equal(long.values[:32], short.values)
+        long = estimate_attack_cost(victim, data, cost, 130, seed=5)
+        for T_e in (5, 32, 33, 100):
+            short = estimate_attack_cost(victim, data, cost, T_e, seed=5)
+            np.testing.assert_array_equal(long.values[:T_e], short.values)
+
+    @pytest.mark.parametrize(
+        "base, name", [("logistic", "train_base_logistic"), ("ridge", "train_base_ridge_constrained")]
+    )
+    @pytest.mark.parametrize("T_e, blocks", [(20, 1), (100, 4)])
+    def test_output_victim_solves_base_once_per_block(self, monkeypatch, base, name, T_e, blocks):
+        # the base solve does not depend on the noise, so each block of 32
+        # draws trains it once (one solve per draw before blocking)
+        import dppoison.learners as learners
+
+        solver = getattr(learners, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(learners, name, counted)
+        _, data, cost = small_estimation_setup()
+        victim = VictimSpec("output", base, lam=5.0, epsilon=1.0, rho=1.0)
+        estimate_attack_cost(victim, data, cost, T_e, seed=0)
+        assert len(calls) == blocks
 
     def test_solver_failure_propagates(self, monkeypatch):
         import dppoison.harness.montecarlo as montecarlo

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_classification_data, random_regression_data
 from dppoison import (
@@ -119,6 +121,13 @@ class TestLogisticSolver:
         data = random_classification_data(rng, n=10, d=2)
         with pytest.raises(SolverError):
             train_base_logistic(data, lam=1.0, settings=SolverSettings(max_iters=1))
+
+    def test_stacked_nonconvergence_raises(self):
+        rng = np.random.default_rng(6)
+        data = random_classification_data(rng, n=10, d=2)
+        victim = VictimSpec("objective", "logistic", lam=1.0, epsilon=1.0)
+        with pytest.raises(SolverError):
+            train_mechanism(victim, data, rng.standard_normal((4, 2)), SolverSettings(max_iters=1))
 
     def test_warm_start_agrees_with_cold(self):
         rng = np.random.default_rng(7)
@@ -265,6 +274,29 @@ class TestTrainMechanism:
         a = train_mechanism(victim, data, b)
         c = train_mechanism(victim, data, b)
         np.testing.assert_array_equal(a.theta, c.theta)
+
+
+@pytest.mark.parametrize(
+    "mechanism, base",
+    [("objective", "logistic"), ("output", "logistic"), ("output", "ridge"), ("objective", "ridge")],
+)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), warm=st.booleans())
+def test_stacked_rows_match_single_draws(mechanism, base, seed, m, warm):
+    # row i of a stacked solve is the single-draw solve of b[i]
+    rng = np.random.default_rng(seed)
+    make_data = random_classification_data if base == "logistic" else random_regression_data
+    data = make_data(rng)
+    victim = VictimSpec(mechanism, base, lam=float(rng.uniform(0.5, 4.0)), epsilon=1.0, rho=0.5)
+    b = rng.standard_normal((m, data.dim)) * rng.uniform(0.1, 3.0)
+    start = ModelParams(rng.standard_normal(data.dim)) if warm else None
+    stacked = train_mechanism(victim, data, b, warm_start=start)
+    assert len(stacked) == m
+    for row, model in zip(b, stacked):
+        single = train_mechanism(victim, data, row, warm_start=start)
+        scale = max(1.0, float(np.max(np.abs(single.theta))))
+        assert np.max(np.abs(model.theta - single.theta)) <= 1e-12 * scale
+        assert abs(model.mu - single.mu) <= 1e-12 * max(1.0, single.mu)
 
 
 class TestSolverSettings:
