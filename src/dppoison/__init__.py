@@ -16,7 +16,6 @@ The package has three layers:
 from .attacks import (
     AttackConfig,
     AttackMode,
-    AttackTrace,
     SelectionMethod,
     relaxed_attack,
     run_attack,
@@ -46,35 +45,28 @@ from .gradients import (
     finite_difference_oracle,
 )
 from .learners import (
-    DEFAULT_SETTINGS,
     SolverError,
-    SolverSettings,
     sample_noise,
     train_base_logistic,
     train_base_ridge_constrained,
     train_mechanism,
     train_objective_perturbed_logistic,
 )
-from .rng import subseed, substream
-
 __version__ = "0.1.0"
 
 __all__ = [
     "AttackConfig",
     "AttackMode",
-    "AttackTrace",
     "BaseLearner",
     "BoundQuery",
     "CostSpec",
     "Dataset",
-    "DEFAULT_SETTINGS",
     "Goal",
     "Mechanism",
     "ModelParams",
     "SelectionMethod",
     "Sign",
     "SolverError",
-    "SolverSettings",
     "VictimSpec",
     "batch_item_gradients",
     "cost_gradient",
@@ -91,8 +83,6 @@ __all__ = [
     "sample_noise",
     "deep_scores",
     "shallow_scores",
-    "subseed",
-    "substream",
     "top_k_indices",
     "train_base_logistic",
     "train_base_ridge_constrained",

@@ -39,6 +39,7 @@ __all__ = [
     "shallow_scores",
     "relaxed_attack",
     "deep_scores",
+    "selection_scores",
     "run_attack",
 ]
 
@@ -237,6 +238,18 @@ def deep_scores(victim, data, cost, config, rng):
     return modification_distances(relaxed.X, relaxed.y, data.X, data.y, victim.base)
 
 
+def selection_scores(victim, data, cost, config, seed):
+    """Step I: a score for every item, by config.selection (shallow or
+    deep), drawn from the selection substream of seed. The k items to
+    poison are the k largest scores."""
+    if config.selection is SelectionMethod.ALL:
+        raise ValueError("selection 'all' ranks no items: k < n needs shallow or deep selection")
+    rng = substream(seed, STAGE_SELECT)
+    if config.selection is SelectionMethod.SHALLOW:
+        return shallow_scores(victim, data, cost, config.mode, config.m_select, rng)
+    return deep_scores(victim, data, cost, config, rng)
+
+
 def _select(victim, data, cost, config, seed):
     n = data.n
     if config.k > n:
@@ -246,14 +259,7 @@ def _select(victim, data, cost, config, seed):
     if config.k == n:
         # Selection is moot when every item may be poisoned.
         return np.arange(n)
-    if config.selection is SelectionMethod.ALL:
-        raise ValueError("selection 'all' requires k = n")
-    rng = substream(seed, STAGE_SELECT)
-    if config.selection is SelectionMethod.SHALLOW:
-        scores = shallow_scores(victim, data, cost, config.mode, config.m_select, rng)
-    else:
-        scores = deep_scores(victim, data, cost, config, rng)
-    return top_k_indices(scores, config.k)
+    return top_k_indices(selection_scores(victim, data, cost, config, seed), config.k)
 
 
 def run_attack(victim, data, cost, config, seed=0, selected=None):

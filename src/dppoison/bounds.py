@@ -58,13 +58,17 @@ class BoundQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "sign", Sign(self.sign))
+        for name in ("j_clean", "epsilon", "delta", "cbar"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("delta must lie in [0, 1)")
         if self.k < 0:
             raise ValueError("k must be nonnegative")
-        if self.tau < 1.0:
+        if not self.tau >= 1.0:
             raise ValueError("tau must be at least 1")
         if self.sign is Sign.NON_NEGATIVE and self.j_clean < 0:
             raise ValueError("a non-negative cost cannot have j_clean < 0")
@@ -76,6 +80,20 @@ class BoundQuery:
             raise ValueError("cbar must be positive")
         if self.cbar is not None and abs(self.j_clean) > self.cbar:
             raise ValueError("|j_clean| cannot exceed cbar, which bounds |C|")
+
+
+def _delta_slack(q):
+    """a = cbar * delta / (e^eps - 1). Past exp range e^eps - 1 rounds to
+    e^eps, so a is cbar * delta * e^-eps, which tends to 0 without overflow."""
+    if q.epsilon > _EXP_LIMIT:
+        return q.cbar * q.delta * math.exp(-q.epsilon)
+    return q.cbar * q.delta / math.expm1(q.epsilon)
+
+
+def _logaddexp(x, y):
+    """log(e^x + e^y) without overflow."""
+    hi, lo = max(x, y), min(x, y)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def lower_bound(q):
@@ -99,7 +117,7 @@ def lower_bound(q):
     if q.delta == 0.0:
         a, floor = 0.0, -math.inf
     else:
-        a, floor = q.cbar * q.delta / math.expm1(q.epsilon), -q.cbar
+        a, floor = _delta_slack(q), -q.cbar
     ke = q.k * q.epsilon
     if q.sign is Sign.NON_NEGATIVE:
         if ke > _EXP_LIMIT:
@@ -137,15 +155,18 @@ def min_items(q):
         return _ceil_with_slack(math.log(tau) / q.epsilon)
     if j == 0.0:
         raise ValueError("min_items with delta > 0 requires j_clean != 0")
-    em1 = math.expm1(q.epsilon)
+    # in logs, as e^eps overflows past exp range: lj = log((e^eps - 1) |J|)
+    lj = math.log(abs(j)) + q.epsilon + math.log(-math.expm1(-q.epsilon))
+    lc = math.log(q.cbar) + math.log(q.delta)
     if q.sign is Sign.NON_NEGATIVE:
         if math.isinf(tau):
-            ratio = 1.0 + em1 * j / (q.cbar * q.delta)
+            log_ratio = _logaddexp(lj, lc) - lc
         else:
-            ratio = (em1 * j * tau + q.cbar * q.delta * tau) / (em1 * j + q.cbar * q.delta * tau)
+            lt = math.log(tau)
+            log_ratio = lt + _logaddexp(lj, lc) - _logaddexp(lj, lc + lt)
     else:
         tau_max = -q.cbar / j
         if tau > tau_max * (1.0 + 1e-12):
             raise ValueError(f"tau must lie in [1, {tau_max}] for this nonpositive cost")
-        ratio = (em1 * j * tau - q.cbar * q.delta) / (em1 * j - q.cbar * q.delta)
-    return _ceil_with_slack(math.log(ratio) / q.epsilon)
+        log_ratio = _logaddexp(lj + math.log(tau), lc) - _logaddexp(lj, lc)
+    return _ceil_with_slack(log_ratio / q.epsilon)

@@ -89,6 +89,8 @@ class Dataset:
             raise ValueError("features must be a 2d array (n items by d features)")
         if y.shape != (X.shape[0],):
             raise ValueError("labels must be a vector with one entry per item")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("features and labels must be finite")
         X.setflags(write=False)
         y.setflags(write=False)
         self._X = X

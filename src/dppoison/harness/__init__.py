@@ -13,18 +13,11 @@ from .datasets import (
     save_csv_dataset,
 )
 from .experiment import (
-    CostDescriptor,
-    DataSource,
-    EvalSource,
-    ExperimentConfig,
-    SweepSpec,
-    bound_for,
     build_cost,
     build_dataset,
     build_eval_set,
     config_from_dict,
     config_to_dict,
-    conservative_clean_cost,
     curve_iterations,
     run_evaluation,
     run_experiment,
@@ -33,20 +26,13 @@ from .experiment import (
 from .montecarlo import CostEstimate, estimate_attack_cost
 
 __all__ = [
-    "CostDescriptor",
     "CostEstimate",
-    "DataSource",
-    "EvalSource",
-    "ExperimentConfig",
-    "SweepSpec",
-    "bound_for",
     "build_cost",
     "build_dataset",
     "build_eval_set",
     "build_nn_eval_set",
     "config_from_dict",
     "config_to_dict",
-    "conservative_clean_cost",
     "curve_iterations",
     "estimate_attack_cost",
     "gen_1d_dataset",

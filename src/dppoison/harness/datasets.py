@@ -20,11 +20,13 @@ __all__ = [
     "gen_eval_grid_2d",
     "load_csv_dataset",
     "save_csv_dataset",
+    "write_csv",
     "normalize_dataset",
     "build_nn_eval_set",
     "pick_extreme_eval_item",
 ]
 
+# Full precision: a float written and read back is the same float.
 _FLOAT_FMT = "%.17g"
 
 
@@ -126,15 +128,25 @@ def load_csv_dataset(path, feature_columns=None, label_column="y", label_map=Non
     return Dataset(np.array(rows), np.array(labels))
 
 
-def save_csv_dataset(data, path):
-    """Write a dataset in the x0..x{d-1},y format with full precision."""
+def _cell(v):
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return _FLOAT_FMT % v
+
+
+def write_csv(path, header, rows):
+    """Write a CSV with a header row. Integers are written as integers and
+    every other cell as a float at full precision."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(data.dim)] + ["y"])
-        for i in range(data.n):
-            writer.writerow(
-                [_FLOAT_FMT % v for v in data.X[i]] + [_FLOAT_FMT % data.y[i]]
-            )
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def save_csv_dataset(data, path):
+    """Write a dataset in the x0..x{d-1},y format with full precision."""
+    header = [f"x{j}" for j in range(data.dim)] + ["y"]
+    write_csv(path, header, ([*x, y] for x, y in zip(data.X, data.y)))
 
 
 def normalize_dataset(data, normalize_labels=False, label_range=(0.0, 10.0)):

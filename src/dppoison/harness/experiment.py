@@ -16,7 +16,6 @@ substreams, so a re-run with the same config and seed reproduces the CSVs
 bit for bit (the summary differs only in its runtime entry).
 """
 
-import csv
 import dataclasses
 import enum
 import json
@@ -29,18 +28,18 @@ from typing import Optional
 
 import numpy as np
 
+# Nothing here calls deep_scores, shallow_scores or train_mechanism, but
+# perfbench/tracer.py rebinds them in this module, so the names stay.
 from ..attacks import (
     AttackConfig,
-    SelectionMethod,
-    deep_scores,
+    deep_scores,  # noqa: F401
     run_attack,
-    shallow_scores,
+    selection_scores,
+    shallow_scores,  # noqa: F401
     top_k_indices,
 )
 from ..bounds import BoundQuery, lower_bound
-from ..core import BaseLearner, CostSpec, Goal, ModelParams, Sign, VictimSpec
-# Nothing here calls train_mechanism, but perfbench/tracer.py rebinds it in
-# this module, so the name stays.
+from ..core import _NORM_SLACK, BaseLearner, CostSpec, Goal, ModelParams, Sign, VictimSpec
 from ..learners import (
     SolverError,
     train_base_logistic,
@@ -50,7 +49,6 @@ from ..learners import (
 from ..rng import (
     STAGE_DATA,
     STAGE_EVALSET,
-    STAGE_SELECT,
     STAGE_MC_CLEAN,
     STAGE_MC_POISONED,
     STAGE_CURVE,
@@ -68,6 +66,7 @@ from .datasets import (
     normalize_dataset,
     pick_extreme_eval_item,
     save_csv_dataset,
+    write_csv,
 )
 from .montecarlo import estimate_attack_cost
 
@@ -90,8 +89,6 @@ __all__ = [
     "run_evaluation",
     "write_dataset_files",
 ]
-
-_FMT = "%.17g"
 
 _DATA_KINDS = ("gen-1d", "gen-2d", "csv")
 _EVAL_KINDS = ("grid-1d", "grid-2d", "nn-flip", "extreme-item", "csv", "none")
@@ -291,22 +288,30 @@ def config_to_dict(config):
     return out
 
 
+def _load_csv(src):
+    """Read the CSV file of a csv data or eval source."""
+    columns = list(src.feature_columns) if src.feature_columns else None
+    return load_csv_dataset(src.path, columns, src.label_column, src.label_map)
+
+
 def build_dataset(config):
-    """Materialize the training set from the config's data source."""
+    """Materialize the training set from the config's data source. The
+    bounds and the attacks assume the feasible set: features in the unit
+    ball and ridge labels in [-1, 1]; other data is rejected."""
     src = config.data
     if src.kind == "gen-1d":
         data = gen_1d_dataset(src.n, substream(config.seed, STAGE_DATA))
     elif src.kind == "gen-2d":
         data = gen_2d_dataset(src.n, np.asarray(src.theta_star, dtype=float), substream(config.seed, STAGE_DATA))
     else:
-        data = load_csv_dataset(
-            src.path,
-            list(src.feature_columns) if src.feature_columns else None,
-            src.label_column,
-            src.label_map,
-        )
+        data = _load_csv(src)
     if src.normalize:
         data = normalize_dataset(data, src.normalize_labels, src.label_range)
+    # the projection's slack, as normalizing can round a norm a few ulps past 1
+    if np.linalg.norm(data.X, axis=1).max() > 1.0 + _NORM_SLACK:
+        raise ValueError("data: a feature norm exceeds 1; set normalize: true")
+    if config.victim.base is BaseLearner.RIDGE and np.abs(data.y).max() > 1.0:
+        raise ValueError("data: ridge labels must lie in [-1, 1]; set normalize and normalize_labels")
     return data
 
 
@@ -324,12 +329,7 @@ def build_eval_set(config, data):
         return build_nn_eval_set(data, rng, ev.class_label, ev.count, ev.include_seed)
     if ev.kind == "extreme-item":
         return pick_extreme_eval_item(data, ev.extreme, ev.target_label)
-    return load_csv_dataset(
-        ev.path,
-        list(ev.feature_columns) if ev.feature_columns else None,
-        ev.label_column,
-        ev.label_map,
-    )
+    return _load_csv(ev)
 
 
 def _fit_target(victim, eval_set):
@@ -375,31 +375,14 @@ def curve_iterations(T, points):
     return np.unique(np.round(np.linspace(0.0, T, points)).astype(int))
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _cell(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _FMT % v
-
-
 def _write_trace(path, trace, iterations):
     header = ["iteration", "item"] + [f"x{j}" for j in range(trace.clean_data.dim)] + ["y"]
     rows = []
     for t in iterations:
         pos = int(np.searchsorted(trace.iterations, t))
         for j, item in enumerate(trace.selected):
-            rows.append(
-                [str(int(t)), str(int(item))]
-                + [_cell(v) for v in trace.features[pos, j]]
-                + [_cell(trace.labels[pos, j])]
-            )
-    _write_csv(path, header, rows)
+            rows.append([t, item, *trace.features[pos, j], trace.labels[pos, j]])
+    write_csv(path, header, rows)
 
 
 def _finite_json(value):
@@ -429,7 +412,8 @@ def _run(config, out_dir, key, mode_rows):
     mode_rows(config, data, cost, out_dir, summary) yields
     (key value, estimate, bound) per row and records its details in the
     summary. A solver failure ends the rows early and is recorded in the
-    summary; the rows before it are kept.
+    summary after any error the mode recorded; the rows before it are
+    kept.
     """
     t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
@@ -447,10 +431,11 @@ def _run(config, out_dir, key, mode_rows):
     rows = []
     try:
         for value, est, bound in mode_rows(config, data, cost, out_dir, summary):
-            rows.append([_cell(value), _cell(est.mean), _cell(est.stderr), _cell(bound)])
+            rows.append([value, est.mean, est.stderr, bound])
     except SolverError as exc:
-        summary["error"] = f"solver failure after {len(rows)} cost rows: {exc}"
-    _write_csv(os.path.join(out_dir, "costs.csv"), [key, "mean", "stderr", "lower_bound"], rows)
+        failure = f"solver failure after {len(rows)} cost rows: {exc}"
+        summary["error"] = "; ".join(filter(None, (summary["error"], failure)))
+    write_csv(os.path.join(out_dir, "costs.csv"), [key, "mean", "stderr", "lower_bound"], rows)
     summary["runtime_seconds"] = time.perf_counter() - t0
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         fh.write(json_dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -499,26 +484,18 @@ def _curve_rows(config, data, cost, out_dir, summary):
     summary["final_cost"] = summary["curve"][-1]
 
 
-def _sweep_selection_scores(config, data, cost):
-    victim, atk = config.victim, config.attack
-    rng = substream(config.seed, STAGE_SELECT)
-    if atk.selection is SelectionMethod.SHALLOW:
-        return shallow_scores(victim, data, cost, atk.mode, atk.m_select, rng)
-    if atk.selection is SelectionMethod.DEEP:
-        return deep_scores(victim, data, cost, atk, rng)
-    raise ValueError("a k sweep needs shallow or deep selection")
-
-
 def _sweep_rows(config, data, cost, out_dir, summary):
     """One row per swept value: attack with that k (items ranked once, by
     the configured selection) or that epsilon (selected afresh, against
-    its own clean estimate), then estimate the poisoned cost."""
+    its own clean estimate), then estimate the poisoned cost. A row whose
+    attack fails raises, so the rows before it are kept and it is not
+    written."""
     kind, values = config.sweep.kind, config.sweep.values
     victim = config.victim
     if kind == "k":
         if values[-1] > data.n:
             raise ValueError(f"sweep k={values[-1]} exceeds dataset size n={data.n}")
-        scores = _sweep_selection_scores(config, data, cost)
+        scores = selection_scores(victim, data, cost, config.attack, config.seed)
         clean_est, j_clean = _clean_cost(config, victim, data, cost)
         summary["clean_cost"] = _estimate_dict(clean_est)
     summary["sweep_rows"] = []
@@ -535,7 +512,7 @@ def _sweep_rows(config, data, cost, out_dir, summary):
             row["clean"] = _estimate_dict(clean_est)
         trace = run_attack(victim, data, cost, atk, subseed(config.seed, STAGE_SWEEP, i), selected)
         if trace.error is not None:
-            summary["error"] = f"{kind}={value}: {trace.error}"
+            raise SolverError(f"{kind}={value}: {trace.error}")
         seed = subseed(config.seed, STAGE_MC_POISONED, i)
         est = estimate_attack_cost(victim, trace.final_data, cost, atk.T_eval, seed)
         row["lower_bound"] = bound_for(victim, cost, atk.k, j_clean)

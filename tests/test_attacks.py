@@ -1,5 +1,7 @@
 """Item selection and the poisoning loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,25 @@ class TestDeepSelection:
         a = top_k_indices(deep_scores(victim, data, cost, config, substream(3, 2)), 5)
         b = top_k_indices(deep_scores(victim, data, cost, config, substream(3, 2)), 5)
         np.testing.assert_array_equal(a, b)
+
+
+class TestSelectionScores:
+    @pytest.mark.parametrize("selection", [SelectionMethod.SHALLOW, SelectionMethod.DEEP])
+    def test_attack_selects_the_top_k_scores(self, selection):
+        # Step I of an attack with budget k is the top k of the shared
+        # scores, for every k a k sweep ranks once
+        victim, data, cost = small_logistic_setup(21)
+        config = AttackConfig(k=1, T=4, selection=selection, m_select=3)
+        scores = attacks.selection_scores(victim, data, cost, config, seed=5)
+        for k in (1, 4, 9, data.n - 1):
+            trace = run_attack(victim, data, cost, dataclasses.replace(config, k=k), seed=5)
+            np.testing.assert_array_equal(trace.selected, top_k_indices(scores, k))
+
+    def test_all_ranks_no_items(self):
+        victim, data, cost = small_logistic_setup(22)
+        config = AttackConfig(k=3, T=4, selection=SelectionMethod.ALL)
+        with pytest.raises(ValueError, match="shallow or deep"):
+            attacks.selection_scores(victim, data, cost, config, seed=0)
 
 
 class TestAttackConfig:

@@ -55,8 +55,40 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             BoundQuery(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["j_clean", "epsilon", "delta", "cbar"])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(j_clean=0.5, epsilon=0.1, delta=0.01, cbar=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            BoundQuery(**kwargs)
+
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError, match="tau"):
+            BoundQuery(0.5, 0.1, tau=math.nan)
+
     def test_string_sign_accepted(self):
         assert BoundQuery(-0.5, 1.0, sign="non-positive").sign is Sign.NON_POSITIVE
+
+
+class TestLargeEpsilon:
+    # e^eps - 1 overflows past eps = 709.78; the delta slack
+    # a = cbar * delta / (e^eps - 1) tends to 0 there
+    @pytest.mark.parametrize("eps", [709.0, 710.0, 800.0, 1000.0, 1e6])
+    def test_bound_takes_the_vanishing_slack_limit(self, eps):
+        kw = dict(delta=0.1, cbar=1.0)
+        assert lower_bound(q(0.5, eps, **kw)) == 0.5
+        assert lower_bound(q(0.5, eps, k=1, **kw)) == 0.0
+        assert lower_bound(q(-0.5, eps, sign=Sign.NON_POSITIVE, **kw)) == -0.5
+        assert lower_bound(q(-0.5, eps, k=1, sign=Sign.NON_POSITIVE, **kw)) == -1.0
+
+    @pytest.mark.parametrize("eps", [709.0, 710.0, 800.0, 1000.0, 1e6])
+    def test_min_items_stays_finite(self, eps):
+        kw = dict(delta=0.1, cbar=1.0)
+        assert min_items(q(0.5, eps, tau=2.0, **kw)) == 1
+        assert min_items(q(-0.5, eps, tau=2.0, sign=Sign.NON_POSITIVE, **kw)) == 1
+        # log(1 + (e^eps - 1) * 0.5 / 0.1) / eps is (eps + log 5) / eps
+        assert min_items(q(0.5, eps, tau=math.inf, **kw)) == 2
 
 
 class TestPureBound:

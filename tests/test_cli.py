@@ -140,6 +140,25 @@ class TestBound:
         with pytest.raises(SystemExit, match="^bound: delta > 0 requires cbar$"):
             main(["bound", "--j", "0.5", "--epsilon", "0.1", "--delta", "0.01"])
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--epsilon", "1000"], {"lower_bound": 0.5}),
+            (["--epsilon", "800", "--tau", "2"], {"lower_bound": 0.5, "min_items": 1}),
+        ],
+    )
+    def test_large_epsilon_with_delta(self, capsys, argv, expected):
+        # e^eps - 1 overflows here; the delta slack tends to 0
+        code, out = run_cli(capsys, "bound", "--j", "0.5", "--delta", "0.1", "--cbar", "1", *argv)
+        assert code == 0
+        assert strict_json(out) == expected
+
+    def test_non_finite_query_is_one_line(self):
+        proc = run_module("bound", "--j", "nan", "--epsilon", "0.1", "--k", "1")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "bound: j_clean must be finite, got nan\n"
+
     def test_invalid_query_is_one_line_without_traceback(self):
         # cbar bounds |C|, so |J| = 1e308 > cbar = 1 is an invalid query
         proc = run_module(

@@ -54,6 +54,15 @@ class TestDataset:
         # untouched rows identical, indices stable
         np.testing.assert_array_equal(d2.X[[0, 2]], d.X[[0, 2]])
 
+    @pytest.mark.parametrize(
+        "features, labels",
+        [([[np.nan, 5.0]], [1.0]), ([[0.5, np.inf]], [1.0]), ([[0.5, 0.5]], [-np.inf])],
+        ids=["nan-feature", "inf-feature", "inf-label"],
+    )
+    def test_non_finite_rejected(self, features, labels):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(features, labels)
+
     def test_empty_dataset_is_allowed(self):
         d = Dataset(np.empty((0, 3)), np.empty(0))
         assert d.n == 0 and d.dim == 3

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 import yaml
 
-from dppoison import CostSpec, Dataset, Goal, ModelParams, SolverError, VictimSpec, eval_cost
+from dppoison import (
+    CostSpec,
+    Dataset,
+    Goal,
+    ModelParams,
+    SolverError,
+    VictimSpec,
+    eval_cost,
+    run_attack,
+    train_mechanism,
+)
 from dppoison.harness import (
     CostEstimate,
     build_cost,
@@ -173,6 +183,47 @@ class TestNormalize:
     def test_zero_features_rejected(self):
         with pytest.raises(ValueError):
             normalize_dataset(Dataset([[0.0, 0.0]], [1.0]))
+
+
+class TestBuildDatasetFeasibility:
+    @staticmethod
+    def csv_config(tmp_path, body, base="logistic", **data):
+        path = tmp_path / "d.csv"
+        path.write_text(body)
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["victim"].update(base=base, rho=1.0)
+        raw["data"] = {"kind": "csv", "path": str(path), **data}
+        return config_from_dict(raw)
+
+    def test_feature_outside_unit_ball_rejected(self, tmp_path):
+        body = "x0,x1,y\n0.5,0.5,1\n1.0,1.0,-1\n"
+        with pytest.raises(ValueError, match="normalize"):
+            build_dataset(self.csv_config(tmp_path, body))
+        data = build_dataset(self.csv_config(tmp_path, body, normalize=True))
+        assert np.linalg.norm(data.X, axis=1).max() <= 1.0
+
+    @pytest.mark.parametrize("x, ok", [("1.0000000000000002", True), ("1.000000000000001", False)])
+    def test_norm_tolerance_is_the_projections(self, tmp_path, x, ok):
+        # rescaling by the largest norm can round a couple of ulps past 1
+        config = self.csv_config(tmp_path, f"x0,y\n{x},1\n0.5,-1\n")
+        if ok:
+            assert build_dataset(config).X[0, 0] == float(x)
+        else:
+            with pytest.raises(ValueError, match="normalize"):
+                build_dataset(config)
+
+    def test_ridge_label_outside_unit_interval_rejected(self, tmp_path):
+        body = "x0,y\n0.5,2.0\n-0.5,-0.5\n"
+        with pytest.raises(ValueError, match="normalize"):
+            build_dataset(self.csv_config(tmp_path, body, base="ridge"))
+        # logistic labels are the solver's to check
+        assert build_dataset(self.csv_config(tmp_path, body)).n == 2
+        data = build_dataset(
+            self.csv_config(
+                tmp_path, body, base="ridge", normalize=True, normalize_labels=True, label_range=[-2, 2]
+            )
+        )
+        assert np.abs(data.y).max() <= 1.0
 
 
 class TestNnEvalSet:
@@ -543,6 +594,38 @@ class TestRunExperiment:
         assert len(trows) == 11
         assert {r[0] for r in trows} == {"0"}
 
+    def test_monte_carlo_failure_keeps_the_attack_error(
+        self, one_d_config_path, tmp_path, monkeypatch
+    ):
+        import dppoison.attacks as attacks
+        import dppoison.harness.experiment as experiment
+
+        warm, estimates = [], []
+
+        def third_step_fails(*args, warm_start=None, **kwargs):
+            if warm_start is not None:
+                warm.append(1)
+                if len(warm) == 3:
+                    raise SolverError("attack failure")
+            return train_mechanism(*args, warm_start=warm_start, **kwargs)
+
+        def second_estimate_fails(*args):
+            estimates.append(1)
+            if len(estimates) == 2:
+                raise SolverError("estimate failure")
+            return estimate_attack_cost(*args)
+
+        monkeypatch.setattr(attacks, "train_mechanism", third_step_fails)
+        monkeypatch.setattr(experiment, "estimate_attack_cost", second_estimate_fails)
+        out = tmp_path / "broken"
+        summary = run_experiment(load_config(one_d_config_path), str(out))
+        assert summary["error"] == (
+            "solver failure after 2 steps: attack failure; "
+            "solver failure after 1 cost rows: estimate failure"
+        )
+        _, rows = read_csv_rows(out / "costs.csv")
+        assert [r[0] for r in rows] == ["0"]
+
     def test_budget_size_still_beats_smaller_budget(self, tmp_path):
         # qualitative check: a 10-item budget leaves the attacker strictly
         # worse off than poisoning everything
@@ -621,6 +704,59 @@ class TestSweepConfigs:
         assert [float(r[0]) for r in rows] == [0.5, 1.0]
         for r in rows:
             assert float(r[1]) - 2.0 * float(r[2]) >= float(r[3])
+
+    @pytest.mark.parametrize("selection", ["shallow", "deep"])
+    def test_k_sweep_rows_attack_what_a_lone_attack_selects(self, tmp_path, monkeypatch, selection):
+        # the sweep ranks the items once; row k must attack the items a
+        # single attack with budget k and the config's seed selects
+        import dppoison.harness.experiment as experiment
+
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["attack"].update(selection=selection, m_select=5, T=5)
+        raw["sweep"] = {"kind": "k", "values": [2, 5, 8]}
+        cfg = config_from_dict(raw)
+        rows = []
+
+        def recording(victim, data, cost, config, seed, selected):
+            rows.append((config.k, selected))
+            return run_attack(victim, data, cost, config, seed, selected)
+
+        monkeypatch.setattr(experiment, "run_attack", recording)
+        assert run_experiment(cfg, str(tmp_path / "ksweep"))["error"] is None
+        data = build_dataset(cfg)
+        cost = build_cost(cfg, data, build_eval_set(cfg, data))
+        assert [k for k, _ in rows] == [2, 5, 8]
+        for k, selected in rows:
+            lone = run_attack(cfg.victim, data, cost, dataclasses.replace(cfg.attack, k=k), cfg.seed)
+            np.testing.assert_array_equal(selected, lone.selected)
+
+    def test_failed_row_attack_ends_the_sweep(self, tmp_path, monkeypatch):
+        # the failed row is not written, the rows before it are, and the
+        # error names the row
+        import dppoison.attacks as attacks
+
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["attack"].update(selection="shallow", mode="sv", T=3)
+        raw["sweep"] = {"kind": "k", "values": [2, 5, 8]}
+        warm = []
+
+        def sixth_warm_solve_fails(*args, warm_start=None, **kwargs):
+            # each row makes T + 1 = 4 warm-started solves
+            if warm_start is not None:
+                warm.append(1)
+                if len(warm) == 6:
+                    raise SolverError("instrumented failure")
+            return train_mechanism(*args, warm_start=warm_start, **kwargs)
+
+        monkeypatch.setattr(attacks, "train_mechanism", sixth_warm_solve_fails)
+        out = tmp_path / "ksweep"
+        summary = run_experiment(config_from_dict(raw), str(out))
+        assert summary["error"] == (
+            "solver failure after 1 cost rows: k=5: solver failure after 1 steps: instrumented failure"
+        )
+        _, rows = read_csv_rows(out / "costs.csv")
+        assert [r[0] for r in rows] == ["2"]
+        assert [row["k"] for row in summary["sweep_rows"]] == [2]
 
     def test_sweep_k_beyond_n_rejected(self, tmp_path):
         raw = yaml.safe_load(ONE_D_CONFIG)
