@@ -50,7 +50,6 @@ from .learners import (
     train_base_logistic,
     train_base_ridge_constrained,
     train_mechanism,
-    train_objective_perturbed_logistic,
 )
 __version__ = "0.1.0"
 
@@ -87,6 +86,5 @@ __all__ = [
     "train_base_logistic",
     "train_base_ridge_constrained",
     "train_mechanism",
-    "train_objective_perturbed_logistic",
     "__version__",
 ]

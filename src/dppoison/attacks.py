@@ -191,9 +191,8 @@ def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, warm=None):
     ridge = victim.base is BaseLearner.RIDGE
     dpv = AttackMode(mode) is AttackMode.DPV
     scale = victim.noise_scale_for(n)
-    X, y = data.X.copy(), data.y.copy()
-    X0, y0 = X[items], y[items]
-    Xs, ys = X0.copy(), y0.copy()  # the moved items, scattered into X, y each step
+    X0, y0 = data.X[items], data.y[items]
+    Xs, ys = X0.copy(), y0.copy()  # the moved items
     cur = data
     for _ in range(T):
         if len(items) > 0:
@@ -209,9 +208,7 @@ def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, warm=None):
             if ridge:
                 ys -= eta * lab
             project_rows_inplace(Xs, ys if ridge else None)
-            X[items] = Xs
-            y[items] = ys
-            cur = Dataset(X, y)
+            cur = data.with_modified(items, Xs, ys)
         yield cur
 
 

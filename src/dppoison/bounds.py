@@ -82,12 +82,16 @@ class BoundQuery:
             raise ValueError("|j_clean| cannot exceed cbar, which bounds |C|")
 
 
-def _delta_slack(q):
-    """a = cbar * delta / (e^eps - 1). Past exp range e^eps - 1 rounds to
-    e^eps, so a is cbar * delta * e^-eps, which tends to 0 without overflow."""
+def _delta_slack(q, m):
+    """a * m with a = cbar * delta / (e^eps - 1), and 0 at delta = 0. It is
+    computed as cbar * delta * (m / (e^eps - 1)), so m = e^eps - 1 gives
+    exactly cbar * delta. Past exp range e^eps - 1 rounds to e^eps, so a
+    is cbar * delta * e^-eps, which tends to 0 without overflow."""
+    if q.delta == 0.0:
+        return 0.0
     if q.epsilon > _EXP_LIMIT:
-        return q.cbar * q.delta * math.exp(-q.epsilon)
-    return q.cbar * q.delta / math.expm1(q.epsilon)
+        return q.cbar * q.delta * m * math.exp(-q.epsilon)
+    return q.cbar * q.delta * (m / math.expm1(q.epsilon))
 
 
 def _logaddexp(x, y):
@@ -104,6 +108,9 @@ def lower_bound(q):
         nonnegative cost:  max(exp(-k*eps) * (J + a) - a, 0)
         nonpositive cost:  max(exp(+k*eps) * (J - a) + a, -cbar)
 
+    evaluated as exp(-/+k*eps) * J plus a * (exp(-/+k*eps) - 1), so that
+    k = 0 gives J exactly and a large a does not cancel against J.
+
     At delta = 0 this is the pure bound: a = 0 and no -cbar clamp, so the
     floor is exactly exp(-k*eps) * J, or exp(k*eps) * J for a nonpositive
     cost. The nonpositive branch amplifies with exp(+k*eps): each
@@ -114,21 +121,17 @@ def lower_bound(q):
     limit value is returned directly (0, -cbar, or -inf for a pure
     nonpositive cost, which carries no finite floor without cbar).
     """
-    if q.delta == 0.0:
-        a, floor = 0.0, -math.inf
-    else:
-        a, floor = _delta_slack(q), -q.cbar
+    floor = -math.inf if q.delta == 0.0 else -q.cbar
     ke = q.k * q.epsilon
     if q.sign is Sign.NON_NEGATIVE:
         if ke > _EXP_LIMIT:
             return 0.0
-        return max(math.exp(-ke) * (q.j_clean + a) - a, 0.0)
-    shifted = q.j_clean - a
-    if shifted == 0.0:
-        return max(a, floor)
+        return max(0.0, math.exp(-ke) * q.j_clean + _delta_slack(q, math.expm1(-ke)))
+    if q.j_clean == 0.0 and q.delta == 0.0:
+        return 0.0  # 0 * e^(k eps), also past exp range
     if ke > _EXP_LIMIT:
         return floor
-    return max(math.exp(ke) * shifted + a, floor)
+    return max(math.exp(ke) * q.j_clean - _delta_slack(q, math.expm1(ke)), floor)
 
 
 def min_items(q):

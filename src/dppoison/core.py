@@ -73,6 +73,11 @@ class Sign(str, enum.Enum):
     NON_POSITIVE = "non-positive"
 
 
+def _check_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("features and labels must be finite")
+
+
 class Dataset:
     """Ordered, immutable collection of items sharing one feature dimension.
 
@@ -89,8 +94,10 @@ class Dataset:
             raise ValueError("features must be a 2d array (n items by d features)")
         if y.shape != (X.shape[0],):
             raise ValueError("labels must be a vector with one entry per item")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise ValueError("features and labels must be finite")
+        _check_finite(X, y)
+        self._freeze(X, y)
+
+    def _freeze(self, X, y):
         X.setflags(write=False)
         y.setflags(write=False)
         self._X = X
@@ -118,14 +125,19 @@ class Dataset:
         return self._X.shape[0]
 
     def with_modified(self, indices, features, labels=None):
-        """Return a copy with the given items' coordinates replaced."""
+        """Return a copy with the given items' coordinates replaced. Only
+        the replaced values are checked; the kept ones already were."""
         X = self._X.copy()
         y = self._y.copy()
         idx = np.asarray(indices, dtype=int)
         X[idx] = features
+        _check_finite(features)
         if labels is not None:
             y[idx] = labels
-        return Dataset(X, y)
+            _check_finite(labels)
+        modified = Dataset.__new__(Dataset)
+        modified._freeze(X, y)
+        return modified
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ Subcommands:
   sweep      run the config's sweep over k or epsilon
   evaluate   estimate the clean cost J(D) and its bound, no attack
 
-Global flags: --seed (overrides the config seed), --config, --out.
-Relative file paths inside a config resolve against the config file's
-directory.
+Every subcommand but bound requires --config and --out and takes --seed
+(overrides the config seed). Relative file paths inside a config resolve
+against the config file's directory.
 
 Run as the installed ``dppoison`` script or, from a source checkout, as
 ``python -m dppoison.harness.cli`` with ``src`` on the path.
@@ -45,12 +45,6 @@ def load_config(path, seed=None):
     return config_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _require(args, *names):
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise SystemExit(f"{args.command}: missing required {', '.join(missing)}")
-
-
 def _report(summary):
     line = {
         "out": summary["out_dir"],
@@ -72,7 +66,6 @@ def _report(summary):
 
 
 def _cmd_gen_data(args):
-    _require(args, "config", "out")
     written = write_dataset_files(load_config(args.config, args.seed), args.out)
     for name in sorted(written):
         print(f"{name}: {written[name]}")
@@ -100,7 +93,6 @@ def _cmd_bound(args):
 
 
 def _cmd_run(args):
-    _require(args, "config", "out")
     config = load_config(args.config, args.seed)
     if args.command == "sweep" and config.sweep is None:
         raise SystemExit("config has no sweep section; use the attack subcommand")
@@ -113,8 +105,8 @@ def _cmd_run(args):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--config", default=None, help="experiment config file (YAML)")
-    common.add_argument("--out", default=None, help="output directory")
+    common.add_argument("--config", required=True, help="experiment config file (YAML)")
+    common.add_argument("--out", required=True, help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="dppoison",
@@ -125,7 +117,7 @@ def _build_parser():
     p = sub.add_parser("gen-data", parents=[common], help="write the config's datasets to CSV")
     p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("bound", parents=[common], help="print bound values for given parameters")
+    p = sub.add_parser("bound", help="print bound values for given parameters")
     p.add_argument("--j", type=float, required=True, help="clean attack cost J(D)")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--k", type=int, default=0, help="number of poisoned items")

@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_SETTINGS",
     "sample_noise",
     "train_base_logistic",
-    "train_objective_perturbed_logistic",
     "train_base_ridge_constrained",
     "train_mechanism",
 ]
@@ -185,23 +184,18 @@ def _check_classification_labels(y):
 
 
 def _as_noise(b, dim):
-    """b as floats: one (dim,) draw or an (m, dim) stack of draws."""
-    b = np.asarray(b, dtype=float)
+    """b as floats: one (dim,) draw or an (m, dim) stack of draws; None is
+    one all-zero draw."""
+    b = np.zeros(dim) if b is None else np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[-1] != dim:
         raise ValueError("noise dimension does not match the dataset")
     return b
 
 
-def train_base_logistic(data, lam, settings=None, warm_start=None):
-    """Fit L2-regularized logistic regression; the noiseless base learner."""
-    return train_objective_perturbed_logistic(
-        data, lam, np.zeros(data.dim), settings, warm_start=warm_start
-    )
-
-
-def train_objective_perturbed_logistic(data, lam, b, settings=None, warm_start=None):
-    """Fit logistic regression with the linear noise term b.theta added to
-    the objective. The returned theta satisfies the stationarity condition
+def train_base_logistic(data, lam, b=None, settings=None, warm_start=None):
+    """Fit L2-regularized logistic regression, optionally with the linear
+    noise term b.theta added to the objective (b=None is the noiseless
+    base learner). The returned theta satisfies the stationarity condition
 
         lam*theta - sum_j y_j x_j / (1 + exp(y_j theta.x_j)) + b = 0
 
@@ -223,35 +217,10 @@ def train_objective_perturbed_logistic(data, lam, b, settings=None, warm_start=N
     return [ModelParams(theta, 0.0) for theta in thetas]
 
 
-def train_base_ridge_constrained(data, lam, rho, b=None, settings=None):
-    """Solve norm-constrained ridge regression, optionally with a linear
-    noise term b.theta in the objective (b=0 gives the base learner).
-
-    Returns theta and the dual mu of the constraint ||theta|| <= rho,
-    satisfying (X'X + (lam+mu)I) theta = X'y - b with mu >= 0 and
-    complementary slackness. The unconstrained solution is used whenever
-    it is feasible (mu = 0 exactly); otherwise mu is found by bisection
-    on the strictly decreasing map mu -> ||theta(mu)||.
-    """
-    settings = settings or DEFAULT_SETTINGS
-    if lam <= 0 or rho <= 0:
-        raise ValueError("lam and rho must be positive")
-    if b is None:
-        b = np.zeros(data.dim)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (data.dim,):
-        raise ValueError("noise dimension does not match the dataset")
-    X, y = data.X, data.y
-    d = data.dim
-    A = X.T @ X
-    rhs = X.T @ y - b
-    theta = np.linalg.solve(A + lam * np.eye(d), rhs)
-    if np.linalg.norm(theta) <= rho:
-        return ModelParams(theta, 0.0)
-
-    # Constraint active: work in the eigenbasis of X'X so each norm
-    # evaluation is O(d), then bisect for the dual.
-    evals, Q = np.linalg.eigh(A)
+def _ridge_dual(evals, Q, rhs, lam, rho, settings):
+    """theta and the dual mu of the active constraint ||theta|| <= rho, by
+    bisection on the strictly decreasing map mu -> ||theta(mu)||, O(d) per
+    evaluation in the eigenbasis (evals, Q) of X'X."""
     c = Q.T @ rhs
 
     def norm_at(mu):
@@ -273,8 +242,41 @@ def train_base_ridge_constrained(data, lam, rho, b=None, settings=None):
         else:
             hi = mid
     mu = 0.5 * (lo + hi)
-    theta = Q @ (c / (evals + lam + mu))
-    return ModelParams(theta, mu)
+    return Q @ (c / (evals + lam + mu)), mu
+
+
+def train_base_ridge_constrained(data, lam, rho, b=None, settings=None):
+    """Solve norm-constrained ridge regression, optionally with a linear
+    noise term b.theta in the objective (b=None gives the base learner).
+
+    Returns theta and the dual mu of the constraint ||theta|| <= rho,
+    satisfying (X'X + (lam+mu)I) theta = X'y - b with mu >= 0 and
+    complementary slackness. The unconstrained solution is used whenever
+    it is feasible (mu = 0 exactly); otherwise mu is found by bisection.
+
+    b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
+    of draws, which returns a list of m, one per row. A stack forms X'X
+    once, and decomposes it once if any row's constraint is active; each
+    row keeps its own solve and bisection, so row i is bit for bit the
+    single-draw solve of b[i].
+    """
+    settings = settings or DEFAULT_SETTINGS
+    if lam <= 0 or rho <= 0:
+        raise ValueError("lam and rho must be positive")
+    b = _as_noise(b, data.dim)
+    A = data.X.T @ data.X
+    Xty = data.X.T @ data.y
+    regularized = A + lam * np.eye(data.dim)
+    eig = None
+    models = []
+    for row in b.reshape(-1, data.dim):
+        rhs = Xty - row
+        theta, mu = np.linalg.solve(regularized, rhs), 0.0
+        if np.linalg.norm(theta) > rho:
+            eig = np.linalg.eigh(A) if eig is None else eig
+            theta, mu = _ridge_dual(*eig, rhs, lam, rho, settings)
+        models.append(ModelParams(theta, mu))
+    return models[0] if b.ndim == 1 else models
 
 
 def train_mechanism(victim, data, b, settings=None, warm_start=None):
@@ -287,23 +289,15 @@ def train_mechanism(victim, data, b, settings=None, warm_start=None):
 
     b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
     of draws, which returns a list of m, one per row. For a stack, output
-    perturbation solves the base learner once, and an objective-perturbed
-    logistic victim solves all rows in one batched Newton."""
+    perturbation solves the base learner once."""
     b = _as_noise(b, data.dim)
-
-    def per_row(train):
-        return train(b) if b.ndim == 1 else [train(row) for row in b]
-
-    if victim.mechanism is Mechanism.OBJECTIVE:
-        if victim.base is BaseLearner.LOGISTIC:
-            return train_objective_perturbed_logistic(
-                data, victim.lam, b, settings, warm_start=warm_start
-            )
-        return per_row(
-            lambda row: train_base_ridge_constrained(data, victim.lam, victim.rho, row, settings)
-        )
+    noise = b if victim.mechanism is Mechanism.OBJECTIVE else None
     if victim.base is BaseLearner.LOGISTIC:
-        base = train_base_logistic(data, victim.lam, settings, warm_start=warm_start)
+        model = train_base_logistic(data, victim.lam, noise, settings, warm_start=warm_start)
     else:
-        base = train_base_ridge_constrained(data, victim.lam, victim.rho, None, settings)
-    return per_row(lambda row: ModelParams(base.theta + row, base.mu))
+        model = train_base_ridge_constrained(data, victim.lam, victim.rho, noise, settings)
+    if noise is not None:
+        return model
+    if b.ndim == 1:
+        return ModelParams(model.theta + b, model.mu)
+    return [ModelParams(theta, model.mu) for theta in model.theta + b]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dppoison import BoundQuery, Sign, lower_bound, min_items
+from dppoison.bounds import _CEIL_SLACK
 
 
 def q(j, eps, **kw):
@@ -121,6 +122,44 @@ class TestPureBound:
         assert lower_bound(q(j, eps, k=k + 1, sign=sign)) <= lower_bound(q(j, eps, k=k, sign=sign))
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    j=magnitudes,
+    eps=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=2),
+    k=budgets,
+    sign=signs,
+    delta=st.just(0.0) | deltas,
+    cbar=cbars,
+)
+def test_bound_non_increasing_in_epsilon(j, eps, k, sign, delta, cbar):
+    # a larger epsilon is a weaker guarantee, so its floor is no higher;
+    # eps reaches past the exp limits of both k * eps and the delta slack
+    lo, hi = sorted(eps)
+    j = signed(within(j, cbar), sign)
+    assert lower_bound(q(j, hi, k=k, delta=delta, cbar=cbar, sign=sign)) <= lower_bound(
+        q(j, lo, k=k, delta=delta, cbar=cbar, sign=sign)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    j=st.floats(min_value=1e-3, max_value=1e3),
+    eps=epsilons,
+    tau=st.floats(min_value=1.0, max_value=1e6),
+)
+def test_min_items_is_where_the_pure_floor_reaches_j_over_tau(j, eps, tau):
+    # min_items rounds log(tau)/eps up, except that a quotient within
+    # _CEIL_SLACK (relative) above an integer counts as that integer. At
+    # such a k the floor exp(-k*eps)*J may exceed J/tau by the factor
+    # exp(slack), which is the only allowance; one item fewer must leave
+    # the floor strictly above J/tau. J > 0, as a zero cost is never cut.
+    k = min_items(q(j, eps, tau=tau))
+    slack = _CEIL_SLACK * max(1.0, math.log(tau) / eps) * eps
+    assert lower_bound(q(j, eps, k=k)) <= j / tau * math.exp(slack)
+    if k > 0:
+        assert lower_bound(q(j, eps, k=k - 1)) > j / tau
+
+
 class TestMinItemsPure:
     def test_tau_one_needs_nothing(self):
         assert min_items(q(0.5, 0.1, tau=1.0)) == 0
@@ -164,6 +203,19 @@ class TestApproxBound:
         j = within(j, cbar)
         got = lower_bound(q(-j, eps, k=k, cbar=cbar, sign=Sign.NON_POSITIVE))
         assert got == math.exp(k * eps) * -j
+
+    @settings(max_examples=300, deadline=None)
+    @given(j=magnitudes, eps=epsilons, sign=signs, delta=deltas, cbar=cbars)
+    def test_k_zero_is_the_clean_cost(self, j, eps, sign, delta, cbar):
+        # exact: the delta slack a must not cancel against J
+        j = signed(within(j, cbar), sign)
+        assert lower_bound(q(j, eps, delta=delta, cbar=cbar, sign=sign)) == j
+
+    def test_nonpositive_zero_cost_past_exp_range(self):
+        # at eps = 800 the slack a underflows to 0, but two items can still
+        # push a zero cost to -cbar
+        got = lower_bound(q(0.0, 800.0, k=2, delta=0.5, cbar=1.0, sign=Sign.NON_POSITIVE))
+        assert got == -1.0
 
     def test_nonpositive_clamped_at_cbar(self):
         got = lower_bound(q(-0.5, 0.3, k=50, delta=0.01, cbar=2.0, sign=Sign.NON_POSITIVE))

@@ -136,6 +136,16 @@ class TestBound:
         assert code == 0
         assert strict_json(out)[key] == value
 
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "3"], ["--config", "nowhere.yaml"], ["--out", "/nonexistent"]]
+    )
+    def test_run_flags_rejected(self, capsys, flag):
+        # bound reads no config and writes no files; a flag it would ignore
+        # is an error
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--j", "0.5", "--epsilon", "0.1", "--k", "10", *flag])
+        assert exc.value.code != 0
+
     def test_delta_without_cbar_fails(self, capsys):
         with pytest.raises(SystemExit, match="^bound: delta > 0 requires cbar$"):
             main(["bound", "--j", "0.5", "--epsilon", "0.1", "--delta", "0.01"])

@@ -53,6 +53,17 @@ class TestDataset:
         assert d2.X[1, 0] == 0.9 and d2.y[1] == -1.0
         # untouched rows identical, indices stable
         np.testing.assert_array_equal(d2.X[[0, 2]], d.X[[0, 2]])
+        assert not (d2.X.flags.writeable or d2.y.flags.writeable)
+
+    @pytest.mark.parametrize(
+        "features, labels", [([[np.nan]], [-1.0]), ([[0.9]], [np.inf])], ids=["nan-feature", "inf-label"]
+    )
+    def test_with_modified_rejects_non_finite(self, features, labels):
+        d = Dataset([[0.1], [0.2], [0.3]], [1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="finite"):
+            d.with_modified([1], features, labels)
+        np.testing.assert_array_equal(d.X, [[0.1], [0.2], [0.3]])
+        np.testing.assert_array_equal(d.y, [1.0, 1.0, -1.0])
 
     @pytest.mark.parametrize(
         "features, labels",
