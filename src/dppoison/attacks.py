@@ -18,14 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    BaseLearner,
-    Dataset,
-    ModelParams,
-    eval_cost,
-    modification_distances,
-    project_rows_inplace,
-)
+from .core import Dataset, ModelParams, eval_cost, modification_distances, project_rows_inplace
+from .core import _require_finite
 from .gradients import batch_item_gradients, cost_gradient
 from .learners import SolverError, sample_noise, train_mechanism
 from .rng import STAGE_SELECT, STAGE_SGD, substream
@@ -81,6 +75,7 @@ class AttackConfig:
     def __post_init__(self):
         object.__setattr__(self, "selection", SelectionMethod(self.selection))
         object.__setattr__(self, "mode", AttackMode(self.mode))
+        _require_finite(self, "eta", "alpha")
         if self.k < 0:
             raise ValueError("k must be nonnegative")
         if self.T < 0:
@@ -142,37 +137,36 @@ def top_k_indices(scores, k):
     return np.sort(order[:k])
 
 
+def _draw_gradients(victim, data, cost, items, dpv, scale, rng, warm):
+    """Train the victim on data with a fresh noise draw (DPV) or zero
+    noise (SV), warm-started from warm, and return (model, features,
+    labels): the model and the items' gradients at that draw."""
+    b = sample_noise(data.dim, scale, rng) if dpv else np.zeros(data.dim)
+    model = train_mechanism(victim, data, b, warm_start=warm)
+    g = cost_gradient(cost, model)
+    return (model, *batch_item_gradients(victim, data, model, b, g, items))
+
+
 def shallow_scores(victim, data, cost, mode, m_select, rng):
-    """Initial-gradient norm of every clean item.
+    """Initial-gradient norm of every clean item, features and label
+    jointly.
 
     DPV mode averages the stochastic gradient over m_select noise draws
-    before taking norms; SV mode uses the exact zero-noise gradient. For
-    ridge victims features and label contribute jointly to the norm.
+    before taking norms; SV mode uses the exact zero-noise gradient.
     """
-    mode = AttackMode(mode)
-    n, d = data.n, data.dim
-    idx = np.arange(n)
-    ridge = victim.base is BaseLearner.RIDGE
-    acc_f = np.zeros((n, d))
-    acc_l = np.zeros(n) if ridge else None
-    draws = m_select if mode is AttackMode.DPV else 1
+    dpv = AttackMode(mode) is AttackMode.DPV
+    n, idx = data.n, np.arange(data.n)
+    acc_f, acc_l = np.zeros((n, data.dim)), np.zeros(n)
+    draws = m_select if dpv else 1
     scale = victim.noise_scale_for(n)
-    warm = None
+    model = None
     for _ in range(draws):
-        b = sample_noise(d, scale, rng) if mode is AttackMode.DPV else np.zeros(d)
-        model = train_mechanism(victim, data, b, warm_start=warm)
-        warm = model
-        g = cost_gradient(cost, model)
-        feat, lab = batch_item_gradients(victim, data, model, b, g, idx)
+        model, feat, lab = _draw_gradients(victim, data, cost, idx, dpv, scale, rng, model)
         acc_f += feat
-        if ridge:
-            acc_l += lab
+        acc_l += lab
     acc_f /= draws
-    norms2 = np.einsum("ij,ij->i", acc_f, acc_f)
-    if ridge:
-        acc_l /= draws
-        norms2 = norms2 + acc_l * acc_l
-    return np.sqrt(norms2)
+    acc_l /= draws
+    return np.sqrt(np.einsum("ij,ij->i", acc_f, acc_f) + acc_l * acc_l)
 
 
 def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, warm=None):
@@ -181,33 +175,27 @@ def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, warm=None):
 
     Each step trains the victim on the current data (a fresh noise draw in
     DPV mode, zero noise in SV mode), warm-started from the previous
-    step's model; moves every item along its gradient, plus alpha times
-    its displacement from the clean item when alpha is nonzero; and
-    projects the moved items back to the feasible set. With no items a
-    step neither draws noise nor trains. A SolverError propagates from
-    the step that failed.
+    step's model; moves every item (x, y) along its gradient, plus alpha
+    times its displacement from the clean item when alpha is nonzero; and
+    projects the moved items back to the feasible set. A logistic
+    victim's label gradient is zero, so its labels never move. With no
+    items a step neither draws noise nor trains. A SolverError propagates
+    from the step that failed.
     """
-    n, d = data.n, data.dim
-    ridge = victim.base is BaseLearner.RIDGE
     dpv = AttackMode(mode) is AttackMode.DPV
-    scale = victim.noise_scale_for(n)
+    scale = victim.noise_scale_for(data.n)
     X0, y0 = data.X[items], data.y[items]
     Xs, ys = X0.copy(), y0.copy()  # the moved items
     cur = data
     for _ in range(T):
         if len(items) > 0:
-            b = sample_noise(d, scale, rng) if dpv else np.zeros(d)
-            model = warm = train_mechanism(victim, cur, b, warm_start=warm)
-            g = cost_gradient(cost, model)
-            feat, lab = batch_item_gradients(victim, cur, model, b, g, items)
+            warm, feat, lab = _draw_gradients(victim, cur, cost, items, dpv, scale, rng, warm)
             if alpha:
                 feat = feat + alpha * (Xs - X0)
-                if ridge:
-                    lab = lab + alpha * (ys - y0)
+                lab = lab + alpha * (ys - y0)
             Xs -= eta * feat
-            if ridge:
-                ys -= eta * lab
-            project_rows_inplace(Xs, ys if ridge else None)
+            ys -= eta * lab
+            project_rows_inplace(Xs, ys)
             cur = data.with_modified(items, Xs, ys)
         yield cur
 
@@ -216,9 +204,9 @@ def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):
     """Attack with no budget: every item takes gradient steps on the cost
     plus alpha times its modification distance, projected each iteration.
 
-    The penalty gradient is alpha * (x - x_clean) (plus the label term
-    for ridge). The penalty term alone is stable only for eta * alpha < 2;
-    large-alpha runs need a correspondingly small step size.
+    The penalty gradient is alpha times the item's (x, y) displacement.
+    The penalty term alone is stable only for eta * alpha < 2; large-alpha
+    runs need a correspondingly small step size.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -232,7 +220,7 @@ def deep_scores(victim, data, cost, config, rng):
     """Modification distance of every item after a relaxed attack run."""
     T = config.relax_T if config.relax_T is not None else config.T
     relaxed = relaxed_attack(victim, data, cost, config.alpha, config.eta, T, config.mode, rng)
-    return modification_distances(relaxed.X, relaxed.y, data.X, data.y, victim.base)
+    return modification_distances(relaxed.X, relaxed.y, data.X, data.y)
 
 
 def selection_scores(victim, data, cost, config, seed):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Sign
+from .core import Sign, _require_finite
 
 __all__ = ["BoundQuery", "lower_bound", "min_items"]
 
@@ -58,10 +58,7 @@ class BoundQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "sign", Sign(self.sign))
-        for name in ("j_clean", "epsilon", "delta", "cbar"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _require_finite(self, "j_clean", "epsilon", "delta", "cbar")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.delta < 1.0:

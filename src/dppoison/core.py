@@ -8,6 +8,7 @@ selection.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,6 +74,15 @@ class Sign(str, enum.Enum):
     NON_POSITIVE = "non-positive"
 
 
+def _require_finite(obj, *names):
+    """Reject a set but non-finite scalar field of a config dataclass;
+    nan and inf slip through the ``<=`` range checks that follow."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _check_finite(*arrays):
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("features and labels must be finite")
@@ -124,17 +134,15 @@ class Dataset:
     def __len__(self):
         return self._X.shape[0]
 
-    def with_modified(self, indices, features, labels=None):
+    def with_modified(self, indices, features, labels):
         """Return a copy with the given items' coordinates replaced. Only
         the replaced values are checked; the kept ones already were."""
         X = self._X.copy()
         y = self._y.copy()
         idx = np.asarray(indices, dtype=int)
         X[idx] = features
-        _check_finite(features)
-        if labels is not None:
-            y[idx] = labels
-            _check_finite(labels)
+        y[idx] = labels
+        _check_finite(features, labels)
         modified = Dataset.__new__(Dataset)
         modified._freeze(X, y)
         return modified
@@ -181,6 +189,7 @@ class VictimSpec:
     def __post_init__(self):
         object.__setattr__(self, "mechanism", Mechanism(self.mechanism))
         object.__setattr__(self, "base", BaseLearner(self.base))
+        _require_finite(self, "lam", "epsilon", "rho", "noise_scale")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.epsilon <= 0:
@@ -223,6 +232,7 @@ class CostSpec:
         object.__setattr__(self, "goal", Goal(self.goal))
         if self.loss not in ("logistic", "squared"):
             raise ValueError("loss must be 'logistic' or 'squared'")
+        _require_finite(self, "cbar")
         if self.goal is Goal.PARAMETER_TARGETING:
             if self.target_model is None:
                 raise ValueError("parameter targeting requires a target model")
@@ -278,7 +288,7 @@ def eval_cost(cost, model):
 _NORM_SLACK = 4.0 * np.finfo(float).eps
 
 
-def project_rows_inplace(X, y=None):
+def project_rows_inplace(X, y):
     """Project items onto the feasible set, in place: rows of X with norm
     above 1 are rescaled radially (direction preserved) and y is clipped
     into [-1, 1]. Feasible rows are left bit for bit unchanged, so the
@@ -290,20 +300,14 @@ def project_rows_inplace(X, y=None):
     over = norms > 1.0 + _NORM_SLACK
     if np.any(over):
         X[over] /= norms[over, None]
-    if y is not None:
-        np.clip(y, -1.0, 1.0, out=y)
+    np.clip(y, -1.0, 1.0, out=y)
 
 
-def modification_distances(X_pois, y_pois, X_clean, y_clean, base):
+def modification_distances(X_pois, y_pois, X_clean, y_clean):
     """Distance between each poisoned item and its clean original, as an
-    (n,) array.
-
-    Half the squared feature displacement; for ridge the squared label
-    displacement is included as well (logistic labels are never modified).
+    (n,) array: half the squared displacement of features and label
+    (a logistic victim's labels never move, so theirs is zero).
     """
     dx = np.asarray(X_pois, dtype=float) - np.asarray(X_clean, dtype=float)
-    r = 0.5 * np.einsum("ij,ij->i", dx, dx)
-    if BaseLearner(base) is BaseLearner.RIDGE:
-        dy = np.asarray(y_pois, dtype=float) - np.asarray(y_clean, dtype=float)
-        r = r + 0.5 * dy * dy
-    return r
+    dy = np.asarray(y_pois, dtype=float) - np.asarray(y_clean, dtype=float)
+    return 0.5 * np.einsum("ij,ij->i", dx, dx) + 0.5 * dy * dy

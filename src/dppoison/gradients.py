@@ -49,15 +49,17 @@ def cost_gradient(cost, model):
 
 
 def _logistic_grads(X, y, theta_eff, lam, cost_grad, idx):
-    """Feature gradients for logistic victims at the effective parameter
-    theta_eff (the argmin itself; for output perturbation that is
-    theta - b). Returns an (len(idx), d) array."""
+    """Feature and label gradients for logistic victims at the effective
+    parameter theta_eff (the argmin itself; for output perturbation that is
+    theta - b). A classification label is not an attack coordinate, so its
+    gradient is zero. Returns ((len(idx), d), (len(idx),)) arrays."""
     p = sigmoid(-y * (X @ theta_eff))  # 1 / (1 + s_j)
     w = p * (1.0 - p)  # s_j / (1 + s_j)^2
     H = lam * np.eye(X.shape[1]) + X.T @ (X * w[:, None])
     v = np.linalg.solve(H, cost_grad)
     xv = X[idx] @ v
-    return (y[idx] * p[idx])[:, None] * v[None, :] - (w[idx] * xv)[:, None] * theta_eff[None, :]
+    d_feat = (y[idx] * p[idx])[:, None] * v[None, :] - (w[idx] * xv)[:, None] * theta_eff[None, :]
+    return d_feat, np.zeros(len(idx))
 
 
 def _ridge_grads(X, y, theta_eff, lam, mu, cost_grad, idx):
@@ -76,8 +78,8 @@ def batch_item_gradients(victim, data, model, b, cost_grad, indices):
     """Gradients for several items of one trained model, sharing a single
     factored system.
 
-    Returns (features, labels): an (m, d) array and either an (m,) array
-    (ridge) or None (logistic).
+    Returns (features, labels): an (m, d) and an (m,) array. The label
+    gradients are zero for logistic victims.
     """
     idx = np.asarray(indices, dtype=int)
     cost_grad = np.asarray(cost_grad, dtype=float)
@@ -85,7 +87,7 @@ def batch_item_gradients(victim, data, model, b, cost_grad, indices):
     if victim.mechanism is Mechanism.OUTPUT:
         theta_eff = theta_eff - np.asarray(b, dtype=float)
     if victim.base is BaseLearner.LOGISTIC:
-        return _logistic_grads(data.X, data.y, theta_eff, victim.lam, cost_grad, idx), None
+        return _logistic_grads(data.X, data.y, theta_eff, victim.lam, cost_grad, idx)
     return _ridge_grads(data.X, data.y, theta_eff, victim.lam, model.mu, cost_grad, idx)
 
 
@@ -96,7 +98,8 @@ def finite_difference_oracle(victim, data, i, b, cost, h=1e-5, settings=None):
     Validates the analytic gradients; the error decays as O(h^2). Solver
     tolerances must be well below h for the quotients to be meaningful.
     Returns (features, label) as batch_item_gradients does for one item:
-    a (d,) array and a float (ridge) or None (logistic).
+    a (d,) array and a float, 0.0 for a logistic victim because a
+    classification label is not an attack coordinate.
     """
     if not 1e-6 <= h <= 1e-4:
         raise ValueError("h must lie in [1e-6, 1e-4]")
@@ -115,5 +118,5 @@ def finite_difference_oracle(victim, data, i, b, cost, h=1e-5, settings=None):
         xm[c] -= h
         d_feat[c] = (cost_at(xp, y0) - cost_at(xm, y0)) / (2.0 * h)
     if victim.base is BaseLearner.LOGISTIC:
-        return d_feat, None
+        return d_feat, 0.0
     return d_feat, (cost_at(x0, y0 + h) - cost_at(x0, y0 - h)) / (2.0 * h)

@@ -40,6 +40,7 @@ from ..attacks import (
 )
 from ..bounds import BoundQuery, lower_bound
 from ..core import _NORM_SLACK, BaseLearner, CostSpec, Goal, ModelParams, Sign, VictimSpec
+from ..core import _require_finite
 from ..learners import (
     SolverError,
     train_base_logistic,
@@ -173,6 +174,7 @@ class CostDescriptor:
                 raise ValueError(f"unknown target directive {self.target!r}")
         elif self.target is not None:
             raise ValueError("target applies to parameter targeting only")
+        _require_finite(self, "cbar")
         if self.cbar is not None and self.cbar <= 0:
             raise ValueError("cbar must be positive when given")
 
@@ -195,8 +197,8 @@ class SweepSpec:
                 raise ValueError("k sweep values must be nonnegative integers")
             vals = tuple(int(v) for v in vals)
         else:
-            if any(v <= 0 for v in vals):
-                raise ValueError("epsilon sweep values must be positive")
+            if not all(math.isfinite(v) and v > 0 for v in vals):
+                raise ValueError("epsilon sweep values must be finite and positive")
             vals = tuple(float(v) for v in vals)
         object.__setattr__(self, "values", vals)
 

@@ -191,11 +191,11 @@ def test_criterion_1_gradient_correctness():
             i = int(rng.integers(data.n))
             cg = cost_gradient(cost, model)
             feats, labs = batch_item_gradients(victim, data, model, b, cg, np.array([i]))
-            analytic = feats[0] if labs is None else np.append(feats[0], labs[0])
+            analytic = np.append(feats[0], labs[0])
             fd_feats, fd_label = finite_difference_oracle(
                 victim, data, i, b, cost, h=1e-5, settings=TIGHT
             )
-            numeric = fd_feats if fd_label is None else np.append(fd_feats, fd_label)
+            numeric = np.append(fd_feats, fd_label)
             err = float(np.linalg.norm(analytic - numeric))
             tol = 1e-4 * float(np.linalg.norm(numeric)) + 1e-8
             rel = err / max(float(np.linalg.norm(numeric)), 1e-8)

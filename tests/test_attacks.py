@@ -116,7 +116,7 @@ class TestRelaxedAttack:
         out = relaxed_attack(
             victim, data, cost, 1e6, 1e-6, 100, AttackMode.SV, np.random.default_rng(0)
         )
-        dist = modification_distances(out.X, out.y, data.X, data.y, victim.base)
+        dist = modification_distances(out.X, out.y, data.X, data.y)
         assert dist.max() <= 1e-4
 
     def test_flips_1d_item_positions(self):
@@ -185,6 +185,10 @@ class TestAttackConfig:
             dict(k=2, T=5, alpha=0.0),
             dict(k=2, T=5, T_eval=1),
             dict(k=2, T=5, relax_T=-1),
+            dict(k=2, T=5, eta=np.nan),
+            dict(k=2, T=5, eta=np.inf),
+            dict(k=2, T=5, alpha=np.nan),
+            dict(k=2, T=5, alpha=np.inf),
         ],
     )
     def test_invalid(self, kwargs):
@@ -224,6 +228,21 @@ class TestRunAttack:
         norms = np.linalg.norm(trace.features, axis=2)
         assert norms.max() <= 1.0 + 1e-12
         assert len(trace.iterations) == config.T + 1
+
+    @pytest.mark.parametrize("mode", list(AttackMode))
+    def test_logistic_labels_never_move(self, mode):
+        # a logistic victim's label gradient is zero, so the step, the
+        # penalty and the clip leave every +-1 label bit for bit unchanged,
+        # in the relaxed attack of deep selection and at every SGD snapshot
+        victim, data, cost = small_logistic_setup(13, mechanism="output")
+        config = AttackConfig(k=5, T=20, selection=SelectionMethod.DEEP, mode=mode, alpha=0.5)
+        relaxed = relaxed_attack(victim, data, cost, 0.5, 1.0, 20, mode, np.random.default_rng(0))
+        assert relaxed.y.tobytes() == data.y.tobytes()
+        trace = run_attack(victim, data, cost, config, seed=3)
+        assert trace.error is None
+        clean = data.y[trace.selected].tobytes()
+        assert all(snapshot.tobytes() == clean for snapshot in trace.labels)
+        assert trace.final_data.y.tobytes() == data.y.tobytes()
 
     def test_ridge_labels_stay_clamped(self):
         rng = np.random.default_rng(11)

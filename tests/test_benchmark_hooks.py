@@ -1,8 +1,10 @@
 """The names perfbench/tracer.py rebinds must exist in the library.
 
-The benchmark's tracer wraps library functions by (module, attribute) and
-reads train_mechanism's arguments by position, so a refactor that renames
-or reorders them breaks the benchmark without failing any library test.
+The benchmark's tracer wraps library functions by (module, attribute),
+reads train_mechanism's and batch_item_gradients' arguments by position,
+and reads attributes of run_attack's and estimate_attack_cost's results,
+so a refactor that renames or reorders them breaks the benchmark without
+failing any library test.
 """
 
 import importlib
@@ -13,7 +15,19 @@ import os
 import numpy as np
 import pytest
 
-from dppoison import train_mechanism
+from conftest import random_classification_data
+from dppoison import (
+    AttackConfig,
+    CostSpec,
+    Goal,
+    ModelParams,
+    VictimSpec,
+    batch_item_gradients,
+    cost_gradient,
+    run_attack,
+    train_mechanism,
+)
+from dppoison.harness import estimate_attack_cost
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -50,3 +64,42 @@ def test_noise_stack_is_a_cold_solve():
     stack[:5] = np.random.default_rng(0).standard_normal((5, 3))
     assert TRACER._solve_kind((None, None, stack), {}) == "learners.solve_cold"
     assert TRACER._solve_kind((), {"b": stack, "warm_start": None}) == "learners.solve_cold"
+
+
+def test_batch_item_gradients_positions():
+    # the tracer counts items from args[5] (the indices) and compares them
+    # with args[1] (the data) to spot an all-item call
+    params = list(inspect.signature(batch_item_gradients).parameters)
+    assert params[1] == "data"
+    assert params[5] == "indices"
+
+
+def test_counter_hooks_read_library_results():
+    # _batch_items, _attack_counts and _mc_draws read the arguments and
+    # results of real calls: the data's n, AttackTrace's iterations,
+    # features, labels and surrogate_costs, and CostEstimate.samples
+    rng = np.random.default_rng(0)
+    data = random_classification_data(rng, n=6, d=2)
+    victim = VictimSpec("objective", "logistic", lam=1.0, epsilon=1.0)
+    cost = CostSpec(goal=Goal.PARAMETER_TARGETING, target_model=ModelParams([0.3, -0.2]))
+    model = train_mechanism(victim, data, np.zeros(2))
+    args = (victim, data, model, np.zeros(2), cost_gradient(cost, model), np.arange(6))
+    assert TRACER._batch_items(args, {}, batch_item_gradients(*args), 0.5) == {
+        "gradients.batch_item_gradients.items": 6,
+        "gradients.all_items.calls": 1,
+        "gradients.all_items.s": 0.5,
+    }
+    kwargs = {"data": data, "indices": np.arange(2)}
+    assert TRACER._batch_items((), kwargs, None, 0.5) == {"gradients.batch_item_gradients.items": 2}
+
+    trace = run_attack(victim, data, cost, AttackConfig(k=2, T=3, selection="shallow"), seed=1)
+    assert trace.error is None
+    snapshot = trace.features.nbytes + trace.labels.nbytes + trace.surrogate_costs.nbytes
+    assert TRACER._attack_counts((), {}, trace, 0.0) == {
+        "attacks.sgd_steps": 3,
+        "attacks.surrogate_costs": 2,
+        "attacks.snapshot_bytes_max": snapshot,
+    }
+
+    estimate = estimate_attack_cost(victim, data, cost, 5, seed=0)
+    assert TRACER._mc_draws((), {}, estimate, 0.0) == {"montecarlo.draws": 5}

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dppoison import (
-    BaseLearner,
     CostSpec,
     Dataset,
     Goal,
@@ -91,6 +90,12 @@ class TestVictimSpec:
             dict(lam=1.0, epsilon=0.0),
             dict(lam=1.0, epsilon=1.0, delta=1.0),
             dict(lam=1.0, epsilon=1.0, noise_scale=0.0),
+            dict(lam=np.nan, epsilon=1.0),
+            dict(lam=np.inf, epsilon=1.0),
+            dict(lam=1.0, epsilon=np.nan),
+            dict(lam=1.0, epsilon=np.inf),
+            dict(lam=1.0, epsilon=1.0, rho=np.nan),
+            dict(lam=1.0, epsilon=1.0, noise_scale=np.inf),
         ],
     )
     def test_invalid_parameters(self, kwargs):
@@ -133,6 +138,8 @@ class TestCostSpec:
             CostSpec(goal=Goal.LABEL_TARGETING, eval_set=es, loss="hinge")
         with pytest.raises(ValueError):
             CostSpec(goal=Goal.LABEL_TARGETING, eval_set=es, cbar=0.0)
+        with pytest.raises(ValueError, match="^cbar must be finite"):
+            CostSpec(goal=Goal.LABEL_TARGETING, eval_set=es, cbar=np.nan)
 
 
 class TestEvalCost:
@@ -224,21 +231,24 @@ class TestProjection:
         assert twice[1] == once[1]
 
 
-def distance(xa, ya, xb, yb, base):
+def distance(xa, ya, xb, yb):
     """modification_distances of a single pair of items."""
-    return modification_distances(vec(*xa)[None, :], vec(ya), vec(*xb)[None, :], vec(yb), base)[0]
+    return modification_distances(vec(*xa)[None, :], vec(ya), vec(*xb)[None, :], vec(yb))[0]
 
 
 class TestModificationDistance:
     def test_identical_items(self):
-        assert distance((0.1, 0.2), 1.0, (0.1, 0.2), 1.0, BaseLearner.LOGISTIC) == 0.0
-        assert distance((0.1, 0.2), 1.0, (0.1, 0.2), 1.0, BaseLearner.RIDGE) == 0.0
+        assert distance((0.1, 0.2), 1.0, (0.1, 0.2), 1.0) == 0.0
+        assert distance((0.1, 0.2), -0.3, (0.1, 0.2), -0.3) == 0.0
 
-    def test_logistic_ignores_label(self):
-        assert distance((0.6, 0.8), 1.0, (0.0, 0.0), -1.0, "logistic") == pytest.approx(0.5)
+    def test_label_displacement_always_counts(self):
+        # a moved label adds 0.5 * dy^2 = 2.0 to the 0.5 * ||dx||^2 = 0.5
+        # of the features
+        assert distance((0.6, 0.8), 1.0, (0.0, 0.0), -1.0) == pytest.approx(2.5)
+        assert distance((0.0, 0.0), 1.0, (0.0, 0.0), -1.0) == pytest.approx(2.0)
 
     def test_ridge_includes_label(self):
-        assert distance((1.0, 0.0), 1.0, (0.0, 0.0), 0.0, "ridge") == pytest.approx(1.0)
+        assert distance((1.0, 0.0), 1.0, (0.0, 0.0), 0.0) == pytest.approx(1.0)
 
     @given(
         st.lists(finite_floats, min_size=2, max_size=2),
@@ -248,25 +258,21 @@ class TestModificationDistance:
     )
     @settings(max_examples=200, deadline=None)
     def test_symmetric_in_the_difference(self, xa, xb, ya, yb):
-        for base in BaseLearner:
-            ab = distance(xa, ya, xb, yb, base)
-            assert ab == distance(xb, yb, xa, ya, base)
-            assert ab >= 0.0
+        ab = distance(xa, ya, xb, yb)
+        assert ab == distance(xb, yb, xa, ya)
+        assert ab >= 0.0
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
         Xp, Xc = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
         yp, yc = rng.standard_normal(8), rng.standard_normal(8)
-        for base in BaseLearner:
-            batch = modification_distances(Xp, yp, Xc, yc, base)
-            for i in range(8):
-                # per-row reference: half the squared displacement, label
-                # included for ridge only
-                dx = Xp[i] - Xc[i]
-                one = 0.5 * float(dx @ dx)
-                if base is BaseLearner.RIDGE:
-                    one += 0.5 * (yp[i] - yc[i]) ** 2
-                assert batch[i] == pytest.approx(one, rel=1e-15)
+        batch = modification_distances(Xp, yp, Xc, yc)
+        for i in range(8):
+            # per-row reference: half the squared displacement of features
+            # and label
+            dx = Xp[i] - Xc[i]
+            one = 0.5 * float(dx @ dx) + 0.5 * (yp[i] - yc[i]) ** 2
+            assert batch[i] == pytest.approx(one, rel=1e-15)
 
 
 class TestScalarHelpers:

@@ -28,9 +28,9 @@ TIGHT = SolverSettings(grad_tol=1e-12)
 
 
 def item_gradient(victim, data, i, model, b, cost_grad):
-    """batch_item_gradients for the single item i: ((d,), float or None)."""
+    """batch_item_gradients for the single item i: ((d,), float)."""
     feats, labels = batch_item_gradients(victim, data, model, b, cost_grad, [i])
-    return feats[0], None if labels is None else labels[0]
+    return feats[0], labels[0]
 
 
 class TestCostGradient:
@@ -98,7 +98,7 @@ class TestScalarOracle:
             oracle = -(dg_dx / dg_dtheta) * cg
             feats, label = item_gradient(victim, data, 0, model, np.array([bval]), [cg])
             assert feats[0] == pytest.approx(oracle, abs=1e-8)
-            assert label is None
+            assert label == 0.0
 
 
 class TestReductions:
@@ -114,7 +114,7 @@ class TestReductions:
                 model = train_mechanism(victim, data, b)
                 feats, label = item_gradient(victim, data, 2, model, b, zero)
                 assert np.all(feats == 0.0)
-                assert label is None if base == "logistic" else label == 0.0
+                assert label == 0.0
 
     def test_output_with_zero_noise_equals_objective(self):
         rng = np.random.default_rng(4)
@@ -219,7 +219,7 @@ class TestFiniteDifferenceOracle:
             fd, label = finite_difference_oracle(
                 victim, data, 0, np.zeros(2), cost, h=h, settings=TIGHT
             )
-            assert label is None
+            assert label == 0.0
             errs.append(np.linalg.norm(fd - exact))
         # both already deep in agreement; the larger step cannot be better
         # than the smaller one by more than solver noise

@@ -500,6 +500,36 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("victim", "lam"),
+            ("victim", "epsilon"),
+            ("victim", "rho"),
+            ("victim", "noise_scale"),
+            ("attack", "eta"),
+            ("attack", "alpha"),
+            ("cost", "cbar"),
+        ],
+    )
+    def test_non_finite_parameter_rejected_at_load(self, tmp_path, section, key, value):
+        # nan passes every "<= 0" range check and inf makes the default
+        # noise scale 0; both must stop the config before anything runs
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw[section][key] = yaml.safe_load(value)
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_sweep_value_rejected(self, value):
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["sweep"] = {"kind": "epsilon", "values": [0.1, value]}
+        with pytest.raises(ValueError, match="finite"):
+            config_from_dict(raw)
+
     def test_seed_override(self, one_d_config_path):
         cfg = load_config(one_d_config_path, seed=99)
         assert cfg.seed == 99

@@ -328,6 +328,93 @@ def test_stacked_rows_match_single_draws(mechanism, base, seed, m, warm):
         assert model.mu == single.mu == 0.0
 
 
+def near_separable_data(rng, n, d, flips):
+    """Items in the unit ball labelled by a random hyperplane, with `flips`
+    labels then flipped: separable or nearly so, the case in which a
+    weakly regularized logistic model grows long."""
+    X = rng.standard_normal((n, d))
+    X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
+    y = np.where(X @ rng.standard_normal(d) >= 0.0, 1.0, -1.0)
+    y[rng.choice(n, size=min(flips, n), replace=False)] *= -1.0
+    return Dataset(X, y)
+
+
+kkt_instances = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    d=st.integers(1, 4),
+    flips=st.integers(0, 2),
+    log_lam=st.floats(-4.0, 4.0),
+    log_scale=st.floats(-3.0, 2.0),
+    m=st.integers(2, 6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**kkt_instances)
+def test_logistic_kkt_property(seed, n, d, flips, log_lam, log_scale, m):
+    # Every solve either raises SolverError or returns a point whose
+    # stationarity residual is at most grad_tol. The residual is computed
+    # with the solver's own expressions (the scalar one for a single draw,
+    # the batched one on the whole stack), so it is the number the solver
+    # tested and the bound is grad_tol itself, with no slack.
+    rng = np.random.default_rng(seed)
+    data = near_separable_data(rng, n, d, flips)
+    lam = 10.0**log_lam
+    b = rng.standard_normal(d) * 10.0**log_scale
+    B = rng.standard_normal((m, d)) * 10.0**log_scale
+    tol = SolverSettings().grad_tol
+    X, y = data.X, data.y
+    try:
+        theta = train_base_logistic(data, lam, b).theta
+        assert logistic_kkt_residual(data, lam, b, theta) <= tol
+    except SolverError:
+        pass
+    try:
+        thetas = np.array([model.theta for model in train_base_logistic(data, lam, B)])
+        p = sigmoid(-(thetas @ X.T) * y)
+        residuals = np.linalg.norm(lam * thetas - (p * y) @ X + B, axis=1)
+        assert residuals.max() <= tol
+    except SolverError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_rho=st.floats(-2.0, 1.0), **kkt_instances)
+def test_ridge_kkt_property(seed, n, d, flips, log_lam, log_scale, m, log_rho):
+    rng = np.random.default_rng(seed)
+    data = near_separable_data(rng, n, d, flips)
+    lam, rho = 10.0**log_lam, 10.0**log_rho
+    draws = rng.standard_normal((m, d)) * 10.0**log_scale
+    dual_tol = SolverSettings().dual_tol
+    A, Xty = data.X.T @ data.X, data.X.T @ data.y
+    models = [train_base_ridge_constrained(data, lam, rho, draws[0])]
+    models += train_base_ridge_constrained(data, lam, rho, draws)
+    for b, model in zip([draws[0], *draws], models):
+        theta, mu = model.theta, model.mu
+        # (X'X + (lam+mu)I) theta = X'y - b. Both the direct solve and the
+        # eigenbasis solve are backward stable for this d x d SPD system, so
+        # the residual is a small multiple of d * eps against the sizes of
+        # the two sides (at most 1.04 d * eps in a 1,000-instance sweep);
+        # 16 d * eps leaves room for the rounding of X'X itself
+        H = A + (lam + mu) * np.eye(d)
+        rhs = Xty - b
+        scale = np.linalg.norm(H, 2) * np.linalg.norm(theta) + np.linalg.norm(rhs)
+        assert np.linalg.norm(H @ theta - rhs) <= 16 * d * np.finfo(float).eps * scale
+        norm = float(np.linalg.norm(theta))
+        if mu == 0.0:
+            # the unconstrained solution is kept only when it is feasible
+            assert norm <= rho
+            continue
+        # Bisection stops once its bracket of the true dual is at most
+        # dual_tol * max(1, mu) wide, and mu is the bracket's midpoint.
+        # ||theta(mu)|| has slope at most ||theta|| / (lam + mu) in mu, so
+        # the norm misses rho by at most rho * dual_tol * max(1, mu) /
+        # (2 (lam + mu)); the factor 2 is kept as room for rounding.
+        slack = dual_tol * max(1.0, mu) / (lam + mu) + 1e-14
+        assert abs(norm - rho) <= rho * slack
+
+
 class TestSolverSettings:
     def test_positive_required(self):
         with pytest.raises(ValueError):
