@@ -201,14 +201,22 @@ class VictimSpec:
                 raise ValueError("ridge victims require a positive model-space radius rho")
         if self.noise_scale is not None and self.noise_scale <= 0:
             raise ValueError("noise_scale must be positive when given")
+        if self.noise_scale is None:
+            self.noise_scale_for(1)  # fail at config load where n cannot help
 
     def noise_scale_for(self, n):
-        """Radial noise scale for a training set of size n."""
+        """Radial noise scale for a training set of size n; ValueError if
+        the calibration overflows to inf or underflows to 0."""
         if self.noise_scale is not None:
             return float(self.noise_scale)
         if self.mechanism is Mechanism.OBJECTIVE:
-            return 2.0 / self.epsilon
-        return 2.0 / (n * self.lam * self.epsilon)
+            scale = 2.0 / self.epsilon
+        else:
+            denominator = n * self.lam * self.epsilon
+            scale = 2.0 / denominator if denominator > 0 else math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"noise scale must be finite and positive, got {scale} at n={n}")
+        return scale
 
 
 @dataclass(frozen=True)

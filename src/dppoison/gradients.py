@@ -20,7 +20,7 @@ A retraining central-difference oracle is included for validation.
 import numpy as np
 
 from .core import BaseLearner, Goal, Mechanism, eval_cost, sigmoid
-from .learners import DEFAULT_SETTINGS, train_mechanism
+from .learners import train_mechanism
 
 __all__ = [
     "cost_gradient",
@@ -91,23 +91,23 @@ def batch_item_gradients(victim, data, model, b, cost_grad, indices):
     return _ridge_grads(data.X, data.y, theta_eff, victim.lam, model.mu, cost_grad, idx)
 
 
-def finite_difference_oracle(victim, data, i, b, cost, h=1e-5, settings=None):
+def finite_difference_oracle(victim, data, i, b, cost, h=1e-5):
     """Central differences of C(M(D, b)) in item i's coordinates, holding
     the noise draw b fixed and retraining at each perturbed point.
 
-    Validates the analytic gradients; the error decays as O(h^2). Solver
-    tolerances must be well below h for the quotients to be meaningful.
+    Validates the analytic gradients; the error decays as O(h^2). The
+    solver tolerances (learners.GRAD_TOL) must be well below h for the
+    quotients to be meaningful.
     Returns (features, label) as batch_item_gradients does for one item:
     a (d,) array and a float, 0.0 for a logistic victim because a
     classification label is not an attack coordinate.
     """
     if not 1e-6 <= h <= 1e-4:
         raise ValueError("h must lie in [1e-6, 1e-4]")
-    settings = settings or DEFAULT_SETTINGS
 
     def cost_at(features, label):
         shifted = data.with_modified([i], features[None, :], np.array([label]))
-        return eval_cost(cost, train_mechanism(victim, shifted, b, settings))
+        return eval_cost(cost, train_mechanism(victim, shifted, b))
 
     x0 = data.X[i].copy()
     y0 = float(data.y[i])

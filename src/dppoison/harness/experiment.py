@@ -222,6 +222,9 @@ class ExperimentConfig:
         object.__setattr__(self, "curve_points", int(self.curve_points))
         if self.curve_points < 2:
             raise ValueError("curve_points must be at least 2")
+        if self.sweep is not None and self.sweep.kind == "epsilon":
+            for value in self.sweep.values:  # each swept victim must be valid
+                dataclasses.replace(self.victim, epsilon=value)
 
 
 def _section_class(tp):

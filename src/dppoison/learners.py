@@ -6,12 +6,10 @@ term in the objective) and its batched form for a stack of noise draws,
 a norm-constrained ridge solver that returns the dual variable of the
 constraint, and the mechanism dispatcher.
 
-All solvers are pure functions of (data, noise, settings): repeated calls
-return bit-identical results. Problem sizes here are small and dense, so
+All solvers are pure functions of (data, noise): repeated calls return
+bit-identical results. Problem sizes here are small and dense, so
 direct linear algebra is used throughout.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +17,6 @@ from .core import BaseLearner, Mechanism, ModelParams, sigmoid, softplus
 
 __all__ = [
     "SolverError",
-    "SolverSettings",
-    "DEFAULT_SETTINGS",
     "sample_noise",
     "train_base_logistic",
     "train_base_ridge_constrained",
@@ -32,18 +28,11 @@ class SolverError(RuntimeError):
     """Raised when a solver fails to reach its tolerance."""
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    grad_tol: float = 1e-10
-    max_iters: int = 10_000
-    dual_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.grad_tol <= 0 or self.dual_tol <= 0 or self.max_iters <= 0:
-            raise ValueError("solver settings must be positive")
-
-
-DEFAULT_SETTINGS = SolverSettings()
+# Solver tolerances, read at call time: the logistic stationarity norm,
+# the Newton iteration cap and the relative width of the ridge dual bracket.
+GRAD_TOL = 1e-10
+MAX_ITERS = 10_000
+DUAL_TOL = 1e-12
 
 
 def sample_noise(dim, scale, rng):
@@ -82,7 +71,7 @@ def _logistic_objective_rows(theta, X, y, lam, B):
     )
 
 
-def _solve_logistic(X, y, lam, b, settings, warm_start=None):
+def _solve_logistic(X, y, lam, b, warm_start=None):
     """Damped Newton on the perturbed logistic objective.
 
     Newton directions are backtracked against the objective; if a direction
@@ -96,11 +85,11 @@ def _solve_logistic(X, y, lam, b, settings, warm_start=None):
         theta = np.zeros(d)
     eye = np.eye(d)
     f0 = _logistic_objective(theta, X, y, lam, b)
-    for _ in range(settings.max_iters):
+    for _ in range(MAX_ITERS):
         t = y * (X @ theta)
         p = sigmoid(-t)  # 1 / (1 + exp(t_j))
         grad = lam * theta - X.T @ (y * p) + b
-        if np.linalg.norm(grad) <= settings.grad_tol:
+        if np.linalg.norm(grad) <= GRAD_TOL:
             return theta
         w = p * (1.0 - p)
         H = lam * eye + X.T @ (X * w[:, None])
@@ -125,16 +114,16 @@ def _solve_logistic(X, y, lam, b, settings, warm_start=None):
                 break
         if not accepted:
             raise SolverError("logistic solver stalled: no descent step found")
-    raise SolverError(f"logistic solver did not converge within {settings.max_iters} iterations")
+    raise SolverError(f"logistic solver did not converge within {MAX_ITERS} iterations")
 
 
-def _solve_logistic_rows(X, y, lam, B, settings, warm_start=None):
+def _solve_logistic_rows(X, y, lam, B, warm_start=None):
     """_solve_logistic's damped Newton run on all rows of the (m, d) noise
     stack B at once; returns the (m, d) solutions, one per row.
 
     Each row follows the scalar rules: its own gradient test, the Armijo
     test with the same slack, the gradient-step fallback, and a
-    SolverError if it stalls or is unconverged after max_iters. Shapes
+    SolverError if it stalls or is unconverged after MAX_ITERS. Shapes
     stay (m, ...) throughout; a converged row is frozen by a mask, and
     each row carries its accepted objective value forward.
     """
@@ -148,10 +137,12 @@ def _solve_logistic_rows(X, y, lam, B, settings, warm_start=None):
     eye = np.eye(d)
     f = _logistic_objective_rows(theta, X, y, lam, B)
     active = np.ones(m, dtype=bool)
-    for _ in range(settings.max_iters):
+    for _ in range(MAX_ITERS):
         p = sigmoid(-(theta @ X.T) * y)
         grad = lam * theta - (p * y) @ X + B
-        active &= np.linalg.norm(grad, axis=1) > settings.grad_tol
+        # written as a negation so that a row with a nan gradient stays
+        # active and stalls, as the scalar solver does
+        active &= ~(np.linalg.norm(grad, axis=1) <= GRAD_TOL)
         if not active.any():
             return theta
         H = lam * eye + ((p * (1.0 - p)) @ outer).reshape(m, d, d)
@@ -175,7 +166,7 @@ def _solve_logistic_rows(X, y, lam, B, settings, warm_start=None):
                 break
         if pending.any():
             raise SolverError("logistic solver stalled: no descent step found")
-    raise SolverError(f"logistic solver did not converge within {settings.max_iters} iterations")
+    raise SolverError(f"logistic solver did not converge within {MAX_ITERS} iterations")
 
 
 def _check_classification_labels(y):
@@ -192,32 +183,31 @@ def _as_noise(b, dim):
     return b
 
 
-def train_base_logistic(data, lam, b=None, settings=None, warm_start=None):
+def train_base_logistic(data, lam, b=None, *, warm_start=None):
     """Fit L2-regularized logistic regression, optionally with the linear
     noise term b.theta added to the objective (b=None is the noiseless
     base learner). The returned theta satisfies the stationarity condition
 
         lam*theta - sum_j y_j x_j / (1 + exp(y_j theta.x_j)) + b = 0
 
-    within grad_tol.
+    within GRAD_TOL.
 
     b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
     of draws, which returns a list of m, one per row. A stack is solved by
     one batched damped Newton, each row from warm_start (or zero); a
     single draw uses the scalar solver, which is faster for one row."""
-    settings = settings or DEFAULT_SETTINGS
     if lam <= 0:
         raise ValueError("lam must be positive")
     _check_classification_labels(data.y)
     b = _as_noise(b, data.dim)
-    warm = warm_start.theta if isinstance(warm_start, ModelParams) else warm_start
+    warm = None if warm_start is None else warm_start.theta
     if b.ndim == 1:
-        return ModelParams(_solve_logistic(data.X, data.y, lam, b, settings, warm_start=warm), 0.0)
-    thetas = _solve_logistic_rows(data.X, data.y, lam, b, settings, warm_start=warm)
+        return ModelParams(_solve_logistic(data.X, data.y, lam, b, warm), 0.0)
+    thetas = _solve_logistic_rows(data.X, data.y, lam, b, warm)
     return [ModelParams(theta, 0.0) for theta in thetas]
 
 
-def _ridge_dual(evals, Q, rhs, lam, rho, settings):
+def _ridge_dual(evals, Q, rhs, lam, rho):
     """theta and the dual mu of the active constraint ||theta|| <= rho, by
     bisection on the strictly decreasing map mu -> ||theta(mu)||, O(d) per
     evaluation in the eigenbasis (evals, Q) of X'X."""
@@ -234,7 +224,7 @@ def _ridge_dual(evals, Q, rhs, lam, rho, settings):
     else:
         raise SolverError("could not bracket the constraint dual")
     for _ in range(300):
-        if hi - lo <= settings.dual_tol * max(1.0, hi):
+        if hi - lo <= DUAL_TOL * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
         if norm_at(mid) > rho:
@@ -245,7 +235,7 @@ def _ridge_dual(evals, Q, rhs, lam, rho, settings):
     return Q @ (c / (evals + lam + mu)), mu
 
 
-def train_base_ridge_constrained(data, lam, rho, b=None, settings=None):
+def train_base_ridge_constrained(data, lam, rho, b=None):
     """Solve norm-constrained ridge regression, optionally with a linear
     noise term b.theta in the objective (b=None gives the base learner).
 
@@ -260,7 +250,6 @@ def train_base_ridge_constrained(data, lam, rho, b=None, settings=None):
     row keeps its own solve and bisection, so row i is bit for bit the
     single-draw solve of b[i].
     """
-    settings = settings or DEFAULT_SETTINGS
     if lam <= 0 or rho <= 0:
         raise ValueError("lam and rho must be positive")
     b = _as_noise(b, data.dim)
@@ -274,12 +263,12 @@ def train_base_ridge_constrained(data, lam, rho, b=None, settings=None):
         theta, mu = np.linalg.solve(regularized, rhs), 0.0
         if np.linalg.norm(theta) > rho:
             eig = np.linalg.eigh(A) if eig is None else eig
-            theta, mu = _ridge_dual(*eig, rhs, lam, rho, settings)
+            theta, mu = _ridge_dual(*eig, rhs, lam, rho)
         models.append(ModelParams(theta, mu))
     return models[0] if b.ndim == 1 else models
 
 
-def train_mechanism(victim, data, b, settings=None, warm_start=None):
+def train_mechanism(victim, data, b, *, warm_start=None):
     """Train the victim's private learner on data with noise draw b.
 
     Objective perturbation adds b.theta to the training objective; output
@@ -293,9 +282,9 @@ def train_mechanism(victim, data, b, settings=None, warm_start=None):
     b = _as_noise(b, data.dim)
     noise = b if victim.mechanism is Mechanism.OBJECTIVE else None
     if victim.base is BaseLearner.LOGISTIC:
-        model = train_base_logistic(data, victim.lam, noise, settings, warm_start=warm_start)
+        model = train_base_logistic(data, victim.lam, noise, warm_start=warm_start)
     else:
-        model = train_base_ridge_constrained(data, victim.lam, victim.rho, noise, settings)
+        model = train_base_ridge_constrained(data, victim.lam, victim.rho, noise)
     if noise is not None:
         return model
     if b.ndim == 1:

@@ -32,13 +32,13 @@ from dppoison import (
     train_base_ridge_constrained,
     train_mechanism,
 )
+from dppoison import learners
 from dppoison.harness import run_experiment
 from dppoison.harness.cli import load_config
-from dppoison.learners import SolverSettings, sample_noise
+from dppoison.learners import sample_noise
 from test_learners import ridge_objective, ridge_pgd_oracle
 
 MODE = acceptance_mode()
-TIGHT = SolverSettings(grad_tol=1e-12)
 
 # every experiment run in this module, for the soundness sweep
 ALL_RUNS = []
@@ -167,7 +167,8 @@ def _random_goal_cost(rng, data, base):
     return CostSpec(goal=goal, eval_set=Dataset(X, y), loss=loss)
 
 
-def test_criterion_1_gradient_correctness():
+def test_criterion_1_gradient_correctness(monkeypatch):
+    monkeypatch.setattr(learners, "GRAD_TOL", 1e-12)
     combos = [
         ("logistic", "objective"),
         ("logistic", "output"),
@@ -183,7 +184,7 @@ def test_criterion_1_gradient_correctness():
         while done < 100:
             data, victim, b = _gradient_instance(rng, base, mechanism)
             cost = _random_goal_cost(rng, data, base)
-            model = train_mechanism(victim, data, b, TIGHT)
+            model = train_mechanism(victim, data, b)
             if base == "ridge":
                 theta_eff = model.theta - (b if mechanism == "output" else 0.0)
                 if abs(np.linalg.norm(theta_eff) - victim.rho) < 1e-6:
@@ -192,9 +193,7 @@ def test_criterion_1_gradient_correctness():
             cg = cost_gradient(cost, model)
             feats, labs = batch_item_gradients(victim, data, model, b, cg, np.array([i]))
             analytic = np.append(feats[0], labs[0])
-            fd_feats, fd_label = finite_difference_oracle(
-                victim, data, i, b, cost, h=1e-5, settings=TIGHT
-            )
+            fd_feats, fd_label = finite_difference_oracle(victim, data, i, b, cost, h=1e-5)
             numeric = np.append(fd_feats, fd_label)
             err = float(np.linalg.norm(analytic - numeric))
             tol = 1e-4 * float(np.linalg.norm(numeric)) + 1e-8

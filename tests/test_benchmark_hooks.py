@@ -50,11 +50,29 @@ def test_target_resolves(module_name, attr):
 
 
 def test_train_mechanism_positions():
-    # the tracer classifies a solve from args[2] (the noise) and args[4]
-    # (the warm start)
-    params = list(inspect.signature(train_mechanism).parameters)
-    assert params[2] == "b"
-    assert params[4] == "warm_start"
+    # the tracer classifies a solve from args[2] (the noise) and the
+    # warm_start keyword, which is keyword-only, so no call passes it by
+    # position
+    signature = inspect.signature(train_mechanism)
+    assert list(signature.parameters)[2] == "b"
+    assert signature.parameters["warm_start"].kind is inspect.Parameter.KEYWORD_ONLY
+    rng = np.random.default_rng(0)
+    data = random_classification_data(rng, n=8, d=2)
+    victim = VictimSpec("objective", "logistic", lam=1.0, epsilon=1.0)
+    noise = rng.standard_normal(2)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return train_mechanism(*args, **kwargs)
+
+    cold = recorded(victim, data, noise)
+    recorded(victim, data, noise, warm_start=cold)
+    recorded(victim, data, np.zeros(2), warm_start=cold)
+    kinds = [TRACER._solve_kind(args, kwargs) for args, kwargs in calls]
+    assert kinds == ["learners.solve_cold", "learners.solve_warm", "learners.solve_surrogate"]
+    with pytest.raises(TypeError):
+        train_mechanism(victim, data, noise, cold)
 
 
 def test_noise_stack_is_a_cold_solve():

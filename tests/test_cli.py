@@ -215,6 +215,20 @@ class TestAttack:
         with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
             assert strict_json(fh.read())["lower_bound"] == "-inf"
 
+    def test_tiny_epsilon_rejected_before_output(self, tmp_path):
+        # 2/epsilon overflows to an infinite noise scale; the run must stop
+        # at the config, not fail later in the solver
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "configs", "synth1d_flip.yaml"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert "epsilon: 0.1\n" in text
+        path = tmp_path / "synth1d_flip.yaml"
+        path.write_text(text.replace("epsilon: 0.1\n", "epsilon: 1.0e-309\n"))
+        out_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="noise scale must be finite and positive"):
+            main(["attack", "--config", str(path), "--out", str(out_dir)])
+        assert not out_dir.exists()
+
     def test_seed_override_echoed(self, config_path, tmp_path, capsys):
         out_dir = str(tmp_path / "run")
         code, _ = run_cli(

@@ -112,6 +112,24 @@ class TestVictimSpec:
         v = VictimSpec("objective", "logistic", lam=10.0, epsilon=0.1, noise_scale=0.75)
         assert v.noise_scale_for(5) == 0.75
 
+    @pytest.mark.parametrize(
+        "mechanism, lam, epsilon",
+        [
+            ("objective", 1.0, 1e-309),  # 2/epsilon overflows to inf
+            ("output", 1e200, 1e200),  # 2/(n*lam*epsilon) underflows to 0
+            ("output", 1e-200, 1e-200),  # n*lam*epsilon underflows to 0
+        ],
+    )
+    def test_unusable_noise_scale_rejected(self, mechanism, lam, epsilon):
+        with pytest.raises(ValueError, match="noise scale must be finite and positive"):
+            VictimSpec(mechanism, "logistic", lam=lam, epsilon=epsilon)
+
+    def test_noise_scale_underflow_at_large_n_rejected(self):
+        v = VictimSpec("output", "logistic", lam=1e154, epsilon=1e154)
+        assert v.noise_scale_for(1) == 2e-308
+        with pytest.raises(ValueError, match="got 0.0 at n=10$"):
+            v.noise_scale_for(10)
+
 
 class TestCostSpec:
     def test_parameter_targeting_requires_target(self):

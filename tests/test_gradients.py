@@ -22,9 +22,7 @@ from dppoison import (
     train_base_ridge_constrained,
     train_mechanism,
 )
-from dppoison.learners import SolverSettings
-
-TIGHT = SolverSettings(grad_tol=1e-12)
+from dppoison import learners
 
 
 def item_gradient(victim, data, i, model, b, cost_grad):
@@ -77,9 +75,10 @@ class TestCostGradient:
 
 
 class TestScalarOracle:
-    def test_logistic_implicit_derivative_n1_d1(self):
+    def test_logistic_implicit_derivative_n1_d1(self, monkeypatch):
         # For one item the stationarity condition g(theta, x) = 0 can be
         # differentiated by hand: dtheta/dx = -(dg/dx)/(dg/dtheta).
+        monkeypatch.setattr(learners, "GRAD_TOL", 1e-12)
         rng = np.random.default_rng(2)
         for _ in range(30):
             x = float(rng.uniform(-0.9, 0.9))
@@ -89,7 +88,7 @@ class TestScalarOracle:
             cg = float(rng.normal())
             data = Dataset([[x]], [y])
             victim = random_victim(rng, "logistic", "objective", lam=lam)
-            model = train_mechanism(victim, data, np.array([bval]), TIGHT)
+            model = train_mechanism(victim, data, np.array([bval]))
             theta = float(model.theta[0])
             p = float(sigmoid(-y * theta * x))
             w = p * (1.0 - p)
@@ -205,20 +204,19 @@ class TestFiniteDifferenceOracle:
             with pytest.raises(ValueError):
                 finite_difference_oracle(victim, data, 0, np.zeros(2), cost, h=h)
 
-    def test_error_shrinks_with_h(self):
+    def test_error_shrinks_with_h(self, monkeypatch):
+        monkeypatch.setattr(learners, "GRAD_TOL", 1e-12)
         rng = np.random.default_rng(10)
         data = random_classification_data(rng, n=6, d=2)
         victim = random_victim(rng, "logistic", "objective", lam=1.0)
         cost = CostSpec(
             goal=Goal.PARAMETER_TARGETING, target_model=ModelParams(rng.standard_normal(2))
         )
-        model = train_mechanism(victim, data, np.zeros(2), TIGHT)
+        model = train_mechanism(victim, data, np.zeros(2))
         exact, _ = item_gradient(victim, data, 0, model, np.zeros(2), cost_gradient(cost, model))
         errs = []
         for h in (1e-4, 5e-5):
-            fd, label = finite_difference_oracle(
-                victim, data, 0, np.zeros(2), cost, h=h, settings=TIGHT
-            )
+            fd, label = finite_difference_oracle(victim, data, 0, np.zeros(2), cost, h=h)
             assert label == 0.0
             errs.append(np.linalg.norm(fd - exact))
         # both already deep in agreement; the larger step cannot be better

@@ -530,6 +530,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="finite"):
             config_from_dict(raw)
 
+    def test_epsilon_sweep_value_with_no_noise_scale_rejected(self):
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["sweep"] = {"kind": "epsilon", "values": [1e-309, 0.1]}
+        with pytest.raises(ValueError, match="noise scale"):
+            config_from_dict(raw)
+
     def test_seed_override(self, one_d_config_path):
         cfg = load_config(one_d_config_path, seed=99)
         assert cfg.seed == 99

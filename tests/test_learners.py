@@ -16,9 +16,8 @@ from dppoison import (
     train_base_ridge_constrained,
     train_mechanism,
 )
-from dppoison.learners import SolverSettings, sample_noise
-
-TIGHT = SolverSettings(grad_tol=1e-12)
+from dppoison import learners
+from dppoison.learners import sample_noise
 
 
 def logistic_kkt_residual(data, lam, b, theta):
@@ -82,9 +81,10 @@ class TestLogisticSolver:
         b = train_base_logistic(data, 1.5, np.zeros(3))
         np.testing.assert_array_equal(a.theta, b.theta)
 
-    def test_scalar_case_matches_bisection(self):
+    def test_scalar_case_matches_bisection(self, monkeypatch):
         # n=1, d=1: stationarity is lam*t - y*x*sigmoid(-y*t*x) + b = 0,
         # strictly increasing in t, so bisection is an exact oracle.
+        monkeypatch.setattr(learners, "GRAD_TOL", 1e-12)
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = float(rng.uniform(-1.0, 1.0))
@@ -104,7 +104,7 @@ class TestLogisticSolver:
                 else:
                     hi = mid
             oracle = 0.5 * (lo + hi)
-            model = train_base_logistic(data, lam, np.array([b]), TIGHT)
+            model = train_base_logistic(data, lam, np.array([b]))
             assert model.theta[0] == pytest.approx(oracle, abs=1e-8)
 
     def test_label_validation(self):
@@ -116,25 +116,40 @@ class TestLogisticSolver:
         with pytest.raises(ValueError):
             train_base_logistic(data, 1.0, np.zeros(3))
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(learners, "MAX_ITERS", 1)
         rng = np.random.default_rng(6)
         data = random_classification_data(rng, n=10, d=2)
         with pytest.raises(SolverError):
-            train_base_logistic(data, lam=1.0, settings=SolverSettings(max_iters=1))
+            train_base_logistic(data, lam=1.0)
 
-    def test_stacked_nonconvergence_raises(self):
+    def test_stacked_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(learners, "MAX_ITERS", 1)
         rng = np.random.default_rng(6)
         data = random_classification_data(rng, n=10, d=2)
         victim = VictimSpec("objective", "logistic", lam=1.0, epsilon=1.0)
         with pytest.raises(SolverError):
-            train_mechanism(victim, data, rng.standard_normal((4, 2)), SolverSettings(max_iters=1))
+            train_mechanism(victim, data, rng.standard_normal((4, 2)))
 
-    def test_warm_start_agrees_with_cold(self):
+    def test_stacked_non_finite_row_raises(self):
+        # a nan draw leaves its row's gradient nan; the batched Newton must
+        # fail on it as the scalar solver does, not return the start point
+        rng = np.random.default_rng(6)
+        data = random_classification_data(rng, n=10, d=2)
+        victim = VictimSpec("objective", "logistic", lam=1.0, epsilon=1.0)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(SolverError, match="stalled"):
+                train_mechanism(victim, data, np.array([np.nan, 0.1]))
+            with pytest.raises(SolverError, match="stalled"):
+                train_mechanism(victim, data, np.array([[np.nan, 0.1], [0.1, 0.2]]))
+
+    def test_warm_start_agrees_with_cold(self, monkeypatch):
+        monkeypatch.setattr(learners, "GRAD_TOL", 1e-12)
         rng = np.random.default_rng(7)
         data = random_classification_data(rng, n=15, d=3)
-        cold = train_base_logistic(data, lam=1.0, settings=TIGHT)
+        cold = train_base_logistic(data, lam=1.0)
         far = ModelParams(np.full(3, 5.0))
-        warm = train_base_logistic(data, lam=1.0, settings=TIGHT, warm_start=far)
+        warm = train_base_logistic(data, lam=1.0, warm_start=far)
         assert np.linalg.norm(cold.theta - warm.theta) <= 1e-8
 
     def test_clean_2d_experiment_fit(self):
@@ -354,16 +369,16 @@ kkt_instances = dict(
 @given(**kkt_instances)
 def test_logistic_kkt_property(seed, n, d, flips, log_lam, log_scale, m):
     # Every solve either raises SolverError or returns a point whose
-    # stationarity residual is at most grad_tol. The residual is computed
+    # stationarity residual is at most GRAD_TOL. The residual is computed
     # with the solver's own expressions (the scalar one for a single draw,
     # the batched one on the whole stack), so it is the number the solver
-    # tested and the bound is grad_tol itself, with no slack.
+    # tested and the bound is GRAD_TOL itself, with no slack.
     rng = np.random.default_rng(seed)
     data = near_separable_data(rng, n, d, flips)
     lam = 10.0**log_lam
     b = rng.standard_normal(d) * 10.0**log_scale
     B = rng.standard_normal((m, d)) * 10.0**log_scale
-    tol = SolverSettings().grad_tol
+    tol = learners.GRAD_TOL
     X, y = data.X, data.y
     try:
         theta = train_base_logistic(data, lam, b).theta
@@ -386,7 +401,7 @@ def test_ridge_kkt_property(seed, n, d, flips, log_lam, log_scale, m, log_rho):
     data = near_separable_data(rng, n, d, flips)
     lam, rho = 10.0**log_lam, 10.0**log_rho
     draws = rng.standard_normal((m, d)) * 10.0**log_scale
-    dual_tol = SolverSettings().dual_tol
+    dual_tol = learners.DUAL_TOL
     A, Xty = data.X.T @ data.X, data.X.T @ data.y
     models = [train_base_ridge_constrained(data, lam, rho, draws[0])]
     models += train_base_ridge_constrained(data, lam, rho, draws)
@@ -413,13 +428,3 @@ def test_ridge_kkt_property(seed, n, d, flips, log_lam, log_scale, m, log_rho):
         # (2 (lam + mu)); the factor 2 is kept as room for rounding.
         slack = dual_tol * max(1.0, mu) / (lam + mu) + 1e-14
         assert abs(norm - rho) <= rho * slack
-
-
-class TestSolverSettings:
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            SolverSettings(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverSettings(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverSettings(dual_tol=-1.0)
