@@ -190,9 +190,9 @@ def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, warm=None):
     for _ in range(T):
         if len(items) > 0:
             warm, feat, lab = _draw_gradients(victim, cur, cost, items, dpv, scale, rng, warm)
-            if alpha:
-                feat = feat + alpha * (Xs - X0)
-                lab = lab + alpha * (ys - y0)
+            if alpha:  # feat and lab are fresh arrays
+                feat += alpha * (Xs - X0)
+                lab += alpha * (ys - y0)
             Xs -= eta * feat
             ys -= eta * lab
             project_rows_inplace(Xs, ys)

@@ -95,7 +95,7 @@ class Dataset:
     their position in the original dataset.
     """
 
-    __slots__ = ("_X", "_y")
+    __slots__ = ("_X", "_y", "_gram")
 
     def __init__(self, features, labels):
         X = np.array(features, dtype=float)
@@ -112,6 +112,7 @@ class Dataset:
         y.setflags(write=False)
         self._X = X
         self._y = y
+        self._gram = None
 
     @property
     def X(self):
@@ -133,6 +134,14 @@ class Dataset:
 
     def __len__(self):
         return self._X.shape[0]
+
+    @property
+    def gram(self):
+        """(X'X, X'y), the ridge sufficient statistics: formed on first
+        use, then cached for the life of the dataset; read-only."""
+        if self._gram is None:
+            self._gram = (_readonly(self._X.T @ self._X), _readonly(self._X.T @ self._y))
+        return self._gram
 
     def with_modified(self, indices, features, labels):
         """Return a copy with the given items' coordinates replaced. Only

@@ -62,15 +62,16 @@ def _logistic_grads(X, y, theta_eff, lam, cost_grad, idx):
     return d_feat, np.zeros(len(idx))
 
 
-def _ridge_grads(X, y, theta_eff, lam, mu, cost_grad, idx):
-    """Feature and label gradients for ridge victims. Returns
-    ((len(idx), d), (len(idx),)) arrays."""
-    d = X.shape[1]
-    H = X.T @ X + (lam + mu) * np.eye(d)
-    v = np.linalg.solve(H, cost_grad)
-    xv = X[idx] @ v
-    resid = X[idx] @ theta_eff - y[idx]
-    d_feat = -(xv[:, None] * theta_eff[None, :] + resid[:, None] * v[None, :])
+def _ridge_grads(data, theta_eff, lam, mu, cost_grad, idx):
+    """Feature and label gradients for ridge victims, from the dataset's
+    cached X'X. Returns ((len(idx), d), (len(idx),)) arrays."""
+    v = np.linalg.solve(data.gram[0] + (lam + mu) * np.eye(data.dim), cost_grad)
+    X, y = data.X[idx], data.y[idx]
+    xv = X @ v
+    resid = X @ theta_eff - y
+    # -(xv theta' + resid v') in one array; negation is exact
+    d_feat = np.multiply.outer(-xv, theta_eff)
+    d_feat -= np.multiply.outer(resid, v)
     return d_feat, xv
 
 
@@ -88,7 +89,7 @@ def batch_item_gradients(victim, data, model, b, cost_grad, indices):
         theta_eff = theta_eff - np.asarray(b, dtype=float)
     if victim.base is BaseLearner.LOGISTIC:
         return _logistic_grads(data.X, data.y, theta_eff, victim.lam, cost_grad, idx)
-    return _ridge_grads(data.X, data.y, theta_eff, victim.lam, model.mu, cost_grad, idx)
+    return _ridge_grads(data, theta_eff, victim.lam, model.mu, cost_grad, idx)
 
 
 def finite_difference_oracle(victim, data, i, b, cost, h=1e-5):

@@ -312,16 +312,25 @@ def build_dataset(config):
         data = _load_csv(src)
     if src.normalize:
         data = normalize_dataset(data, src.normalize_labels, src.label_range)
-    # the projection's slack, as normalizing can round a norm a few ulps past 1
-    if np.linalg.norm(data.X, axis=1).max() > 1.0 + _NORM_SLACK:
-        raise ValueError("data: a feature norm exceeds 1; set normalize: true")
-    if config.victim.base is BaseLearner.RIDGE and np.abs(data.y).max() > 1.0:
-        raise ValueError("data: ridge labels must lie in [-1, 1]; set normalize and normalize_labels")
+    fixes = ("; set normalize: true", "; set normalize and normalize_labels")
+    _require_feasible(data, config.victim, "data", fixes)
     return data
 
 
+def _require_feasible(data, victim, source, fixes=("", "")):
+    """Reject a dataset outside the feasible set: a feature norm above 1
+    (up to the projection's slack, as normalizing can round a norm a few
+    ulps past 1) or, for a ridge victim, a label outside [-1, 1]. The
+    messages start with source and end with the matching entry of fixes."""
+    if np.linalg.norm(data.X, axis=1).max() > 1.0 + _NORM_SLACK:
+        raise ValueError(f"{source}: a feature norm exceeds 1{fixes[0]}")
+    if victim.base is BaseLearner.RIDGE and np.abs(data.y).max() > 1.0:
+        raise ValueError(f"{source}: ridge labels must lie in [-1, 1]{fixes[1]}")
+
+
 def build_eval_set(config, data):
-    """Materialize the evaluation set, or None for kind 'none'."""
+    """Materialize the evaluation set, or None for kind 'none'. A csv set
+    must lie in the feasible set, as build_dataset's data must."""
     ev = config.eval
     if ev.kind == "none":
         return None
@@ -334,7 +343,9 @@ def build_eval_set(config, data):
         return build_nn_eval_set(data, rng, ev.class_label, ev.count, ev.include_seed)
     if ev.kind == "extreme-item":
         return pick_extreme_eval_item(data, ev.extreme, ev.target_label)
-    return _load_csv(ev)
+    eval_set = _load_csv(ev)
+    _require_feasible(eval_set, config.victim, "eval")
+    return eval_set
 
 
 def _fit_target(victim, eval_set):

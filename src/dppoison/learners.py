@@ -11,6 +11,8 @@ bit-identical results. Problem sizes here are small and dense, so
 direct linear algebra is used throughout.
 """
 
+import math
+
 import numpy as np
 
 from .core import BaseLearner, Mechanism, ModelParams, sigmoid, softplus
@@ -214,7 +216,8 @@ def _ridge_dual(evals, Q, rhs, lam, rho):
     c = Q.T @ rhs
 
     def norm_at(mu):
-        return float(np.linalg.norm(c / (evals + lam + mu)))
+        z = c / (evals + lam + mu)
+        return math.sqrt(z @ z)  # what np.linalg.norm computes for a vector
 
     lo, hi = 0.0, max(1.0, lam)
     for _ in range(500):
@@ -245,16 +248,15 @@ def train_base_ridge_constrained(data, lam, rho, b=None):
     it is feasible (mu = 0 exactly); otherwise mu is found by bisection.
 
     b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
-    of draws, which returns a list of m, one per row. A stack forms X'X
-    once, and decomposes it once if any row's constraint is active; each
-    row keeps its own solve and bisection, so row i is bit for bit the
-    single-draw solve of b[i].
+    of draws, which returns a list of m, one per row. X'X and X'y are the
+    dataset's cached ones (Dataset.gram). A stack decomposes X'X once if
+    any row's constraint is active; each row keeps its own solve and
+    bisection, so row i is bit for bit the single-draw solve of b[i].
     """
     if lam <= 0 or rho <= 0:
         raise ValueError("lam and rho must be positive")
     b = _as_noise(b, data.dim)
-    A = data.X.T @ data.X
-    Xty = data.X.T @ data.y
+    A, Xty = data.gram
     regularized = A + lam * np.eye(data.dim)
     eig = None
     models = []

@@ -73,6 +73,37 @@ class TestDataset:
         with pytest.raises(ValueError, match="finite"):
             Dataset(features, labels)
 
+    def test_with_modified_every_item_is_a_fresh_dataset(self):
+        rng = np.random.default_rng(0)
+        d = Dataset(rng.uniform(-0.5, 0.5, (6, 3)), rng.uniform(-1, 1, 6))
+        F, L = rng.uniform(-0.5, 0.5, (6, 3)), rng.uniform(-1, 1, 6)
+        d2 = d.with_modified(np.arange(6), F, L)
+        ref = Dataset(F, L)
+        assert np.array_equal(d2.X, ref.X) and np.array_equal(d2.y, ref.y)
+        assert not (d2.X.flags.writeable or d2.y.flags.writeable)
+        # the new dataset owns its arrays: the caller may keep changing F, L
+        F[0, 0], L[0] = 9.0, 9.0
+        assert np.array_equal(d2.X, ref.X) and np.array_equal(d2.y, ref.y)
+        F[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            d.with_modified(np.arange(6), F, L)
+
+    def test_gram_is_cached_and_readonly(self):
+        rng = np.random.default_rng(1)
+        d = Dataset(rng.uniform(-0.5, 0.5, (7, 3)), rng.uniform(-1, 1, 7))
+        XtX, Xty = d.gram
+        assert np.array_equal(XtX, d.X.T @ d.X) and np.array_equal(Xty, d.X.T @ d.y)
+        assert d.gram[0] is XtX and d.gram[1] is Xty
+        with pytest.raises(ValueError):
+            XtX[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            Xty[0] = 9.0
+        # a modified dataset forms its own
+        d2 = d.with_modified([2], [[0.1, 0.2, 0.3]], [0.5])
+        assert np.array_equal(d2.gram[0], d2.X.T @ d2.X)
+        assert np.array_equal(d2.gram[1], d2.X.T @ d2.y)
+        assert np.array_equal(d.gram[0], d.X.T @ d.X)
+
     def test_empty_dataset_is_allowed(self):
         d = Dataset(np.empty((0, 3)), np.empty(0))
         assert d.n == 0 and d.dim == 3

@@ -13,7 +13,9 @@ from dppoison import (
     CostSpec,
     Dataset,
     Goal,
+    Mechanism,
     ModelParams,
+    VictimSpec,
     batch_item_gradients,
     cost_gradient,
     eval_cost,
@@ -23,6 +25,8 @@ from dppoison import (
     train_mechanism,
 )
 from dppoison import learners
+from dppoison.attacks import _draw_gradients
+from dppoison.harness import estimate_attack_cost
 
 
 def item_gradient(victim, data, i, model, b, cost_grad):
@@ -223,3 +227,76 @@ class TestFiniteDifferenceOracle:
         # than the smaller one by more than solver noise
         assert errs[0] <= 1e-7
         assert errs[1] <= 1e-7
+
+
+class TestRidgeSharedGram:
+    """The ridge trainer and _ridge_grads read X'X from the dataset's cache,
+    and all-item gradients skip the row copies; neither changes a bit."""
+
+    @staticmethod
+    def reference(victim, data, model, b, cost_grad, idx):
+        """The ridge item gradients as written before the Gram matrix was
+        cached: X'X formed here, rows copied by fancy indexing, and the
+        feature gradient built from two outer products and a negation."""
+        theta_eff = model.theta - b if victim.mechanism is Mechanism.OUTPUT else model.theta
+        H = data.X.T @ data.X + (victim.lam + model.mu) * np.eye(data.dim)
+        v = np.linalg.solve(H, cost_grad)
+        X, y = data.X[idx], data.y[idx]
+        xv = X @ v
+        resid = X @ theta_eff - y
+        return -(xv[:, None] * theta_eff[None, :] + resid[:, None] * v[None, :]), xv
+
+    @pytest.mark.parametrize("mechanism", ["objective", "output"])
+    def test_all_items_and_subsets_match_reference(self, mechanism):
+        # Rows of one call are compared with the reference over the same
+        # index array: a BLAS matrix-vector product may round a row
+        # differently depending on how many rows it is given, so the
+        # all-item call is not bit for bit the union of subset calls.
+        rng = np.random.default_rng(8)
+        data = random_regression_data(rng, n=53, d=11)
+        victim = random_victim(rng, "ridge", mechanism, lam=0.3, rho=0.4)
+        b = rng.standard_normal(11)
+        model = train_mechanism(victim, data, b)
+        assert model.mu > 0
+        g = rng.standard_normal(11)
+        parts = [np.sort(p) for p in np.array_split(rng.permutation(data.n), 4)]
+        for idx in [np.arange(data.n), *parts]:
+            got = batch_item_gradients(victim, data, model, b, g, idx)
+            want = self.reference(victim, data, model, b, g, idx)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.fixture()
+    def gram_reads(self, monkeypatch):
+        """Every Dataset.gram read as (dataset, pair), in call order."""
+        reads = []
+        fget = Dataset.gram.fget
+
+        def counted(data):
+            pair = fget(data)
+            reads.append((data, pair))
+            return pair
+
+        monkeypatch.setattr(Dataset, "gram", property(counted))
+        return reads
+
+    @pytest.mark.parametrize("mechanism", ["objective", "output"])
+    def test_estimate_forms_gram_once(self, gram_reads, mechanism):
+        rng = np.random.default_rng(9)
+        data = random_regression_data(rng, n=30, d=3)
+        victim = VictimSpec(mechanism, "ridge", lam=1.0, epsilon=1.0, rho=0.5)
+        cost = random_cost(rng, data, "ridge")
+        estimate_attack_cost(victim, data, cost, 100, seed=0)  # 4 blocks of 32
+        assert len(gram_reads) == 4
+        assert all(d is data and pair[0] is gram_reads[0][1][0] for d, pair in gram_reads)
+
+    @pytest.mark.parametrize("mechanism", ["objective", "output"])
+    def test_sgd_step_forms_gram_once(self, gram_reads, mechanism):
+        rng = np.random.default_rng(10)
+        data = random_regression_data(rng, n=30, d=3)
+        victim = VictimSpec(mechanism, "ridge", lam=1.0, epsilon=1.0, rho=0.5)
+        cost = random_cost(rng, data, "ridge")
+        _draw_gradients(victim, data, cost, np.arange(5), True, 0.1, rng, None)
+        # one read by the trainer, one by the gradient, the same pair
+        assert len(gram_reads) == 2
+        (d1, p1), (d2, p2) = gram_reads
+        assert d1 is d2 is data and p1[0] is p2[0] and p1[1] is p2[1]

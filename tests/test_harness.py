@@ -225,6 +225,31 @@ class TestBuildDatasetFeasibility:
         )
         assert np.abs(data.y).max() <= 1.0
 
+    @staticmethod
+    def eval_csv_config(tmp_path, body, base="logistic"):
+        path = tmp_path / "eval.csv"
+        path.write_text(body)
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["victim"].update(base=base, rho=1.0)
+        raw["eval"] = {"kind": "csv", "path": str(path)}
+        return config_from_dict(raw)
+
+    @pytest.mark.parametrize("base", ["logistic", "ridge"])
+    def test_eval_feature_outside_unit_ball_rejected(self, tmp_path, base):
+        config = self.eval_csv_config(tmp_path, "x0,x1,y\n0.6,0.8,1\n3.0,4.0,-1\n", base)
+        with pytest.raises(ValueError, match="^eval: a feature norm exceeds 1"):
+            build_eval_set(config, None)
+        # the unit sphere itself is feasible
+        config = self.eval_csv_config(tmp_path, "x0,x1,y\n0.6,0.8,1\n", base)
+        assert build_eval_set(config, None).n == 1
+
+    def test_eval_ridge_label_outside_unit_interval_rejected(self, tmp_path):
+        body = "x0,y\n0.5,2.0\n-0.5,-1.0\n"
+        with pytest.raises(ValueError, match=r"^eval: ridge labels must lie in \[-1, 1\]"):
+            build_eval_set(self.eval_csv_config(tmp_path, body, base="ridge"), None)
+        # logistic labels are the solver's to check
+        assert build_eval_set(self.eval_csv_config(tmp_path, body), None).n == 2
+
 
 class TestNnEvalSet:
     def test_matches_brute_force(self):

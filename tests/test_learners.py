@@ -428,3 +428,38 @@ def test_ridge_kkt_property(seed, n, d, flips, log_lam, log_scale, m, log_rho):
         # (2 (lam + mu)); the factor 2 is kept as room for rounding.
         slack = dual_tol * max(1.0, mu) / (lam + mu) + 1e-14
         assert abs(norm - rho) <= rho * slack
+
+
+def ridge_dual_reference(evals, Q, rhs, lam, rho):
+    """learners._ridge_dual with its norm taken by np.linalg.norm."""
+    c = Q.T @ rhs
+
+    def norm_at(mu):
+        return float(np.linalg.norm(c / (evals + lam + mu)))
+
+    lo, hi = 0.0, max(1.0, lam)
+    while norm_at(hi) > rho:
+        hi *= 2.0
+    while hi - lo > learners.DUAL_TOL * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if norm_at(mid) > rho:
+            lo = mid
+        else:
+            hi = mid
+    mu = 0.5 * (lo + hi)
+    return Q @ (c / (evals + lam + mu)), mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_rho=st.floats(-2.0, 1.0), **{k: v for k, v in kkt_instances.items() if k != "m"})
+def test_ridge_dual_matches_norm_reference(seed, n, d, flips, log_lam, log_scale, log_rho):
+    # the bisection's norm is math.sqrt(z @ z), which must pick every
+    # branch, and so the same mu, as np.linalg.norm would
+    rng = np.random.default_rng(seed)
+    data = near_separable_data(rng, n, d, flips)
+    lam, rho = 10.0**log_lam, 10.0**log_rho
+    evals, Q = np.linalg.eigh(data.X.T @ data.X)
+    rhs = data.X.T @ data.y - rng.standard_normal(d) * 10.0**log_scale
+    theta, mu = learners._ridge_dual(evals, Q, rhs, lam, rho)
+    ref_theta, ref_mu = ridge_dual_reference(evals, Q, rhs, lam, rho)
+    assert mu == ref_mu and np.array_equal(theta, ref_theta)
