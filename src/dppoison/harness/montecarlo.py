@@ -10,9 +10,9 @@ from ..rng import substream
 
 __all__ = ["CostEstimate", "estimate_attack_cost"]
 
-# Draws per train_mechanism call. A block's batched solve holds (rows, n)
-# work arrays and one model per row, so the block size, not T_e, sets the
-# peak memory of an estimate.
+# Draws per train_mechanism and eval_cost call. A block's batched solve
+# holds (rows, n) work arrays and one model per row, so the block size, not
+# T_e, sets the peak memory of an estimate.
 _BLOCK = 32
 
 
@@ -40,11 +40,11 @@ def estimate_attack_cost(victim, data, cost, T_e, seed):
     """Estimate E_b[C(M(data, b))] from T_e independent noise draws.
 
     Sample s always uses the dedicated stream substream(seed, s) and a cold
-    solver start. Draws are trained in blocks of _BLOCK rows, one
-    train_mechanism call per block; the last block is padded with zero
-    rows whose results are dropped. Every block has the same shape, so
-    draw s depends only on (seed, s): the first m values of a larger
-    estimate equal those of a T_e=m one bit for bit.
+    solver start. Draws are trained and evaluated in blocks of _BLOCK rows,
+    one train_mechanism and one eval_cost call per block; the last block
+    is padded with zero rows whose results are dropped. Every block has the
+    same shape, so draw s depends only on (seed, s): the first m values of
+    a larger estimate equal those of a T_e=m one bit for bit.
     """
     if T_e < 2:
         raise ValueError("T_e must be at least 2 for a standard error")
@@ -55,8 +55,8 @@ def estimate_attack_cost(victim, data, cost, T_e, seed):
         noise = np.zeros((_BLOCK, data.dim))
         for row, s in enumerate(draws):
             noise[row] = sample_noise(data.dim, scale, substream(seed, s))
-        for s, model in zip(draws, train_mechanism(victim, data, noise)):
-            samples[s] = eval_cost(cost, model)
+        values = eval_cost(cost, train_mechanism(victim, data, noise))
+        samples[lo : draws.stop] = values[: len(draws)]
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(T_e))
     return CostEstimate(mean, stderr, T_e, samples)

@@ -59,18 +59,22 @@ def sample_noise(dim, scale, rng):
 
 
 def _logistic_objective(theta, X, y, lam, b):
+    """The objective at theta and the margins t = y * (X theta) it used,
+    which the solver's next iteration reads."""
     t = y * (X @ theta)
-    return float(np.sum(softplus(-t)) + 0.5 * lam * (theta @ theta) + b @ theta)
+    return float(np.sum(softplus(-t)) + 0.5 * lam * (theta @ theta) + b @ theta), t
 
 
 def _logistic_objective_rows(theta, X, y, lam, B):
-    """_logistic_objective of each row of theta with its row of B, as (m,)."""
+    """_logistic_objective of each row of theta with its row of B: the
+    (m,) objectives and the (m, n) margins."""
     t = (theta @ X.T) * y
-    return (
+    f = (
         np.sum(softplus(-t), axis=1)
         + 0.5 * lam * np.einsum("ij,ij->i", theta, theta)
         + np.einsum("ij,ij->i", B, theta)
     )
+    return f, t
 
 
 def _solve_logistic(X, y, lam, b, warm_start=None):
@@ -86,9 +90,8 @@ def _solve_logistic(X, y, lam, b, warm_start=None):
     else:
         theta = np.zeros(d)
     eye = np.eye(d)
-    f0 = _logistic_objective(theta, X, y, lam, b)
+    f0, t = _logistic_objective(theta, X, y, lam, b)
     for _ in range(MAX_ITERS):
-        t = y * (X @ theta)
         p = sigmoid(-t)  # 1 / (1 + exp(t_j))
         grad = lam * theta - X.T @ (y * p) + b
         if np.linalg.norm(grad) <= GRAD_TOL:
@@ -106,9 +109,9 @@ def _solve_logistic(X, y, lam, b, warm_start=None):
             size = 1.0
             for _ in range(60):
                 cand = theta - size * direction
-                f_cand = _logistic_objective(cand, X, y, lam, b)
+                f_cand, t_cand = _logistic_objective(cand, X, y, lam, b)
                 if f_cand <= f0 - 1e-4 * size * slope + f_slack:
-                    theta, f0 = cand, f_cand
+                    theta, f0, t = cand, f_cand, t_cand
                     accepted = True
                     break
                 size *= 0.5
@@ -127,7 +130,7 @@ def _solve_logistic_rows(X, y, lam, B, warm_start=None):
     test with the same slack, the gradient-step fallback, and a
     SolverError if it stalls or is unconverged after MAX_ITERS. Shapes
     stay (m, ...) throughout; a converged row is frozen by a mask, and
-    each row carries its accepted objective value forward.
+    each row carries its accepted objective value and margins forward.
     """
     m, d = B.shape
     n = X.shape[0]
@@ -137,10 +140,10 @@ def _solve_logistic_rows(X, y, lam, B, warm_start=None):
     # rows of outer products x_j x_j', so every Hessian is one weighted sum
     outer = (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
     eye = np.eye(d)
-    f = _logistic_objective_rows(theta, X, y, lam, B)
+    f, t = _logistic_objective_rows(theta, X, y, lam, B)
     active = np.ones(m, dtype=bool)
     for _ in range(MAX_ITERS):
-        p = sigmoid(-(theta @ X.T) * y)
+        p = sigmoid(-t)
         grad = lam * theta - (p * y) @ X + B
         # written as a negation so that a row with a nan gradient stays
         # active and stalls, as the scalar solver does
@@ -156,10 +159,11 @@ def _solve_logistic_rows(X, y, lam, B, warm_start=None):
             size = 1.0
             for _ in range(60):
                 cand = theta - size * direction
-                f_cand = _logistic_objective_rows(cand, X, y, lam, B)
+                f_cand, t_cand = _logistic_objective_rows(cand, X, y, lam, B)
                 ok = pending & (f_cand <= f - 1e-4 * size * slope + f_slack)
                 theta[ok] = cand[ok]
                 f[ok] = f_cand[ok]
+                t[ok] = t_cand[ok]
                 pending &= ~ok
                 if not pending.any():
                     break
@@ -279,16 +283,23 @@ def train_mechanism(victim, data, b, *, warm_start=None):
     given (data, b).
 
     b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
-    of draws, which returns a list of m, one per row. For a stack, output
-    perturbation solves the base learner once."""
+    of draws, which returns a list of m, one per row. Output perturbation
+    solves the noiseless base learner from a cold start once per dataset
+    (Dataset.cached), so the blocks of a Monte-Carlo estimate share it."""
     b = _as_noise(b, data.dim)
-    noise = b if victim.mechanism is Mechanism.OBJECTIVE else None
-    if victim.base is BaseLearner.LOGISTIC:
-        model = train_base_logistic(data, victim.lam, noise, warm_start=warm_start)
+    if victim.mechanism is Mechanism.OBJECTIVE:
+        return _train_base(victim, data, b, warm_start)
+    if warm_start is None:
+        key = ("base", victim.base, victim.lam, victim.rho)
+        model = data.cached(key, lambda: _train_base(victim, data, None, None))
     else:
-        model = train_base_ridge_constrained(data, victim.lam, victim.rho, noise)
-    if noise is not None:
-        return model
+        model = _train_base(victim, data, None, warm_start)
     if b.ndim == 1:
         return ModelParams(model.theta + b, model.mu)
     return [ModelParams(theta, model.mu) for theta in model.theta + b]
+
+
+def _train_base(victim, data, b, warm_start):
+    if victim.base is BaseLearner.LOGISTIC:
+        return train_base_logistic(data, victim.lam, b, warm_start=warm_start)
+    return train_base_ridge_constrained(data, victim.lam, victim.rho, b)

@@ -104,6 +104,21 @@ class TestDataset:
         assert np.array_equal(d2.gram[1], d2.X.T @ d2.y)
         assert np.array_equal(d.gram[0], d.X.T @ d.X)
 
+    def test_cached_value_is_computed_once_per_dataset(self):
+        d = Dataset([[0.1], [0.2]], [1.0, -1.0])
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return object()
+
+        first = d.cached("key", compute)
+        assert d.cached("key", compute) is first and len(calls) == 1
+        assert d.cached("other", compute) is not first and len(calls) == 2
+        # a modified dataset starts with an empty cache
+        d.with_modified([0], [[0.3]], [1.0]).cached("key", compute)
+        assert len(calls) == 3
+
     def test_empty_dataset_is_allowed(self):
         d = Dataset(np.empty((0, 3)), np.empty(0))
         assert d.n == 0 and d.dim == 3
@@ -239,6 +254,36 @@ class TestEvalCost:
             eval_cost(c, ModelParams(vec(1.0)))
 
 
+def cost_for(goal, loss, rng, d=3):
+    if goal is Goal.PARAMETER_TARGETING:
+        return CostSpec(goal=goal, target_model=ModelParams(rng.standard_normal(d)), loss=loss)
+    X = rng.uniform(-0.5, 0.5, (40, d))
+    y = np.where(rng.random(40) < 0.5, 1.0, -1.0) if loss == "logistic" else rng.uniform(-1, 1, 40)
+    return CostSpec(goal=goal, eval_set=Dataset(X, y), loss=loss)
+
+
+GOALS_AND_LOSSES = [(goal, loss) for goal in Goal for loss in ("logistic", "squared")]
+
+
+class TestStackedEvalCost:
+    @pytest.mark.parametrize("goal, loss", GOALS_AND_LOSSES)
+    def test_stack_matches_single_models(self, goal, loss):
+        rng = np.random.default_rng(4)
+        cost = cost_for(goal, loss, rng)
+        models = [ModelParams(theta) for theta in 3.0 * rng.standard_normal((7, 3))]
+        values = eval_cost(cost, models)
+        assert isinstance(values, np.ndarray) and values.shape == (7,)
+        singles = [eval_cost(cost, model) for model in models]
+        assert all(isinstance(v, float) for v in singles)
+        np.testing.assert_allclose(values, singles, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("goal, loss", GOALS_AND_LOSSES)
+    def test_stack_dimension_mismatch(self, goal, loss):
+        cost = cost_for(goal, loss, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="dimension mismatch: cost is 3d, model is 2d"):
+            eval_cost(cost, [ModelParams(vec(1.0, 2.0)), ModelParams(vec(0.5, 0.5))])
+
+
 def project(features, label):
     """Project one item through project_rows_inplace; returns (features, label)."""
     X = vec(*features)[None, :]
@@ -334,3 +379,23 @@ class TestScalarHelpers:
         assert softplus(-1000.0) == 0.0
         assert softplus(1000.0) == pytest.approx(1000.0)
         assert softplus(0.0) == pytest.approx(np.log(2.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-800.0, max_value=800.0)
+            | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_softplus_matches_logaddexp(self, ts):
+        t = np.array(ts)
+        got = softplus(t)
+        with np.errstate(invalid="ignore"):  # logaddexp warns on nan
+            want = np.logaddexp(0.0, t)
+        assert got.shape == t.shape
+        assert np.array_equal(np.isnan(got), np.isnan(t))
+        assert np.all(got[t == np.inf] == np.inf) and np.all(got[t == -np.inf] == 0.0)
+        finite = np.isfinite(t)
+        assert np.all(np.abs(got[finite] - want[finite]) <= 4 * np.spacing(want[finite]))

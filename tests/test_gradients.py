@@ -286,7 +286,9 @@ class TestRidgeSharedGram:
         victim = VictimSpec(mechanism, "ridge", lam=1.0, epsilon=1.0, rho=0.5)
         cost = random_cost(rng, data, "ridge")
         estimate_attack_cost(victim, data, cost, 100, seed=0)  # 4 blocks of 32
-        assert len(gram_reads) == 4
+        # an objective victim solves each block; an output victim solves
+        # its noiseless base once per dataset
+        assert len(gram_reads) == (4 if mechanism == "objective" else 1)
         assert all(d is data and pair[0] is gram_reads[0][1][0] for d, pair in gram_reads)
 
     @pytest.mark.parametrize("mechanism", ["objective", "output"])

@@ -348,13 +348,42 @@ class TestEstimateAttackCost:
             short = estimate_attack_cost(victim, data, cost, T_e, seed=5)
             np.testing.assert_array_equal(long.values[:T_e], short.values)
 
+    @pytest.mark.parametrize("loss", ["logistic", "squared"])
+    @pytest.mark.parametrize("goal", list(Goal))
+    def test_stacked_evaluation_keeps_draws_independent(self, goal, loss):
+        # each block is evaluated by one eval_cost call over its padded
+        # stack, so draw s still depends only on (seed, s) for every goal
+        victim, data, _ = small_estimation_setup()
+        if goal is Goal.PARAMETER_TARGETING:
+            cost = CostSpec(goal=goal, target_model=ModelParams(np.array([0.7])), loss=loss)
+        else:
+            cost = CostSpec(goal=goal, eval_set=gen_eval_grid_1d(11), loss=loss)
+        long = estimate_attack_cost(victim, data, cost, 70, seed=3)
+        for T_e in (2, 32, 45):
+            short = estimate_attack_cost(victim, data, cost, T_e, seed=3)
+            np.testing.assert_array_equal(long.values[:T_e], short.values)
+
+    def test_one_eval_cost_call_per_block(self, monkeypatch):
+        import dppoison.harness.montecarlo as montecarlo
+
+        stacks = []
+
+        def counted(cost, models):
+            stacks.append(len(models))
+            return eval_cost(cost, models)
+
+        monkeypatch.setattr(montecarlo, "eval_cost", counted)
+        victim, data, cost = small_estimation_setup()
+        estimate_attack_cost(victim, data, cost, 70, seed=0)
+        assert stacks == [32, 32, 32]
+
     @pytest.mark.parametrize(
         "base, name", [("logistic", "train_base_logistic"), ("ridge", "train_base_ridge_constrained")]
     )
-    @pytest.mark.parametrize("T_e, blocks", [(20, 1), (100, 4)])
-    def test_output_victim_solves_base_once_per_block(self, monkeypatch, base, name, T_e, blocks):
-        # the base solve does not depend on the noise, so each block of 32
-        # draws trains it once (one solve per draw before blocking)
+    @pytest.mark.parametrize("T_e", [20, 100])
+    def test_output_victim_solves_base_once_per_estimate(self, monkeypatch, base, name, T_e):
+        # the base solve does not depend on the noise, so every block of an
+        # estimate shares one solve, cached on the dataset
         import dppoison.learners as learners
 
         solver = getattr(learners, name)
@@ -367,8 +396,12 @@ class TestEstimateAttackCost:
         monkeypatch.setattr(learners, name, counted)
         _, data, cost = small_estimation_setup()
         victim = VictimSpec("output", base, lam=5.0, epsilon=1.0, rho=1.0)
-        estimate_attack_cost(victim, data, cost, T_e, seed=0)
-        assert len(calls) == blocks
+        first = estimate_attack_cost(victim, data, cost, T_e, seed=0)
+        assert len(calls) == 1
+        # a second estimate on the same data reuses it, with the same draws
+        again = estimate_attack_cost(victim, data, cost, T_e, seed=0)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(first.values, again.values)
 
     def test_solver_failure_propagates(self, monkeypatch):
         import dppoison.harness.montecarlo as montecarlo

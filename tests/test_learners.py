@@ -303,6 +303,34 @@ class TestTrainMechanism:
         model = train_mechanism(victim, data, b)
         assert np.linalg.norm(model.theta - b) <= 0.1 + 1e-8
 
+    @pytest.mark.parametrize("base", ["logistic", "ridge"])
+    def test_output_base_solve_is_cached_per_dataset(self, monkeypatch, base):
+        # cold calls on one dataset share one base solve, bit for bit the
+        # uncached one; a warm-started call solves from its own start
+        rng = np.random.default_rng(16)
+        make_data = random_classification_data if base == "logistic" else random_regression_data
+        data = make_data(rng, n=12, d=3)
+        victim = VictimSpec("output", base, lam=1.0, epsilon=1.0, rho=0.3)
+        name = "train_base_logistic" if base == "logistic" else "train_base_ridge_constrained"
+        solver = getattr(learners, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(learners, name, counted)
+        b = rng.standard_normal((4, 3))
+        stacked = train_mechanism(victim, data, b)
+        single = train_mechanism(victim, data, b[0])
+        assert len(calls) == 1
+        fresh = train_mechanism(victim, Dataset(data.X, data.y), b[0])
+        assert len(calls) == 2
+        assert np.array_equal(stacked[0].theta, fresh.theta) and stacked[0].mu == fresh.mu
+        assert np.array_equal(single.theta, fresh.theta)
+        train_mechanism(victim, data, b[0], warm_start=ModelParams(np.ones(3)))
+        assert len(calls) == 3
+
     def test_objective_logistic_reproducible(self):
         rng = np.random.default_rng(15)
         data = random_classification_data(rng, n=10, d=2)

@@ -11,18 +11,29 @@ change won (lower is better; ties count for neither side), and whether the
 gain gate holds: the change wins at least 9 in 10 pairs and the medians
 differ by more than the parent's IQR. The gate needs at least 10 pairs
 and reads ``n/a`` with fewer. It then says whether every pair wrote
-byte-identical CSVs. The worker rejects an unknown workload. The exit status is 1 if any run reported an
+byte-identical CSVs and, for each CSV that differed in some pair, the
+largest relative cell change over the pairs, by the rule of
+``tools/csvdiff.py`` that ``tests/test_golden.py`` applies. The worker
+rejects an unknown workload. The exit status is 1 if any run reported an
 error or any pair's CSVs differ.
 """
 
 import argparse
 import filecmp
+import importlib.util
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
+
+_spec = importlib.util.spec_from_file_location(
+    "csvdiff", os.path.join(os.path.dirname(os.path.abspath(__file__)), "csvdiff.py")
+)
+csvdiff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(csvdiff)
 
 METRICS = ("setup_s", "run_s", "peak_rss_mb")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -49,13 +60,27 @@ def run_worker(checkout, workload, seed, out_dir, tiny, cpu):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def same_csvs(dir_a, dir_b):
-    """True if both directories hold the same CSV files, byte for byte."""
-    names = sorted(n for n in os.listdir(dir_a) if n.endswith(".csv"))
-    if names != sorted(n for n in os.listdir(dir_b) if n.endswith(".csv")):
-        return False
-    _, mismatch, errors = filecmp.cmpfiles(dir_a, dir_b, names, shallow=False)
-    return not (mismatch or errors)
+def csv_changes(dir_a, dir_b):
+    """{file: (largest relative change, (row, column))} for every CSV file
+    that is not byte-identical in both directories; a file that only one
+    of them holds changes by inf. Empty when all CSVs are the same."""
+    names_a = {n for n in os.listdir(dir_a) if n.endswith(".csv")}
+    names_b = {n for n in os.listdir(dir_b) if n.endswith(".csv")}
+    changes = {name: (math.inf, None) for name in names_a ^ names_b}
+    shared = sorted(names_a & names_b)
+    _, mismatch, errors = filecmp.cmpfiles(dir_a, dir_b, shared, shallow=False)
+    for name in mismatch + errors:
+        changes[name] = csvdiff.largest_change(os.path.join(dir_a, name), os.path.join(dir_b, name))
+    return changes
+
+
+def change_lines(changes):
+    """One line per file from csv_changes, largest change first."""
+    lines = []
+    for name, (worst, cell) in sorted(changes.items(), key=lambda item: -item[1][0]):
+        where = "" if cell is None else f" at row {cell[0]}, column {cell[1]}"
+        lines.append(f"{name}: largest relative change {worst:.3g}{where}")
+    return lines
 
 
 def quartiles(values):
@@ -100,6 +125,7 @@ def main(argv=None):
     cpu = max(os.sched_getaffinity(0))
     results = {"parent": [], "change": []}
     identical = errors = 0
+    changes = {}
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -108,7 +134,11 @@ def main(argv=None):
                 result = run_worker(getattr(args, side), args.workload, args.seed, out, args.tiny, cpu)
                 errors += result.get("error") is not None
                 results[side].append(result)
-            identical += same_csvs(os.path.join(tmp, f"{i}_parent"), os.path.join(tmp, f"{i}_change"))
+            pair_changes = csv_changes(os.path.join(tmp, f"{i}_parent"), os.path.join(tmp, f"{i}_change"))
+            identical += not pair_changes
+            for name, change in pair_changes.items():
+                if name not in changes or change[0] > changes[name][0]:
+                    changes[name] = change
             print(
                 f"pair {i + 1}: run_s parent {results['parent'][-1]['run_s']:.4f} "
                 f"change {results['change'][-1]['run_s']:.4f} ({order[0]} first)",
@@ -117,6 +147,8 @@ def main(argv=None):
     print(f"{args.workload} seed {args.seed}{' tiny' if args.tiny else ''}: {args.pairs} pairs, CPU {cpu}")
     print("\n".join(summarize(results["parent"], results["change"])))
     print(f"CSVs byte-identical in {identical} of {args.pairs} pairs")
+    for line in change_lines(changes):
+        print(line)
     print(f"runs with an error: {errors}")
     return int(errors > 0 or identical < args.pairs)
 
