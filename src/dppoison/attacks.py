@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Dataset, ModelParams, eval_cost, modification_distances, project_rows_inplace
 from .core import _require_finite
-from .gradients import batch_item_gradients, cost_gradient
+from .gradients import batch_item_gradients, cost_gradient, lane_item_gradients
 from .learners import SolverError, sample_noise, train_mechanism
 from .rng import STAGE_SELECT, STAGE_SGD, substream
 
@@ -34,7 +34,9 @@ __all__ = [
     "relaxed_attack",
     "deep_scores",
     "selection_scores",
+    "select_items",
     "run_attack",
+    "sweep_attacks",
 ]
 
 
@@ -137,11 +139,19 @@ def top_k_indices(scores, k):
     return np.sort(order[:k])
 
 
+def _noise(dim, dpv, scale, rng):
+    """A fresh noise draw in DPV mode, zero noise in SV mode."""
+    return sample_noise(dim, scale, rng) if dpv else np.zeros(dim)
+
+
 def _draw_gradients(victim, data, cost, items, dpv, scale, rng, warm):
     """Train the victim on data with a fresh noise draw (DPV) or zero
     noise (SV), warm-started from warm, and return (model, features,
     labels): the model and the items' gradients at that draw."""
-    b = sample_noise(data.dim, scale, rng) if dpv else np.zeros(data.dim)
+    return _gradients_at(victim, data, cost, items, _noise(data.dim, dpv, scale, rng), warm)
+
+
+def _gradients_at(victim, data, cost, items, b, warm):
     model = train_mechanism(victim, data, b, warm_start=warm)
     g = cost_gradient(cost, model)
     return (model, *batch_item_gradients(victim, data, model, b, g, items))
@@ -169,35 +179,82 @@ def shallow_scores(victim, data, cost, mode, m_select, rng):
     return np.sqrt(np.einsum("ij,ij->i", acc_f, acc_f) + acc_l * acc_l)
 
 
-def _descend(victim, data, cost, items, eta, alpha, T, mode, rng, warm=None):
-    """Projected gradient descent on the given items; yields the dataset
-    after each of T steps.
+class _Lane:
+    """One attack of a lockstep descent: its items and their moved
+    coordinates, its noise stream and radial scale, its current dataset
+    and model (the next warm start), the steps it completed, and the
+    SolverError that stopped it, if one did."""
 
-    Each step trains the victim on the current data (a fresh noise draw in
-    DPV mode, zero noise in SV mode), warm-started from the previous
-    step's model; moves every item (x, y) along its gradient, plus alpha
-    times its displacement from the clean item when alpha is nonzero; and
-    projects the moved items back to the feasible set. A logistic
-    victim's label gradient is zero, so its labels never move. With no
-    items a step neither draws noise nor trains. A SolverError propagates
-    from the step that failed.
+    def __init__(self, data, items, rng, scale, model):
+        self.items = items
+        self.X0, self.y0 = data.X[items], data.y[items]
+        self.Xs, self.ys = self.X0.copy(), self.y0.copy()
+        self.rng, self.scale = rng, scale
+        self.data, self.model = data, model
+        self.steps = 0
+        self.error = None
+
+    def move(self, model, feat, lab, eta, alpha):
+        """Step the items along their gradients (feat and lab are fresh
+        arrays), plus alpha times their displacement when alpha is
+        nonzero, and project them back to the feasible set."""
+        self.model = model
+        if alpha:
+            feat += alpha * (self.Xs - self.X0)
+            lab += alpha * (self.ys - self.y0)
+        self.Xs -= eta * feat
+        self.ys -= eta * lab
+        project_rows_inplace(self.Xs, self.ys)
+        self.data = self.data.with_modified(self.items, self.Xs, self.ys)
+        self.steps += 1
+
+
+def _lane_gradients(victim, cost, lanes, draws):
+    """The models and item gradients of the lanes at their noise draws.
+    One lane uses the scalar solver; several share one batched Newton
+    with per-row data and one stacked gradient system."""
+    if len(lanes) == 1:
+        lane, b = lanes[0], draws[0]
+        model, feat, lab = _gradients_at(victim, lane.data, cost, lane.items, b, lane.model)
+        return [model], [(feat, lab)]
+    datas, B = [lane.data for lane in lanes], np.array(draws)
+    models = train_mechanism(victim, datas, B, warm_start=[lane.model for lane in lanes])
+    grads = [cost_gradient(cost, model) for model in models]
+    return models, lane_item_gradients(victim, datas, models, B, grads, [lane.items for lane in lanes])
+
+
+def _descend(victim, cost, lanes, eta, alpha, T, mode):
+    """Projected gradient descent of the lanes in lockstep; yields after
+    each of T steps, when every lane's ``data`` is current.
+
+    Each step trains the victim on each lane's data (a fresh draw from
+    the lane's stream in DPV mode, zero noise in SV mode), warm-started
+    from the lane's previous model, and moves the lane's items (_Lane.move).
+    A logistic victim's label gradient is zero, so its labels never move.
+    A lane with no items neither draws noise nor trains. When a solve
+    fails, the first failed lane keeps the error and stops, as do the
+    lanes after it (a sweep ends at its first failed row); the lanes
+    before it solve the step again with the same draws. The descent ends
+    early once every lane that moves has stopped.
     """
     dpv = AttackMode(mode) is AttackMode.DPV
-    scale = victim.noise_scale_for(data.n)
-    X0, y0 = data.X[items], data.y[items]
-    Xs, ys = X0.copy(), y0.copy()  # the moved items
-    cur = data
+    moving = [lane for lane in lanes if len(lane.items) > 0]
     for _ in range(T):
-        if len(items) > 0:
-            warm, feat, lab = _draw_gradients(victim, cur, cost, items, dpv, scale, rng, warm)
-            if alpha:  # feat and lab are fresh arrays
-                feat += alpha * (Xs - X0)
-                lab += alpha * (ys - y0)
-            Xs -= eta * feat
-            ys -= eta * lab
-            project_rows_inplace(Xs, ys)
-            cur = data.with_modified(items, Xs, ys)
-        yield cur
+        if moving:
+            draws = [_noise(lane.data.dim, dpv, lane.scale, lane.rng) for lane in moving]
+            while True:
+                try:
+                    models, grads = _lane_gradients(victim, cost, moving, draws)
+                    break
+                except SolverError as exc:
+                    j = 0 if exc.rows is None else int(min(exc.rows))
+                    moving[j].error = exc
+                    del moving[j:], draws[j:]
+                    if not moving:
+                        return
+            for lane, model, (feat, lab) in zip(moving, models, grads):
+                lane.move(model, feat, lab, eta, alpha)
+        yield
 
 
 def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):
@@ -210,10 +267,12 @@ def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    cur = data
-    for cur in _descend(victim, data, cost, np.arange(data.n), eta, alpha, T, mode, rng):
+    lane = _Lane(data, np.arange(data.n), rng, victim.noise_scale_for(data.n), None)
+    for _ in _descend(victim, cost, [lane], eta, alpha, T, mode):
         pass
-    return cur
+    if lane.error is not None:
+        raise lane.error
+    return lane.data
 
 
 def deep_scores(victim, data, cost, config, rng):
@@ -235,7 +294,9 @@ def selection_scores(victim, data, cost, config, seed):
     return deep_scores(victim, data, cost, config, rng)
 
 
-def _select(victim, data, cost, config, seed):
+def select_items(victim, data, cost, config, seed):
+    """Step I: the sorted indices of the config.k items to poison (all
+    of them when k = n, none when k = 0)."""
     n = data.n
     if config.k > n:
         raise ValueError(f"budget k={config.k} exceeds dataset size n={n}")
@@ -261,28 +322,28 @@ def run_attack(victim, data, cost, config, seed=0, selected=None):
     """
     n, d = data.n, data.dim
     if selected is None:
-        selected = _select(victim, data, cost, config, seed)
+        selected = select_items(victim, data, cost, config, seed)
     selected = np.sort(np.asarray(selected, dtype=int))
     if len(selected) > 0 and (selected[0] < 0 or selected[-1] >= n):
         raise ValueError("selected indices out of range")
-    zero_b = np.zeros(d)
     feats = np.empty((config.T + 1, len(selected), d))
     labels = np.empty((config.T + 1, len(selected)))
     feats[0], labels[0] = data.X[selected], data.y[selected]
     costs = []
     steps = 0
-    cur = data
+    lane = None
     final = error = None
-    rng = substream(seed, STAGE_SGD)
     try:
-        clean = train_mechanism(victim, data, zero_b)
+        clean = train_mechanism(victim, data, np.zeros(d))
         costs.append(eval_cost(cost, clean))
-        for cur in _descend(
-            victim, data, cost, selected, config.eta, 0.0, config.T, config.mode, rng, warm=clean
-        ):
+        rng = substream(seed, STAGE_SGD)
+        lane = _Lane(data, selected, rng, victim.noise_scale_for(n), clean)
+        for _ in _descend(victim, cost, [lane], config.eta, 0.0, config.T, config.mode):
             steps += 1
-            feats[steps], labels[steps] = cur.X[selected], cur.y[selected]
-        final = train_mechanism(victim, cur, zero_b, warm_start=clean)
+            feats[steps], labels[steps] = lane.Xs, lane.ys
+        if lane.error is not None:
+            raise lane.error
+        final = train_mechanism(victim, lane.data, np.zeros(d), warm_start=clean)
         costs.append(eval_cost(cost, final))
     except SolverError as exc:
         error = f"solver failure after {steps} steps: {exc}"
@@ -293,7 +354,39 @@ def run_attack(victim, data, cost, config, seed=0, selected=None):
         labels=labels[: steps + 1],
         surrogate_costs=np.array(costs),
         clean_data=data,
-        final_data=cur,
+        final_data=data if lane is None else lane.data,
         final_model=final,
         error=error,
     )
+
+
+def sweep_attacks(victim, data, cost, config, selections, seeds, scales):
+    """Step II of one attack per entry of selections, run in lockstep.
+
+    Attack i moves the items selections[i] by config's T steps of size
+    eta, drawing its SGD noise at radial scale scales[i] from the SGD
+    substream of seeds[i], as run_attack(victim, data, cost, config,
+    seeds[i], selections[i]) does with the victim's own noise scale. Every
+    attack starts warm from one noiseless solve on the clean data; no
+    surrogate is trained on the final data. Returns, per attack, its final
+    dataset and its error (None, or "solver failure after s steps: ...").
+    An attack whose solve fails ends the list: the attacks after it are
+    not run to the end, and not returned.
+    """
+    lanes = []
+    try:
+        clean = train_mechanism(victim, data, np.zeros(data.dim))
+    except SolverError as exc:
+        return [(data, f"solver failure after 0 steps: {exc}")]
+    for items, seed, scale in zip(selections, seeds, scales):
+        items = np.sort(np.asarray(items, dtype=int))
+        lanes.append(_Lane(data, items, substream(seed, STAGE_SGD), scale, clean))
+    for _ in _descend(victim, cost, lanes, config.eta, 0.0, config.T, config.mode):
+        pass
+    results = []
+    for lane in lanes:
+        if lane.error is not None:
+            results.append((lane.data, f"solver failure after {lane.steps} steps: {lane.error}"))
+            break
+        results.append((lane.data, None))
+    return results

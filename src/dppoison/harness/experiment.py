@@ -34,8 +34,10 @@ from ..attacks import (
     AttackConfig,
     deep_scores,  # noqa: F401
     run_attack,
+    select_items,
     selection_scores,
     shallow_scores,  # noqa: F401
+    sweep_attacks,
     top_k_indices,
 )
 from ..bounds import BoundQuery, lower_bound
@@ -502,38 +504,51 @@ def _curve_rows(config, data, cost, out_dir, summary):
 
 def _sweep_rows(config, data, cost, out_dir, summary):
     """One row per swept value: attack with that k (items ranked once, by
-    the configured selection) or that epsilon (selected afresh, against
-    its own clean estimate), then estimate the poisoned cost. A row whose
-    attack fails raises, so the rows before it are kept and it is not
-    written."""
+    the configured selection) or that epsilon (selected afresh, in row
+    order, against its own clean estimate), then estimate the poisoned
+    cost. The rows' attacks run in lockstep (sweep_attacks). A row whose
+    selection or attack fails raises, so the rows before it are kept and
+    it is not written."""
     kind, values = config.sweep.kind, config.sweep.values
-    victim = config.victim
+    victim, atk = config.victim, config.attack
+    seeds = [subseed(config.seed, STAGE_SWEEP, i) for i in range(len(values))]
+    failure = None
     if kind == "k":
         if values[-1] > data.n:
             raise ValueError(f"sweep k={values[-1]} exceeds dataset size n={data.n}")
-        scores = selection_scores(victim, data, cost, config.attack, config.seed)
+        scores = selection_scores(victim, data, cost, atk, config.seed)
         clean_est, j_clean = _clean_cost(config, victim, data, cost)
         summary["clean_cost"] = _estimate_dict(clean_est)
+        victims = [victim] * len(values)
+        selections = [top_k_indices(scores, value) for value in values]
+    else:
+        victims = [dataclasses.replace(victim, epsilon=value) for value in values]
+        selections = []
+        try:
+            for row_victim, seed in zip(victims, seeds):
+                selections.append(select_items(row_victim, data, cost, atk, seed))
+        except SolverError as exc:
+            failure = exc
+    scales = [row_victim.noise_scale_for(data.n) for row_victim in victims[: len(selections)]]
+    attacks = sweep_attacks(victim, data, cost, atk, selections, seeds, scales)
     summary["sweep_rows"] = []
-    atk = config.attack
-    for i, value in enumerate(values):
+    for i, (value, (final_data, error)) in enumerate(zip(values, attacks)):
         row = {kind: value}
-        selected = None
         if kind == "k":
             atk = dataclasses.replace(config.attack, k=value)
-            selected = top_k_indices(scores, value)
         else:
-            victim = dataclasses.replace(config.victim, epsilon=value)
+            victim = victims[i]
             clean_est, j_clean = _clean_cost(config, victim, data, cost, i)
             row["clean"] = _estimate_dict(clean_est)
-        trace = run_attack(victim, data, cost, atk, subseed(config.seed, STAGE_SWEEP, i), selected)
-        if trace.error is not None:
-            raise SolverError(f"{kind}={value}: {trace.error}")
+        if error is not None:
+            raise SolverError(f"{kind}={value}: {error}")
         seed = subseed(config.seed, STAGE_MC_POISONED, i)
-        est = estimate_attack_cost(victim, trace.final_data, cost, atk.T_eval, seed)
+        est = estimate_attack_cost(victim, final_data, cost, atk.T_eval, seed)
         row["lower_bound"] = bound_for(victim, cost, atk.k, j_clean)
         summary["sweep_rows"].append({**row, **_estimate_dict(est)})
         yield value, est, row["lower_bound"]
+    if failure is not None:
+        raise failure
 
 
 def run_experiment(config, out_dir):

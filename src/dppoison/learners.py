@@ -3,7 +3,7 @@
 Provides the spherically symmetric noise sampler, a damped-Newton solver
 for L2-regularized logistic regression (optionally with a linear noise
 term in the objective) and its batched form for a stack of noise draws,
-a norm-constrained ridge solver that returns the dual variable of the
+on one dataset or on one dataset per draw, a norm-constrained ridge solver that returns the dual variable of the
 constraint, and the mechanism dispatcher.
 
 All solvers are pure functions of (data, noise): repeated calls return
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import BaseLearner, Mechanism, ModelParams, sigmoid, softplus
+from .core import BaseLearner, Dataset, Mechanism, ModelParams, sigmoid, softplus
 
 __all__ = [
     "SolverError",
@@ -27,7 +27,12 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Raised when a solver fails to reach its tolerance."""
+    """Raised when a solver fails to reach its tolerance. rows holds the
+    indices of the failed rows of a stacked solve; None for one draw."""
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 # Solver tolerances, read at call time: the logistic stationarity norm,
@@ -65,16 +70,39 @@ def _logistic_objective(theta, X, y, lam, b):
     return float(np.sum(softplus(-t)) + 0.5 * lam * (theta @ theta) + b @ theta), t
 
 
-def _logistic_objective_rows(theta, X, y, lam, B):
-    """_logistic_objective of each row of theta with its row of B: the
-    (m,) objectives and the (m, n) margins."""
-    t = (theta @ X.T) * y
-    f = (
+def _logistic_objective_rows(theta, t, lam, B):
+    """_logistic_objective of each row of theta with its row of B, given
+    the (m, n) margins t of the rows: the (m,) objectives."""
+    return (
         np.sum(softplus(-t), axis=1)
         + 0.5 * lam * np.einsum("ij,ij->i", theta, theta)
         + np.einsum("ij,ij->i", B, theta)
     )
-    return f, t
+
+
+def _row_products(X, y, m):
+    """The three data products of the batched Newton, as functions: the
+    (m, n) margins y * (X theta) of an (m, d) theta, the (m, d) data term
+    q @ X of an (m, n) q, and the (m, d, d) Hessian data term
+    sum_j w_j x_j x_j' of an (m, n) w.
+
+    X is (n, d) with y (n,), shared by every row, or (m, n, d) with y
+    (m, n), one dataset per row. Shared data keeps plain matrix products,
+    which are several times faster than per-row stacked ones."""
+    d = X.shape[-1]
+    # rows of outer products x_j x_j', so every Hessian is one weighted sum
+    outer = (X[..., :, None] * X[..., None, :]).reshape(*X.shape[:-1], d * d)
+    if X.ndim == 2:
+        return (
+            lambda theta: (theta @ X.T) * y,
+            lambda q: q @ X,
+            lambda w: (w @ outer).reshape(m, d, d),
+        )
+    return (
+        lambda theta: (X @ theta[:, :, None])[:, :, 0] * y,
+        lambda q: (q[:, None, :] @ X)[:, 0, :],
+        lambda w: (w[:, None, :] @ outer).reshape(m, d, d),
+    )
 
 
 def _solve_logistic(X, y, lam, b, warm_start=None):
@@ -126,31 +154,34 @@ def _solve_logistic_rows(X, y, lam, B, warm_start=None):
     """_solve_logistic's damped Newton run on all rows of the (m, d) noise
     stack B at once; returns the (m, d) solutions, one per row.
 
-    Each row follows the scalar rules: its own gradient test, the Armijo
-    test with the same slack, the gradient-step fallback, and a
-    SolverError if it stalls or is unconverged after MAX_ITERS. Shapes
-    stay (m, ...) throughout; a converged row is frozen by a mask, and
-    each row carries its accepted objective value and margins forward.
+    X is (n, d) with y (n,), the data of every row, or (m, n, d) with y
+    (m, n), each row's own data. warm_start is None (zero), one (d,) start
+    for every row or an (m, d) stack, one per row. Each row follows the
+    scalar rules: its own gradient test, the Armijo test with the same
+    slack, the gradient-step fallback, and a SolverError naming the failed
+    rows if some stall or are unconverged after MAX_ITERS. Shapes stay
+    (m, ...) throughout; a converged row is frozen by a mask, and each row
+    carries its accepted objective value and margins forward.
     """
     m, d = B.shape
-    n = X.shape[0]
+    n = X.shape[-2]
     theta = np.zeros((m, d))
     if warm_start is not None:
         theta += np.asarray(warm_start, dtype=float)
-    # rows of outer products x_j x_j', so every Hessian is one weighted sum
-    outer = (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
+    margins, data_grad, hessian = _row_products(X, y, m)
     eye = np.eye(d)
-    f, t = _logistic_objective_rows(theta, X, y, lam, B)
+    t = margins(theta)
+    f = _logistic_objective_rows(theta, t, lam, B)
     active = np.ones(m, dtype=bool)
     for _ in range(MAX_ITERS):
         p = sigmoid(-t)
-        grad = lam * theta - (p * y) @ X + B
+        grad = lam * theta - data_grad(p * y) + B
         # written as a negation so that a row with a nan gradient stays
         # active and stalls, as the scalar solver does
         active &= ~(np.linalg.norm(grad, axis=1) <= GRAD_TOL)
         if not active.any():
             return theta
-        H = lam * eye + ((p * (1.0 - p)) @ outer).reshape(m, d, d)
+        H = lam * eye + hessian(p * (1.0 - p))
         step = np.linalg.solve(H, grad[:, :, None])[:, :, 0]
         f_slack = 1e-12 * np.maximum(1.0, np.abs(f))
         pending = active.copy()
@@ -159,7 +190,8 @@ def _solve_logistic_rows(X, y, lam, B, warm_start=None):
             size = 1.0
             for _ in range(60):
                 cand = theta - size * direction
-                f_cand, t_cand = _logistic_objective_rows(cand, X, y, lam, B)
+                t_cand = margins(cand)
+                f_cand = _logistic_objective_rows(cand, t_cand, lam, B)
                 ok = pending & (f_cand <= f - 1e-4 * size * slope + f_slack)
                 theta[ok] = cand[ok]
                 f[ok] = f_cand[ok]
@@ -171,8 +203,11 @@ def _solve_logistic_rows(X, y, lam, B, warm_start=None):
             if not pending.any():
                 break
         if pending.any():
-            raise SolverError("logistic solver stalled: no descent step found")
-    raise SolverError(f"logistic solver did not converge within {MAX_ITERS} iterations")
+            stalled = np.flatnonzero(pending)
+            raise SolverError("logistic solver stalled: no descent step found", stalled)
+    raise SolverError(
+        f"logistic solver did not converge within {MAX_ITERS} iterations", np.flatnonzero(active)
+    )
 
 
 def _check_classification_labels(y):
@@ -199,17 +234,29 @@ def train_base_logistic(data, lam, b=None, *, warm_start=None):
     within GRAD_TOL.
 
     b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
-    of draws, which returns a list of m, one per row. A stack is solved by
-    one batched damped Newton, each row from warm_start (or zero); a
-    single draw uses the scalar solver, which is faster for one row."""
+    of draws, which returns a list of m, one per row. data is one Dataset,
+    or a sequence of m datasets of one shape, one per row of a stack.
+    warm_start is a ModelParams, or one per row. A stack is solved by one
+    batched damped Newton; a single draw uses the scalar solver, which is
+    faster for one row."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    _check_classification_labels(data.y)
-    b = _as_noise(b, data.dim)
-    warm = None if warm_start is None else warm_start.theta
+    if isinstance(data, Dataset):
+        X, y = data.X, data.y
+    else:
+        X, y = np.stack([ds.X for ds in data]), np.stack([ds.y for ds in data])
+    _check_classification_labels(y)
+    b = _as_noise(b, X.shape[-1])
+    if X.ndim == 3 and b.shape != X.shape[::2]:
+        raise ValueError("a sequence of m datasets needs an (m, d) noise stack")
+    warm = warm_start
+    if isinstance(warm, ModelParams):
+        warm = warm.theta
+    elif warm is not None:
+        warm = np.array([model.theta for model in warm])
     if b.ndim == 1:
-        return ModelParams(_solve_logistic(data.X, data.y, lam, b, warm), 0.0)
-    thetas = _solve_logistic_rows(data.X, data.y, lam, b, warm)
+        return ModelParams(_solve_logistic(X, y, lam, b, warm), 0.0)
+    thetas = _solve_logistic_rows(X, y, lam, b, warm)
     return [ModelParams(theta, 0.0) for theta in thetas]
 
 
@@ -283,12 +330,19 @@ def train_mechanism(victim, data, b, *, warm_start=None):
     given (data, b).
 
     b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
-    of draws, which returns a list of m, one per row. Output perturbation
-    solves the noiseless base learner from a cold start once per dataset
-    (Dataset.cached), so the blocks of a Monte-Carlo estimate share it."""
-    b = _as_noise(b, data.dim)
+    of draws, which returns a list of m, one per row. data is one Dataset,
+    or a sequence of m datasets, one per row of a stack; warm_start is a
+    ModelParams, or one per dataset of a sequence. Output perturbation
+    solves the noiseless base learner of one dataset from a cold start
+    once (Dataset.cached), so the blocks of a Monte-Carlo estimate share
+    it."""
+    single = isinstance(data, Dataset)
+    b = _as_noise(b, data.dim if single else data[0].dim)
     if victim.mechanism is Mechanism.OBJECTIVE:
         return _train_base(victim, data, b, warm_start)
+    if not single:
+        base = _train_base(victim, data, np.zeros_like(b), warm_start)
+        return [ModelParams(model.theta + row, model.mu) for model, row in zip(base, b)]
     if warm_start is None:
         key = ("base", victim.base, victim.lam, victim.rho)
         model = data.cached(key, lambda: _train_base(victim, data, None, None))
@@ -302,4 +356,14 @@ def train_mechanism(victim, data, b, *, warm_start=None):
 def _train_base(victim, data, b, warm_start):
     if victim.base is BaseLearner.LOGISTIC:
         return train_base_logistic(data, victim.lam, b, warm_start=warm_start)
-    return train_base_ridge_constrained(data, victim.lam, victim.rho, b)
+    if isinstance(data, Dataset):
+        return train_base_ridge_constrained(data, victim.lam, victim.rho, b)
+    if b.shape != (len(data), data[0].dim):
+        raise ValueError("a sequence of m datasets needs an (m, d) noise stack")
+    models = []
+    for i, (ds, row) in enumerate(zip(data, b)):
+        try:
+            models.append(train_base_ridge_constrained(ds, victim.lam, victim.rho, row))
+        except SolverError as exc:
+            raise SolverError(str(exc), [i]) from exc
+    return models

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_classification_data
+from conftest import random_classification_data, random_cost, random_regression_data
 from dppoison import (
     AttackConfig,
     AttackMode,
@@ -371,3 +371,68 @@ class TestRunAttack:
         np.testing.assert_array_equal(trace.dataset_at(12).X, trace.final_data.X)
         with pytest.raises(ValueError):
             trace.dataset_at(13)
+
+
+class TestSweepAttacks:
+    @pytest.mark.parametrize(
+        "mechanism, base",
+        [("objective", "logistic"), ("output", "logistic"), ("objective", "ridge"), ("output", "ridge")],
+    )
+    @pytest.mark.parametrize("mode", ["dpv", "sv"])
+    def test_lanes_match_lone_attacks(self, mechanism, base, mode):
+        # each lane is run_attack's Step II on its own items, seed and
+        # scale: to rounding, since the stacked solves group their sums
+        # differently; a k = 0 lane keeps the clean data
+        rng = np.random.default_rng(21)
+        make_data = random_classification_data if base == "logistic" else random_regression_data
+        data = make_data(rng, n=12, d=3)
+        victims = [VictimSpec(mechanism, base, lam=1.0, epsilon=eps, rho=0.6) for eps in (1.0, 2.0, 4.0)]
+        cost = random_cost(rng, data, base)
+        config = AttackConfig(k=4, T=6, mode=mode, eta=0.5)
+        selections = [np.array([1, 4, 7, 9]), np.arange(0), np.array([0, 2, 3, 5, 11])]
+        seeds = [11, 12, 13]
+        scales = [v.noise_scale_for(data.n) for v in victims]
+        got = attacks.sweep_attacks(victims[0], data, cost, config, selections, seeds, scales)
+        assert len(got) == 3
+        for victim, items, seed, (final, error) in zip(victims, selections, seeds, got):
+            assert error is None
+            lone = run_attack(victim, data, cost, config, seed, items)
+            assert lone.error is None
+            np.testing.assert_allclose(final.X, lone.final_data.X, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(final.y, lone.final_data.y, rtol=0, atol=1e-10)
+        assert got[1][0] is data
+
+    def test_one_lane_is_the_lone_attack_bit_for_bit(self):
+        victim, data, cost = small_logistic_setup(23)
+        config = AttackConfig(k=3, T=8)
+        items = np.array([2, 5, 6])
+        scale = victim.noise_scale_for(data.n)
+        [(final, error)] = attacks.sweep_attacks(victim, data, cost, config, [items], [4], [scale])
+        assert error is None
+        lone = run_attack(victim, data, cost, config, 4, items)
+        np.testing.assert_array_equal(final.X, lone.final_data.X)
+
+    def test_failed_lane_ends_the_list(self, monkeypatch):
+        # lane 1 fails at its third step: lane 0 runs to the end, lane 2
+        # is dropped with it
+        victim, data, cost = small_logistic_setup(24)
+        config = AttackConfig(k=2, T=5)
+        stacked = []
+
+        def third_step_fails_in_row_one(victim, data, b, warm_start=None):
+            if np.ndim(b) == 2:
+                stacked.append(len(b))
+                if len(stacked) == 3:
+                    raise SolverError("instrumented failure", [1])
+            return train_mechanism(victim, data, b, warm_start=warm_start)
+
+        monkeypatch.setattr(attacks, "train_mechanism", third_step_fails_in_row_one)
+        selections = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
+        scale = victim.noise_scale_for(data.n)
+        got = attacks.sweep_attacks(victim, data, cost, config, selections, [1, 2, 3], [scale] * 3)
+        assert [error for _, error in got] == [None, "solver failure after 2 steps: instrumented failure"]
+        assert stacked == [3, 3, 3]
+        monkeypatch.undo()
+        lone = run_attack(victim, data, cost, config, 1, selections[0])
+        np.testing.assert_allclose(got[0][0].X, lone.final_data.X, rtol=0, atol=1e-10)
+        assert not np.array_equal(got[1][0].X, data.X)

@@ -18,8 +18,11 @@ from dppoison import (
     VictimSpec,
     eval_cost,
     run_attack,
+    sample_noise,
+    shallow_scores,
     train_mechanism,
 )
+from dppoison.attacks import sweep_attacks
 from dppoison.harness import (
     CostEstimate,
     build_cost,
@@ -43,7 +46,7 @@ from dppoison.harness import (
     write_dataset_files,
 )
 from dppoison.harness.cli import load_config
-from dppoison.rng import STAGE_DATA, substream
+from dppoison.rng import STAGE_DATA, STAGE_MC_POISONED, subseed, substream
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
 
@@ -811,11 +814,11 @@ class TestSweepConfigs:
         cfg = config_from_dict(raw)
         rows = []
 
-        def recording(victim, data, cost, config, seed, selected):
-            rows.append((config.k, selected))
-            return run_attack(victim, data, cost, config, seed, selected)
+        def recording(victim, data, cost, config, selections, seeds, scales):
+            rows.extend(zip(cfg.sweep.values, selections))
+            return sweep_attacks(victim, data, cost, config, selections, seeds, scales)
 
-        monkeypatch.setattr(experiment, "run_attack", recording)
+        monkeypatch.setattr(experiment, "sweep_attacks", recording)
         assert run_experiment(cfg, str(tmp_path / "ksweep"))["error"] is None
         data = build_dataset(cfg)
         cost = build_cost(cfg, data, build_eval_set(cfg, data))
@@ -832,17 +835,18 @@ class TestSweepConfigs:
         raw = yaml.safe_load(ONE_D_CONFIG)
         raw["attack"].update(selection="shallow", mode="sv", T=3)
         raw["sweep"] = {"kind": "k", "values": [2, 5, 8]}
-        warm = []
+        stacked = []
 
-        def sixth_warm_solve_fails(*args, warm_start=None, **kwargs):
-            # each row makes T + 1 = 4 warm-started solves
-            if warm_start is not None:
-                warm.append(1)
-                if len(warm) == 6:
-                    raise SolverError("instrumented failure")
-            return train_mechanism(*args, warm_start=warm_start, **kwargs)
+        def row_two_fails_at_its_second_step(victim, data, b, warm_start=None):
+            # the rows step in lockstep, one lane per row in row order, so
+            # row 2 (k=5) is row 1 of each stacked solve
+            if np.ndim(b) == 2:
+                stacked.append(1)
+                if len(stacked) == 2:
+                    raise SolverError("instrumented failure", [1])
+            return train_mechanism(victim, data, b, warm_start=warm_start)
 
-        monkeypatch.setattr(attacks, "train_mechanism", sixth_warm_solve_fails)
+        monkeypatch.setattr(attacks, "train_mechanism", row_two_fails_at_its_second_step)
         out = tmp_path / "ksweep"
         summary = run_experiment(config_from_dict(raw), str(out))
         assert summary["error"] == (
@@ -851,6 +855,64 @@ class TestSweepConfigs:
         _, rows = read_csv_rows(out / "costs.csv")
         assert [r[0] for r in rows] == ["2"]
         assert [row["k"] for row in summary["sweep_rows"]] == [2]
+
+    def test_failed_row_selection_ends_the_epsilon_sweep(self, tmp_path, monkeypatch):
+        # the epsilon sweep selects every row's items first, in row order;
+        # a failed selection keeps the rows before it and writes no other
+        import dppoison.attacks as attacks
+
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["attack"].update(k=4, selection="shallow", m_select=3, T=3)
+        raw["sweep"] = {"kind": "epsilon", "values": [0.5, 1.0, 2.0]}
+        calls = []
+
+        def second_selection_fails(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SolverError("instrumented failure")
+            return shallow_scores(*args)
+
+        monkeypatch.setattr(attacks, "shallow_scores", second_selection_fails)
+        out = tmp_path / "esweep"
+        summary = run_experiment(config_from_dict(raw), str(out))
+        assert summary["error"] == "solver failure after 1 cost rows: instrumented failure"
+        assert len(calls) == 2
+        _, rows = read_csv_rows(out / "costs.csv")
+        assert [r[0] for r in rows] == ["0.5"]
+        assert [row["epsilon"] for row in summary["sweep_rows"]] == [0.5]
+
+    def test_zero_budget_row_draws_no_noise_and_makes_no_solve(self, tmp_path, monkeypatch):
+        # the k = 0 lane never moves: only the other rows' lanes draw noise
+        # and join the stacked solves, and its row estimates the clean data
+        import dppoison.attacks as attacks
+
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["attack"].update(selection="shallow", m_select=5, T=3)
+        raw["sweep"] = {"kind": "k", "values": [0, 2, 5]}
+        cfg = config_from_dict(raw)
+        draws, stacks = [], []
+
+        def counted_noise(*args):
+            draws.append(1)
+            return sample_noise(*args)
+
+        def recorded(victim, data, b, warm_start=None):
+            if np.ndim(b) == 2:
+                stacks.append(len(b))
+            return train_mechanism(victim, data, b, warm_start=warm_start)
+
+        monkeypatch.setattr(attacks, "sample_noise", counted_noise)
+        monkeypatch.setattr(attacks, "train_mechanism", recorded)
+        out = tmp_path / "ksweep"
+        summary = run_experiment(cfg, str(out))
+        assert summary["error"] is None
+        assert len(draws) == cfg.attack.m_select + 2 * cfg.attack.T
+        assert stacks == [2] * cfg.attack.T
+        data = build_dataset(cfg)
+        cost = build_cost(cfg, data, build_eval_set(cfg, data))
+        seed = subseed(cfg.seed, STAGE_MC_POISONED, 0)
+        clean = estimate_attack_cost(cfg.victim, data, cost, cfg.attack.T_eval, seed)
+        assert summary["sweep_rows"][0]["mean"] == clean.mean
 
     def test_sweep_k_beyond_n_rejected(self, tmp_path):
         raw = yaml.safe_load(ONE_D_CONFIG)

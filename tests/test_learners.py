@@ -491,3 +491,63 @@ def test_ridge_dual_matches_norm_reference(seed, n, d, flips, log_lam, log_scale
     theta, mu = learners._ridge_dual(evals, Q, rhs, lam, rho)
     ref_theta, ref_mu = ridge_dual_reference(evals, Q, rhs, lam, rho)
     assert mu == ref_mu and np.array_equal(theta, ref_theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 8),
+    n=st.integers(2, 25),
+    d=st.integers(1, 4),
+    warm=st.booleans(),
+    nan_row=st.one_of(st.none(), st.integers(0, 7)),
+)
+def test_per_row_data_rows_match_scalar_solves(seed, m, n, d, warm, nan_row):
+    # row i of a batched solve with per-row data is the scalar solve of
+    # its own data, noise and warm start, to rounding; a nan draw stalls
+    # its row, and the SolverError names that row
+    rng = np.random.default_rng(seed)
+    datas = [random_classification_data(rng, n=n, d=d) for _ in range(m)]
+    lam = float(rng.uniform(0.5, 4.0))
+    B = rng.standard_normal((m, d)) * rng.uniform(0.1, 3.0)
+    starts = rng.standard_normal((m, d)) if warm else [None] * m
+    X, y = np.stack([ds.X for ds in datas]), np.stack([ds.y for ds in datas])
+    if nan_row is not None:
+        B[nan_row % m, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(SolverError, match="stalled") as raised:
+                learners._solve_logistic_rows(X, y, lam, B, starts if warm else None)
+        assert list(raised.value.rows) == [nan_row % m]
+        return
+    thetas = learners._solve_logistic_rows(X, y, lam, B, starts if warm else None)
+    for ds, b, start, theta in zip(datas, B, starts, thetas):
+        single = learners._solve_logistic(ds.X, ds.y, lam, b, start)
+        scale = max(1.0, float(np.max(np.abs(single))))
+        assert np.max(np.abs(theta - single)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "mechanism, base",
+    [("objective", "logistic"), ("output", "logistic"), ("output", "ridge"), ("objective", "ridge")],
+)
+def test_dataset_sequence_rows_match_single_solves(mechanism, base):
+    # train_mechanism on m datasets with an (m, d) stack: row i is the
+    # single-draw solve of its dataset from its own warm start, bit for
+    # bit where each row is solved alone (ridge), to rounding otherwise
+    rng = np.random.default_rng(17)
+    make_data = random_classification_data if base == "logistic" else random_regression_data
+    datas = [make_data(rng, n=11, d=3) for _ in range(4)]
+    victim = VictimSpec(mechanism, base, lam=1.5, epsilon=1.0, rho=0.5)
+    B = rng.standard_normal((4, 3))
+    starts = [ModelParams(rng.standard_normal(3)) for _ in range(4)]
+    for warm in (None, starts):
+        models = train_mechanism(victim, datas, B, warm_start=warm)
+        assert len(models) == 4
+        for i, (ds, b, model) in enumerate(zip(datas, B, models)):
+            single = train_mechanism(victim, ds, b, warm_start=None if warm is None else warm[i])
+            if base == "ridge":
+                assert np.array_equal(model.theta, single.theta) and model.mu == single.mu
+            else:
+                np.testing.assert_allclose(model.theta, single.theta, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="noise stack"):
+        train_mechanism(victim, datas, B[0])
