@@ -18,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, ModelParams, eval_cost, modification_distances, project_rows_inplace
+from .core import BaseLearner, Dataset, ModelParams, eval_cost, modification_distances, project_rows_inplace
 from .core import _require_finite
-from .gradients import batch_item_gradients, cost_gradient, lane_item_gradients
+from .gradients import batch_item_gradients, cost_gradient
 from .learners import SolverError, sample_noise, train_mechanism
 from .rng import STAGE_SELECT, STAGE_SGD, substream
 
@@ -210,17 +210,24 @@ class _Lane:
 
 
 def _lane_gradients(victim, cost, lanes, draws):
-    """The models and item gradients of the lanes at their noise draws.
-    One lane uses the scalar solver; several share one batched Newton
-    with per-row data and one stacked gradient system."""
-    if len(lanes) == 1:
-        lane, b = lanes[0], draws[0]
-        model, feat, lab = _gradients_at(victim, lane.data, cost, lane.items, b, lane.model)
-        return [model], [(feat, lab)]
-    datas, B = [lane.data for lane in lanes], np.array(draws)
-    models = train_mechanism(victim, datas, B, warm_start=[lane.model for lane in lanes])
-    grads = [cost_gradient(cost, model) for model in models]
-    return models, lane_item_gradients(victim, datas, models, B, grads, [lane.items for lane in lanes])
+    """(model, features, labels) of each lane at its noise draw. Several
+    logistic lanes share one batched Newton with per-row data; a single
+    lane and each ridge lane use the scalar solver. A SolverError names
+    the failed lanes in its rows."""
+    if len(lanes) > 1 and victim.base is BaseLearner.LOGISTIC:
+        datas = [lane.data for lane in lanes]
+        models = train_mechanism(victim, datas, np.array(draws), warm_start=[lane.model for lane in lanes])
+        return [
+            (model, *batch_item_gradients(victim, ds, model, b, cost_gradient(cost, model), lane.items))
+            for lane, ds, model, b in zip(lanes, datas, models, draws)
+        ]
+    results = []
+    for i, (lane, b) in enumerate(zip(lanes, draws)):
+        try:
+            results.append(_gradients_at(victim, lane.data, cost, lane.items, b, lane.model))
+        except SolverError as exc:
+            raise SolverError(str(exc), [i]) from exc
+    return results
 
 
 def _descend(victim, cost, lanes, eta, alpha, T, mode):
@@ -244,15 +251,15 @@ def _descend(victim, cost, lanes, eta, alpha, T, mode):
             draws = [_noise(lane.data.dim, dpv, lane.scale, lane.rng) for lane in moving]
             while True:
                 try:
-                    models, grads = _lane_gradients(victim, cost, moving, draws)
+                    results = _lane_gradients(victim, cost, moving, draws)
                     break
                 except SolverError as exc:
-                    j = 0 if exc.rows is None else int(min(exc.rows))
+                    j = int(min(exc.rows))
                     moving[j].error = exc
                     del moving[j:], draws[j:]
                     if not moving:
                         return
-            for lane, model, (feat, lab) in zip(moving, models, grads):
+            for lane, (model, feat, lab) in zip(moving, results):
                 lane.move(model, feat, lab, eta, alpha)
         yield
 
@@ -373,6 +380,8 @@ def sweep_attacks(victim, data, cost, config, selections, seeds, scales):
     An attack whose solve fails ends the list: the attacks after it are
     not run to the end, and not returned.
     """
+    if len(selections) == 0:
+        return []
     lanes = []
     try:
         clean = train_mechanism(victim, data, np.zeros(data.dim))

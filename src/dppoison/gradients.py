@@ -25,7 +25,6 @@ from .learners import train_mechanism
 __all__ = [
     "cost_gradient",
     "batch_item_gradients",
-    "lane_item_gradients",
     "finite_difference_oracle",
 ]
 
@@ -58,15 +57,9 @@ def _logistic_grads(X, y, theta_eff, lam, cost_grad, idx):
     w = p * (1.0 - p)  # s_j / (1 + s_j)^2
     H = lam * np.eye(X.shape[1]) + X.T @ (X * w[:, None])
     v = np.linalg.solve(H, cost_grad)
-    return _logistic_item_grads(X[idx], y[idx] * p[idx], w[idx], theta_eff, v)
-
-
-def _logistic_item_grads(X, yp, w, theta_eff, v):
-    """The items' part of _logistic_grads, O(d) per item, given their
-    features X, y_j p_j and w_j, and the solution v of the shared system."""
-    xv = X @ v
-    d_feat = yp[:, None] * v[None, :] - (w * xv)[:, None] * theta_eff[None, :]
-    return d_feat, np.zeros(len(X))
+    xv = X[idx] @ v
+    d_feat = (y[idx] * p[idx])[:, None] * v[None, :] - (w[idx] * xv)[:, None] * theta_eff[None, :]
+    return d_feat, np.zeros(len(idx))
 
 
 def _ridge_grads(data, theta_eff, lam, mu, cost_grad, idx):
@@ -97,37 +90,6 @@ def batch_item_gradients(victim, data, model, b, cost_grad, indices):
     if victim.base is BaseLearner.LOGISTIC:
         return _logistic_grads(data.X, data.y, theta_eff, victim.lam, cost_grad, idx)
     return _ridge_grads(data, theta_eff, victim.lam, model.mu, cost_grad, idx)
-
-
-def lane_item_gradients(victim, datas, models, B, cost_grads, indices):
-    """batch_item_gradients of m lanes at once: lane i's items indices[i]
-    at its own dataset datas[i], model models[i], noise draw B[i] and cost
-    gradient cost_grads[i]. Returns a list of m (features, labels) pairs.
-
-    The logistic lanes' systems are factored as one (m, d, d) stack. Their
-    p comes from the margin product of the batched solver on the same
-    theta, so for an objective victim it is the solver's final p; the
-    solver returns before forming the Hessian at that theta, so H is
-    formed here. Ridge lanes each read their dataset's cached X'X.
-    """
-    theta = np.array([model.theta for model in models])
-    if victim.mechanism is Mechanism.OUTPUT:
-        theta = theta - np.asarray(B, dtype=float)
-    idxs = [np.asarray(items, dtype=int) for items in indices]
-    if victim.base is BaseLearner.RIDGE:
-        return [
-            _ridge_grads(ds, th, victim.lam, model.mu, np.asarray(g, dtype=float), idx)
-            for ds, th, model, g, idx in zip(datas, theta, models, cost_grads, idxs)
-        ]
-    X, y = np.stack([ds.X for ds in datas]), np.stack([ds.y for ds in datas])
-    p = sigmoid(-((X @ theta[:, :, None])[:, :, 0] * y))
-    w = p * (1.0 - p)
-    H = victim.lam * np.eye(X.shape[2]) + (X.transpose(0, 2, 1) * w[:, None, :]) @ X
-    v = np.linalg.solve(H, np.asarray(cost_grads, dtype=float)[:, :, None])[:, :, 0]
-    return [
-        _logistic_item_grads(X[i, idx], y[i, idx] * p[i, idx], w[i, idx], theta[i], v[i])
-        for i, idx in enumerate(idxs)
-    ]
 
 
 def finite_difference_oracle(victim, data, i, b, cost, h=1e-5):

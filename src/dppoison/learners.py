@@ -3,8 +3,9 @@
 Provides the spherically symmetric noise sampler, a damped-Newton solver
 for L2-regularized logistic regression (optionally with a linear noise
 term in the objective) and its batched form for a stack of noise draws,
-on one dataset or on one dataset per draw, a norm-constrained ridge solver that returns the dual variable of the
-constraint, and the mechanism dispatcher.
+on one dataset or on one dataset per draw, a norm-constrained ridge
+solver that returns the dual variable of the constraint, and the
+mechanism dispatcher.
 
 All solvers are pure functions of (data, noise): repeated calls return
 bit-identical results. Problem sizes here are small and dense, so
@@ -331,11 +332,11 @@ def train_mechanism(victim, data, b, *, warm_start=None):
 
     b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
     of draws, which returns a list of m, one per row. data is one Dataset,
-    or a sequence of m datasets, one per row of a stack; warm_start is a
-    ModelParams, or one per dataset of a sequence. Output perturbation
-    solves the noiseless base learner of one dataset from a cold start
-    once (Dataset.cached), so the blocks of a Monte-Carlo estimate share
-    it."""
+    or, for a logistic victim, a sequence of m datasets, one per row of a
+    stack; warm_start is a ModelParams, or one per dataset of a sequence.
+    Output perturbation solves the noiseless base learner of one dataset
+    from a cold start once (Dataset.cached), so the blocks of a
+    Monte-Carlo estimate share it."""
     single = isinstance(data, Dataset)
     b = _as_noise(b, data.dim if single else data[0].dim)
     if victim.mechanism is Mechanism.OBJECTIVE:
@@ -356,14 +357,6 @@ def train_mechanism(victim, data, b, *, warm_start=None):
 def _train_base(victim, data, b, warm_start):
     if victim.base is BaseLearner.LOGISTIC:
         return train_base_logistic(data, victim.lam, b, warm_start=warm_start)
-    if isinstance(data, Dataset):
-        return train_base_ridge_constrained(data, victim.lam, victim.rho, b)
-    if b.shape != (len(data), data[0].dim):
-        raise ValueError("a sequence of m datasets needs an (m, d) noise stack")
-    models = []
-    for i, (ds, row) in enumerate(zip(data, b)):
-        try:
-            models.append(train_base_ridge_constrained(ds, victim.lam, victim.rho, row))
-        except SolverError as exc:
-            raise SolverError(str(exc), [i]) from exc
-    return models
+    if not isinstance(data, Dataset):
+        raise ValueError("a sequence of datasets needs a logistic victim")
+    return train_base_ridge_constrained(data, victim.lam, victim.rho, b)

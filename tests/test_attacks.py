@@ -381,8 +381,9 @@ class TestSweepAttacks:
     @pytest.mark.parametrize("mode", ["dpv", "sv"])
     def test_lanes_match_lone_attacks(self, mechanism, base, mode):
         # each lane is run_attack's Step II on its own items, seed and
-        # scale: to rounding, since the stacked solves group their sums
-        # differently; a k = 0 lane keeps the clean data
+        # scale: bit for bit for ridge, whose lanes are solved one at a
+        # time, and to rounding for logistic, whose stacked solves group
+        # their sums differently; a k = 0 lane keeps the clean data
         rng = np.random.default_rng(21)
         make_data = random_classification_data if base == "logistic" else random_regression_data
         data = make_data(rng, n=12, d=3)
@@ -398,6 +399,9 @@ class TestSweepAttacks:
             assert error is None
             lone = run_attack(victim, data, cost, config, seed, items)
             assert lone.error is None
+            if base == "ridge":
+                np.testing.assert_array_equal(final.X, lone.final_data.X)
+                np.testing.assert_array_equal(final.y, lone.final_data.y)
             np.testing.assert_allclose(final.X, lone.final_data.X, rtol=0, atol=1e-10)
             np.testing.assert_allclose(final.y, lone.final_data.y, rtol=0, atol=1e-10)
         assert got[1][0] is data
@@ -435,4 +439,32 @@ class TestSweepAttacks:
         monkeypatch.undo()
         lone = run_attack(victim, data, cost, config, 1, selections[0])
         np.testing.assert_allclose(got[0][0].X, lone.final_data.X, rtol=0, atol=1e-10)
+        assert not np.array_equal(got[1][0].X, data.X)
+
+    def test_failed_ridge_lane_ends_the_list(self, monkeypatch):
+        # ridge lanes are solved one at a time; the failed one is named by
+        # its lane index, so lane 0 runs to the end and lane 2 is dropped
+        rng = np.random.default_rng(25)
+        data = random_regression_data(rng, n=10, d=2)
+        victim = VictimSpec("objective", "ridge", lam=1.0, epsilon=1.0, rho=0.6)
+        cost = random_cost(rng, data, "ridge")
+        config = AttackConfig(k=2, T=5)
+        warm = []
+
+        def third_solve_of_lane_one_fails(victim, data, b, warm_start=None):
+            if warm_start is not None:
+                warm.append(1)
+                # three lanes per step, lane 1 second: its third step's solve
+                if len(warm) == 8:
+                    raise SolverError("instrumented failure")
+            return train_mechanism(victim, data, b, warm_start=warm_start)
+
+        monkeypatch.setattr(attacks, "train_mechanism", third_solve_of_lane_one_fails)
+        selections = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
+        scale = victim.noise_scale_for(data.n)
+        got = attacks.sweep_attacks(victim, data, cost, config, selections, [1, 2, 3], [scale] * 3)
+        assert [error for _, error in got] == [None, "solver failure after 2 steps: instrumented failure"]
+        monkeypatch.undo()
+        lone = run_attack(victim, data, cost, config, 1, selections[0])
+        np.testing.assert_array_equal(got[0][0].X, lone.final_data.X)
         assert not np.array_equal(got[1][0].X, data.X)

@@ -41,10 +41,11 @@ csvdiff = _load_tool("csvdiff")
 # log1p form of softplus moved wine_output's stderr by at most 5.8e-14,
 # since that stderr is 2e-5 of its mean; stepping a sweep's rows in
 # lockstep through per-row batched solves moved sweep cells by at most
-# 2.5e-16 here and 2.8e-15 at full scale. The attack feeds each of its 50 SGD steps into the next, so such
-# rounding can grow, and 1e-9 leaves it six orders of magnitude of room. A
-# change in what is computed moves cells by more: loosening the logistic
-# stopping tolerance from 1e-10 to 1e-4 alone moves costs by about 1e-6.
+# 1.7e-16 here and 2.4e-15 at full scale. The attack feeds each of its
+# 50 SGD steps into the next, so such rounding can grow, and 1e-9 leaves
+# it six orders of magnitude of room. A change in what is computed moves
+# cells by more: loosening the logistic stopping tolerance from 1e-10 to
+# 1e-4 alone moves costs by about 1e-6.
 REL_TOL = 1e-9
 
 GOLDEN_DIR = make_golden.GOLDEN_DIR

@@ -26,7 +26,6 @@ from dppoison import (
 )
 from dppoison import learners
 from dppoison.attacks import _draw_gradients
-from dppoison.gradients import lane_item_gradients
 from dppoison.harness import estimate_attack_cost
 
 
@@ -303,32 +302,3 @@ class TestRidgeSharedGram:
         assert len(gram_reads) == 2
         (d1, p1), (d2, p2) = gram_reads
         assert d1 is d2 is data and p1[0] is p2[0] and p1[1] is p2[1]
-
-
-@pytest.mark.parametrize(
-    "mechanism, base",
-    [("objective", "logistic"), ("output", "logistic"), ("objective", "ridge"), ("output", "ridge")],
-)
-def test_lane_gradients_match_batch_item_gradients(mechanism, base):
-    # lane i is batch_item_gradients on its own data, model, draw, cost
-    # gradient and items: bit for bit for ridge, which solves each lane's
-    # system alone, and to rounding for the stacked logistic system
-    rng = np.random.default_rng(31)
-    make_data = random_classification_data if base == "logistic" else random_regression_data
-    victim = random_victim(rng, base, mechanism)
-    datas = [make_data(rng, n=9, d=3) for _ in range(3)]
-    cost = random_cost(rng, datas[0], base)
-    B = rng.standard_normal((3, 3))
-    models = train_mechanism(victim, datas, B)
-    grads = [cost_gradient(cost, model) for model in models]
-    items = [np.array([0, 4, 8]), np.arange(0), np.arange(9)]
-    got = lane_item_gradients(victim, datas, models, B, grads, items)
-    for ds, model, b, g, idx, (feat, lab) in zip(datas, models, B, grads, items, got):
-        want_feat, want_lab = batch_item_gradients(victim, ds, model, b, g, idx)
-        assert feat.shape == want_feat.shape and lab.shape == want_lab.shape
-        if base == "ridge":
-            np.testing.assert_array_equal(feat, want_feat)
-            np.testing.assert_array_equal(lab, want_lab)
-        else:
-            np.testing.assert_allclose(feat, want_feat, rtol=1e-12, atol=1e-15)
-            np.testing.assert_array_equal(lab, want_lab)

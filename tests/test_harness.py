@@ -856,30 +856,40 @@ class TestSweepConfigs:
         assert [r[0] for r in rows] == ["2"]
         assert [row["k"] for row in summary["sweep_rows"]] == [2]
 
-    def test_failed_row_selection_ends_the_epsilon_sweep(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failed_row_selection_ends_the_epsilon_sweep(self, tmp_path, monkeypatch, failing):
         # the epsilon sweep selects every row's items first, in row order;
-        # a failed selection keeps the rows before it and writes no other
+        # a failed selection keeps the rows before it and writes no other,
+        # and when the first row's selection fails no attack solve is made
         import dppoison.attacks as attacks
 
         raw = yaml.safe_load(ONE_D_CONFIG)
         raw["attack"].update(k=4, selection="shallow", m_select=3, T=3)
         raw["sweep"] = {"kind": "epsilon", "values": [0.5, 1.0, 2.0]}
-        calls = []
+        calls, solves = [], []
 
-        def second_selection_fails(*args):
+        def selection_fails(*args):
             calls.append(1)
-            if len(calls) == 2:
+            if len(calls) == failing:
                 raise SolverError("instrumented failure")
             return shallow_scores(*args)
 
-        monkeypatch.setattr(attacks, "shallow_scores", second_selection_fails)
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return train_mechanism(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, "shallow_scores", selection_fails)
+        monkeypatch.setattr(attacks, "train_mechanism", counted)
         out = tmp_path / "esweep"
         summary = run_experiment(config_from_dict(raw), str(out))
-        assert summary["error"] == "solver failure after 1 cost rows: instrumented failure"
-        assert len(calls) == 2
+        kept = [0.5, 1.0][: failing - 1]
+        assert summary["error"] == f"solver failure after {len(kept)} cost rows: instrumented failure"
+        assert len(calls) == failing
         _, rows = read_csv_rows(out / "costs.csv")
-        assert [r[0] for r in rows] == ["0.5"]
-        assert [row["epsilon"] for row in summary["sweep_rows"]] == [0.5]
+        assert [float(r[0]) for r in rows] == kept
+        assert [row["epsilon"] for row in summary["sweep_rows"]] == kept
+        if failing == 1:
+            assert solves == []
 
     def test_zero_budget_row_draws_no_noise_and_makes_no_solve(self, tmp_path, monkeypatch):
         # the k = 0 lane never moves: only the other rows' lanes draw noise
