@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BaseLearner, Dataset, ModelParams, eval_cost, modification_distances, project_rows_inplace
-from .core import _require_finite
+from .core import Mechanism, _require_finite
 from .gradients import batch_item_gradients, cost_gradient
 from .learners import SolverError, sample_noise, train_mechanism
 from .rng import STAGE_SELECT, STAGE_SGD, substream
@@ -144,19 +144,6 @@ def _noise(dim, dpv, scale, rng):
     return sample_noise(dim, scale, rng) if dpv else np.zeros(dim)
 
 
-def _draw_gradients(victim, data, cost, items, dpv, scale, rng, warm):
-    """Train the victim on data with a fresh noise draw (DPV) or zero
-    noise (SV), warm-started from warm, and return (model, features,
-    labels): the model and the items' gradients at that draw."""
-    return _gradients_at(victim, data, cost, items, _noise(data.dim, dpv, scale, rng), warm)
-
-
-def _gradients_at(victim, data, cost, items, b, warm):
-    model = train_mechanism(victim, data, b, warm_start=warm)
-    g = cost_gradient(cost, model)
-    return (model, *batch_item_gradients(victim, data, model, b, g, items))
-
-
 def shallow_scores(victim, data, cost, mode, m_select, rng):
     """Initial-gradient norm of every clean item, features and label
     jointly.
@@ -171,7 +158,9 @@ def shallow_scores(victim, data, cost, mode, m_select, rng):
     scale = victim.noise_scale_for(n)
     model = None
     for _ in range(draws):
-        model, feat, lab = _draw_gradients(victim, data, cost, idx, dpv, scale, rng, model)
+        b = _noise(data.dim, dpv, scale, rng)
+        model = train_mechanism(victim, data, b, warm_start=model)
+        feat, lab = batch_item_gradients(victim, data, model, b, cost_gradient(cost, model), idx)
         acc_f += feat
         acc_l += lab
     acc_f /= draws
@@ -211,23 +200,23 @@ class _Lane:
 
 def _lane_gradients(victim, cost, lanes, draws):
     """(model, features, labels) of each lane at its noise draw. Several
-    logistic lanes share one batched Newton with per-row data; a single
-    lane and each ridge lane use the scalar solver. A SolverError names
+    objective-perturbation logistic lanes share one batched Newton with
+    per-row data; any other lane is trained alone. A SolverError names
     the failed lanes in its rows."""
-    if len(lanes) > 1 and victim.base is BaseLearner.LOGISTIC:
-        datas = [lane.data for lane in lanes]
-        models = train_mechanism(victim, datas, np.array(draws), warm_start=[lane.model for lane in lanes])
-        return [
-            (model, *batch_item_gradients(victim, ds, model, b, cost_gradient(cost, model), lane.items))
-            for lane, ds, model, b in zip(lanes, datas, models, draws)
-        ]
-    results = []
-    for i, (lane, b) in enumerate(zip(lanes, draws)):
-        try:
-            results.append(_gradients_at(victim, lane.data, cost, lane.items, b, lane.model))
-        except SolverError as exc:
-            raise SolverError(str(exc), [i]) from exc
-    return results
+    if len(lanes) > 1 and victim.mechanism is Mechanism.OBJECTIVE and victim.base is BaseLearner.LOGISTIC:
+        warm = [lane.model for lane in lanes]
+        models = train_mechanism(victim, [lane.data for lane in lanes], np.array(draws), warm_start=warm)
+    else:
+        models = []
+        for i, (lane, b) in enumerate(zip(lanes, draws)):
+            try:
+                models.append(train_mechanism(victim, lane.data, b, warm_start=lane.model))
+            except SolverError as exc:
+                raise SolverError(str(exc), [i]) from exc
+    return [
+        (model, *batch_item_gradients(victim, lane.data, model, b, cost_gradient(cost, model), lane.items))
+        for lane, model, b in zip(lanes, models, draws)
+    ]
 
 
 def _descend(victim, cost, lanes, eta, alpha, T, mode):

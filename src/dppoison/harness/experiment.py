@@ -32,6 +32,7 @@ import numpy as np
 # perfbench/tracer.py rebinds them in this module, so the names stay.
 from ..attacks import (
     AttackConfig,
+    SelectionMethod,
     deep_scores,  # noqa: F401
     run_attack,
     select_items,
@@ -95,6 +96,7 @@ __all__ = [
 
 _DATA_KINDS = ("gen-1d", "gen-2d", "csv")
 _EVAL_KINDS = ("grid-1d", "grid-2d", "nn-flip", "extreme-item", "csv", "none")
+_ALL_RANKS_NONE = "selection 'all' ranks no items: k < n needs shallow or deep selection"
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,9 @@ class ExperimentConfig:
         if self.sweep is not None and self.sweep.kind == "epsilon":
             for value in self.sweep.values:  # each swept victim must be valid
                 dataclasses.replace(self.victim, epsilon=value)
+        # a k sweep's values increase, so all but the last are below n
+        if self.sweep is not None and self.sweep.kind == "k" and self.attack.selection is SelectionMethod.ALL:
+            raise ValueError(_ALL_RANKS_NONE)
 
 
 def _section_class(tp):
@@ -322,12 +327,15 @@ def build_dataset(config):
 def _require_feasible(data, victim, source, fixes=("", "")):
     """Reject a dataset outside the feasible set: a feature norm above 1
     (up to the projection's slack, as normalizing can round a norm a few
-    ulps past 1) or, for a ridge victim, a label outside [-1, 1]. The
-    messages start with source and end with the matching entry of fixes."""
+    ulps past 1), a ridge victim's label outside [-1, 1] or a logistic
+    victim's label other than -1 and +1. The messages start with source;
+    the first two end with the matching entry of fixes."""
     if np.linalg.norm(data.X, axis=1).max() > 1.0 + _NORM_SLACK:
         raise ValueError(f"{source}: a feature norm exceeds 1{fixes[0]}")
     if victim.base is BaseLearner.RIDGE and np.abs(data.y).max() > 1.0:
         raise ValueError(f"{source}: ridge labels must lie in [-1, 1]{fixes[1]}")
+    if victim.base is BaseLearner.LOGISTIC and not np.all(np.abs(data.y) == 1.0):
+        raise ValueError(f"{source}: logistic labels must be -1 or +1; map them with label_map")
 
 
 def build_eval_set(config, data):
@@ -431,13 +439,20 @@ def _run(config, out_dir, key, mode_rows):
     (key value, estimate, bound) per row and records its details in the
     summary. A solver failure ends the rows early and is recorded in the
     summary after any error the mode recorded; the rows before it are
-    kept.
+    kept. The inputs and an attack's budget are checked before out_dir is made.
     """
     t0 = time.perf_counter()
-    os.makedirs(out_dir, exist_ok=True)
     data = build_dataset(config)
     eval_set = build_eval_set(config, data)
     cost = build_cost(config, data, eval_set)
+    if mode_rows is not _evaluation_rows:  # k, or a k sweep's largest value, must fit n
+        sweep, atk = config.sweep, config.attack
+        k = sweep.values[-1] if sweep is not None and sweep.kind == "k" else atk.k
+        if k > data.n:
+            raise ValueError(f"budget k={k} exceeds dataset size n={data.n}")
+        if atk.selection is SelectionMethod.ALL and k != data.n:
+            raise ValueError(_ALL_RANKS_NONE)
+    os.makedirs(out_dir, exist_ok=True)
     summary = {
         "config": config_to_dict(config),
         "seed": config.seed,
@@ -514,8 +529,6 @@ def _sweep_rows(config, data, cost, out_dir, summary):
     seeds = [subseed(config.seed, STAGE_SWEEP, i) for i in range(len(values))]
     failure = None
     if kind == "k":
-        if values[-1] > data.n:
-            raise ValueError(f"sweep k={values[-1]} exceeds dataset size n={data.n}")
         scores = selection_scores(victim, data, cost, atk, config.seed)
         clean_est, j_clean = _clean_cost(config, victim, data, cost)
         summary["clean_cost"] = _estimate_dict(clean_est)
@@ -569,11 +582,11 @@ def run_evaluation(config, out_dir):
 
 def write_dataset_files(config, out_dir):
     """Materialize the config's data (and evaluation set, if any) to CSVs."""
-    os.makedirs(out_dir, exist_ok=True)
     data = build_dataset(config)
+    eval_set = build_eval_set(config, data)
+    os.makedirs(out_dir, exist_ok=True)
     save_csv_dataset(data, os.path.join(out_dir, "dataset.csv"))
     written = {"dataset": os.path.join(out_dir, "dataset.csv")}
-    eval_set = build_eval_set(config, data)
     if eval_set is not None and len(eval_set) > 0:
         save_csv_dataset(eval_set, os.path.join(out_dir, "eval.csv"))
         written["eval"] = os.path.join(out_dir, "eval.csv")

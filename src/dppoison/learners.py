@@ -332,18 +332,17 @@ def train_mechanism(victim, data, b, *, warm_start=None):
 
     b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
     of draws, which returns a list of m, one per row. data is one Dataset,
-    or, for a logistic victim, a sequence of m datasets, one per row of a
-    stack; warm_start is a ModelParams, or one per dataset of a sequence.
-    Output perturbation solves the noiseless base learner of one dataset
-    from a cold start once (Dataset.cached), so the blocks of a
-    Monte-Carlo estimate share it."""
-    single = isinstance(data, Dataset)
-    b = _as_noise(b, data.dim if single else data[0].dim)
+    or, for an objective-perturbation logistic victim, a sequence of m
+    datasets, one per row of a stack; warm_start is a ModelParams, or one
+    per dataset of a sequence. Output perturbation solves the noiseless
+    base learner of one dataset from a cold start once (Dataset.cached),
+    so the blocks of a Monte-Carlo estimate share it."""
+    if isinstance(data, Dataset):
+        b = _as_noise(b, data.dim)
+    elif victim.mechanism is not Mechanism.OBJECTIVE or victim.base is not BaseLearner.LOGISTIC:
+        raise ValueError("a sequence of datasets needs an objective-perturbation logistic victim")
     if victim.mechanism is Mechanism.OBJECTIVE:
         return _train_base(victim, data, b, warm_start)
-    if not single:
-        base = _train_base(victim, data, np.zeros_like(b), warm_start)
-        return [ModelParams(model.theta + row, model.mu) for model, row in zip(base, b)]
     if warm_start is None:
         key = ("base", victim.base, victim.lam, victim.rho)
         model = data.cached(key, lambda: _train_base(victim, data, None, None))
@@ -357,6 +356,4 @@ def train_mechanism(victim, data, b, *, warm_start=None):
 def _train_base(victim, data, b, warm_start):
     if victim.base is BaseLearner.LOGISTIC:
         return train_base_logistic(data, victim.lam, b, warm_start=warm_start)
-    if not isinstance(data, Dataset):
-        raise ValueError("a sequence of datasets needs a logistic victim")
     return train_base_ridge_constrained(data, victim.lam, victim.rho, b)

@@ -6,6 +6,7 @@ standing is visible without scrolling through the pytest output.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from dppoison import (
     ModelParams,
     VictimSpec,
 )
+
+# the scripts under tools/ import as plain modules (csvdiff, ab_pairs, ...)
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 
 # criterion number -> (title, passed, detail)
 _ACCEPTANCE = {}

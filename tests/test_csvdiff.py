@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import csvdiff
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "tools", "csvdiff.py")
 
@@ -64,11 +66,6 @@ def test_a_file_and_a_tree_are_rejected(tmp_path):
 
 
 def test_largest_change_ranks_a_shape_difference_first(tmp_path):
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location("csvdiff", SCRIPT)
-    csvdiff = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(csvdiff)
     write(tmp_path / "a.csv", "k,mean\n1,0.5\n2,0.5\n")
     write(tmp_path / "b.csv", "k,mean\n1,0.25\n")
     assert csvdiff.largest_change(tmp_path / "a.csv", tmp_path / "b.csv") == (math.inf, (2, 0))

@@ -14,24 +14,12 @@ warning that names the largest change per file, so a run still shows
 whether it matched exactly.
 """
 
-import importlib.util
 import os
 import warnings
 
+import csvdiff
+import make_golden
 import pytest
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-make_golden = _load_tool("make_golden")
-csvdiff = _load_tool("csvdiff")
 
 # Another BLAS build or CPU kernel may sum a dot product or a solve in a
 # different order, which moves a result by a few ulps (about 1e-16

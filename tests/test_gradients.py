@@ -25,7 +25,6 @@ from dppoison import (
     train_mechanism,
 )
 from dppoison import learners
-from dppoison.attacks import _draw_gradients
 from dppoison.harness import estimate_attack_cost
 
 
@@ -297,7 +296,9 @@ class TestRidgeSharedGram:
         data = random_regression_data(rng, n=30, d=3)
         victim = VictimSpec(mechanism, "ridge", lam=1.0, epsilon=1.0, rho=0.5)
         cost = random_cost(rng, data, "ridge")
-        _draw_gradients(victim, data, cost, np.arange(5), True, 0.1, rng, None)
+        b = learners.sample_noise(data.dim, 0.1, rng)
+        model = train_mechanism(victim, data, b)
+        batch_item_gradients(victim, data, model, b, cost_gradient(cost, model), np.arange(5))
         # one read by the trainer, one by the gradient, the same pair
         assert len(gram_reads) == 2
         (d1, p1), (d2, p2) = gram_reads

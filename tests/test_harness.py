@@ -219,8 +219,9 @@ class TestBuildDatasetFeasibility:
         body = "x0,y\n0.5,2.0\n-0.5,-0.5\n"
         with pytest.raises(ValueError, match="normalize"):
             build_dataset(self.csv_config(tmp_path, body, base="ridge"))
-        # logistic labels are the solver's to check
-        assert build_dataset(self.csv_config(tmp_path, body)).n == 2
+        # a logistic victim's labels must be -1 or +1
+        with pytest.raises(ValueError, match="label_map"):
+            build_dataset(self.csv_config(tmp_path, body))
         data = build_dataset(
             self.csv_config(
                 tmp_path, body, base="ridge", normalize=True, normalize_labels=True, label_range=[-2, 2]
@@ -250,8 +251,21 @@ class TestBuildDatasetFeasibility:
         body = "x0,y\n0.5,2.0\n-0.5,-1.0\n"
         with pytest.raises(ValueError, match=r"^eval: ridge labels must lie in \[-1, 1\]"):
             build_eval_set(self.eval_csv_config(tmp_path, body, base="ridge"), None)
-        # logistic labels are the solver's to check
-        assert build_eval_set(self.eval_csv_config(tmp_path, body), None).n == 2
+        with pytest.raises(ValueError, match=r"^eval: logistic labels must be -1 or \+1"):
+            build_eval_set(self.eval_csv_config(tmp_path, body), None)
+
+    def test_zero_one_logistic_labels_rejected_before_any_output(self, tmp_path):
+        # 0/1 labels would stop the first solve; the run rejects them before
+        # it makes its output directory, and label_map mends them
+        body = "x0,y\n0.5,1\n-0.5,0\n0.25,1\n"
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=r"^data: logistic labels must be -1 or \+1; map them with label_map"):
+            run_experiment(self.csv_config(tmp_path, body), str(out))
+        with pytest.raises(ValueError, match="label_map"):
+            write_dataset_files(self.csv_config(tmp_path, body), str(out))
+        assert not out.exists()
+        mapped = self.csv_config(tmp_path, body, label_map={"1": 1.0, "0": -1.0})
+        np.testing.assert_array_equal(build_dataset(mapped).y, [1.0, -1.0, 1.0])
 
 
 class TestNnEvalSet:
@@ -405,6 +419,33 @@ class TestEstimateAttackCost:
         again = estimate_attack_cost(victim, data, cost, T_e, seed=0)
         assert len(calls) == 1
         np.testing.assert_array_equal(first.values, again.values)
+
+    # An output victim's model is theta* + b, and the Gamma(d, s) radius of
+    # b gives E||b||^2 = d(d+1)s^2, so E_b[C(theta* + b)] has a closed form
+    # for the quadratic costs; the estimate must lie within 3 standard
+    # errors of it.
+    def test_output_victim_squared_label_targeting_matches_closed_form(self, configs_dir):
+        # C(theta*) + (d+1)s^2 mean||x||^2 / 2 over the evaluation set
+        cfg = load_config(os.path.join(configs_dir, "wine_output.yaml"))
+        data = build_dataset(cfg)
+        cost = build_cost(cfg, data, build_eval_set(cfg, data))
+        victim, d, X = cfg.victim, data.dim, cost.eval_set.X
+        s = victim.noise_scale_for(data.n)
+        clean = eval_cost(cost, train_mechanism(victim, data, np.zeros(d)))
+        exact = clean + 0.5 * (d + 1) * s * s * np.mean(np.einsum("ij,ij->i", X, X))
+        assert exact == pytest.approx(0.43064480, abs=1e-8)
+        est = estimate_attack_cost(victim, data, cost, 2000, seed=7)
+        assert abs(est.mean - exact) <= 3.0 * est.stderr
+
+    def test_output_victim_parameter_targeting_matches_closed_form(self):
+        # C(theta*) + d(d+1)s^2 / 2
+        data = gen_2d_dataset(20, np.array([1.0, 1.0]), substream(0, STAGE_DATA))
+        victim = VictimSpec("output", "logistic", lam=2.0, epsilon=1.0)
+        cost = CostSpec(goal=Goal.PARAMETER_TARGETING, target_model=ModelParams(np.array([0.5, -0.5])))
+        s, d = victim.noise_scale_for(data.n), data.dim
+        exact = eval_cost(cost, train_mechanism(victim, data, np.zeros(d))) + 0.5 * d * (d + 1) * s * s
+        est = estimate_attack_cost(victim, data, cost, 4000, seed=7)
+        assert abs(est.mean - exact) <= 3.0 * est.stderr
 
     def test_solver_failure_propagates(self, monkeypatch):
         import dppoison.harness.montecarlo as montecarlo
@@ -929,5 +970,43 @@ class TestSweepConfigs:
         raw["attack"]["selection"] = "shallow"
         raw["sweep"] = {"kind": "k", "values": [2, 50]}
         cfg = config_from_dict(raw)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k=50 exceeds dataset size n=11"):
             run_experiment(cfg, str(tmp_path / "bad"))
+        assert not (tmp_path / "bad").exists()
+
+
+class TestBudgetChecks:
+    def test_k_sweep_with_selection_all_rejected_at_load(self):
+        # the values of a k sweep increase, so all but the last are below n
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["sweep"] = {"kind": "k", "values": [5, 11]}
+        with pytest.raises(ValueError, match="^selection 'all' ranks no items"):
+            config_from_dict(raw)
+        del raw["attack"]["selection"]  # 'all' is the default
+        with pytest.raises(ValueError, match="^selection 'all' ranks no items"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "attack, sweep, match",
+        [
+            ({"k": 12, "selection": "shallow"}, None, "k=12 exceeds dataset size n=11"),
+            ({"k": 5}, None, "^selection 'all' ranks no items"),
+            ({"k": 12, "selection": "shallow"}, [0.5, 1.0], "k=12 exceeds dataset size n=11"),
+            ({"k": 0}, [0.5, 1.0], "^selection 'all' ranks no items"),
+        ],
+    )
+    def test_attack_budget_rejected_before_any_output(self, tmp_path, attack, sweep, match):
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["attack"].update(attack)
+        if sweep is not None:
+            raw["sweep"] = {"kind": "epsilon", "values": sweep}
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=match):
+            run_experiment(config_from_dict(raw), str(out))
+        assert not out.exists()
+
+    def test_evaluation_ignores_the_selection(self, tmp_path):
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["attack"]["k"] = 5
+        summary = run_evaluation(config_from_dict(raw), str(tmp_path / "eval"))
+        assert summary["error"] is None

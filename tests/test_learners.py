@@ -526,7 +526,7 @@ def test_per_row_data_rows_match_scalar_solves(seed, m, n, d, warm, nan_row):
         assert np.max(np.abs(theta - single)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("mechanism", ["objective", "output"])
+@pytest.mark.parametrize("mechanism", ["objective"])
 def test_dataset_sequence_rows_match_single_solves(mechanism):
     # train_mechanism on m datasets with an (m, d) stack: row i is the
     # single-draw solve of its dataset from its own warm start, to rounding
@@ -545,10 +545,16 @@ def test_dataset_sequence_rows_match_single_solves(mechanism):
         train_mechanism(victim, datas, B[0])
 
 
-@pytest.mark.parametrize("mechanism", ["objective", "output"])
-def test_dataset_sequence_needs_a_logistic_victim(mechanism):
+@pytest.mark.parametrize(
+    "mechanism, base",
+    [("objective", "ridge"), ("output", "ridge"), ("output", "logistic")],
+    ids=["objective", "output", "output-logistic"],
+)
+def test_dataset_sequence_needs_a_logistic_victim(mechanism, base):
+    # only an objective-perturbation logistic victim stacks datasets
     rng = np.random.default_rng(18)
-    datas = [random_regression_data(rng, n=11, d=3) for _ in range(2)]
-    victim = VictimSpec(mechanism, "ridge", lam=1.5, epsilon=1.0, rho=0.5)
-    with pytest.raises(ValueError, match="logistic victim"):
+    make_data = random_classification_data if base == "logistic" else random_regression_data
+    datas = [make_data(rng, n=11, d=3) for _ in range(2)]
+    victim = VictimSpec(mechanism, base, lam=1.5, epsilon=1.0, rho=0.5)
+    with pytest.raises(ValueError, match="objective-perturbation logistic victim"):
         train_mechanism(victim, datas, rng.standard_normal((2, 3)))

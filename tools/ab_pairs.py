@@ -20,7 +20,6 @@ error or any pair's CSVs differ.
 
 import argparse
 import filecmp
-import importlib.util
 import json
 import math
 import os
@@ -29,11 +28,7 @@ import subprocess
 import sys
 import tempfile
 
-_spec = importlib.util.spec_from_file_location(
-    "csvdiff", os.path.join(os.path.dirname(os.path.abspath(__file__)), "csvdiff.py")
-)
-csvdiff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(csvdiff)
+import csvdiff
 
 METRICS = ("setup_s", "run_s", "peak_rss_mb")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
