@@ -169,17 +169,20 @@ def shallow_scores(victim, data, cost, mode, m_select, rng):
 
 
 class _Lane:
-    """One attack of a lockstep descent: its items and their moved
-    coordinates, its noise stream and radial scale, its current dataset
-    and model (the next warm start), the steps it completed, and the
-    SolverError that stopped it, if one did."""
+    """One attack of a lockstep descent: its items (sorted, each in [0, n))
+    and their moved coordinates, its noise stream and radial scale, its
+    current dataset and model (the next warm start, set by the caller), the
+    steps it completed, and the SolverError that stopped it, if one did."""
 
-    def __init__(self, data, items, rng, scale, model):
+    def __init__(self, data, items, rng, scale):
+        items = np.sort(np.asarray(items, dtype=int))
+        if len(items) > 0 and (items[0] < 0 or items[-1] >= data.n):
+            raise ValueError("selected indices out of range")
         self.items = items
         self.X0, self.y0 = data.X[items], data.y[items]
         self.Xs, self.ys = self.X0.copy(), self.y0.copy()
         self.rng, self.scale = rng, scale
-        self.data, self.model = data, model
+        self.data, self.model = data, None
         self.steps = 0
         self.error = None
 
@@ -263,7 +266,7 @@ def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    lane = _Lane(data, np.arange(data.n), rng, victim.noise_scale_for(data.n), None)
+    lane = _Lane(data, np.arange(data.n), rng, victim.noise_scale_for(data.n))
     for _ in _descend(victim, cost, [lane], eta, alpha, T, mode):
         pass
     if lane.error is not None:
@@ -316,24 +319,19 @@ def run_attack(victim, data, cost, config, seed=0, selected=None):
     the SGD noise draw from their own substreams of ``seed``, so the run
     is deterministic given (data, config, seed, selected).
     """
-    n, d = data.n, data.dim
+    d = data.dim
     if selected is None:
         selected = select_items(victim, data, cost, config, seed)
-    selected = np.sort(np.asarray(selected, dtype=int))
-    if len(selected) > 0 and (selected[0] < 0 or selected[-1] >= n):
-        raise ValueError("selected indices out of range")
-    feats = np.empty((config.T + 1, len(selected), d))
-    labels = np.empty((config.T + 1, len(selected)))
-    feats[0], labels[0] = data.X[selected], data.y[selected]
+    lane = _Lane(data, selected, substream(seed, STAGE_SGD), victim.noise_scale_for(data.n))
+    feats = np.empty((config.T + 1, len(lane.items), d))
+    labels = np.empty((config.T + 1, len(lane.items)))
+    feats[0], labels[0] = lane.X0, lane.y0
     costs = []
     steps = 0
-    lane = None
     final = error = None
     try:
-        clean = train_mechanism(victim, data, np.zeros(d))
+        lane.model = clean = train_mechanism(victim, data, np.zeros(d))
         costs.append(eval_cost(cost, clean))
-        rng = substream(seed, STAGE_SGD)
-        lane = _Lane(data, selected, rng, victim.noise_scale_for(n), clean)
         for _ in _descend(victim, cost, [lane], config.eta, 0.0, config.T, config.mode):
             steps += 1
             feats[steps], labels[steps] = lane.Xs, lane.ys
@@ -344,13 +342,13 @@ def run_attack(victim, data, cost, config, seed=0, selected=None):
     except SolverError as exc:
         error = f"solver failure after {steps} steps: {exc}"
     return AttackTrace(
-        selected=selected,
+        selected=lane.items,
         iterations=np.arange(steps + 1),
         features=feats[: steps + 1],
         labels=labels[: steps + 1],
         surrogate_costs=np.array(costs),
         clean_data=data,
-        final_data=data if lane is None else lane.data,
+        final_data=lane.data,
         final_model=final,
         error=error,
     )
@@ -364,27 +362,27 @@ def sweep_attacks(victim, data, cost, config, selections, seeds, scales):
     substream of seeds[i], as run_attack(victim, data, cost, config,
     seeds[i], selections[i]) does with the victim's own noise scale. Every
     attack starts warm from one noiseless solve on the clean data; no
-    surrogate is trained on the final data. Returns, per attack, its final
-    dataset and its error (None, or "solver failure after s steps: ...").
-    An attack whose solve fails ends the list: the attacks after it are
-    not run to the end, and not returned.
+    surrogate is trained on the final data. Returns (finals, error):
+    the final datasets of the attacks before the first whose solve
+    failed, and that attack's SolverError ("solver failure after s steps:
+    ...") or None. A failed clean solve fails the first attack at step 0.
+    An index outside [0, n) raises ValueError before any solve.
     """
-    if len(selections) == 0:
-        return []
-    lanes = []
+    lanes = [
+        _Lane(data, items, substream(seed, STAGE_SGD), scale) for items, seed, scale in zip(selections, seeds, scales)
+    ]
+    if not lanes:
+        return [], None
     try:
         clean = train_mechanism(victim, data, np.zeros(data.dim))
     except SolverError as exc:
-        return [(data, f"solver failure after 0 steps: {exc}")]
-    for items, seed, scale in zip(selections, seeds, scales):
-        items = np.sort(np.asarray(items, dtype=int))
-        lanes.append(_Lane(data, items, substream(seed, STAGE_SGD), scale, clean))
+        return [], SolverError(f"solver failure after 0 steps: {exc}")
+    for lane in lanes:
+        lane.model = clean
     for _ in _descend(victim, cost, lanes, config.eta, 0.0, config.T, config.mode):
         pass
-    results = []
-    for lane in lanes:
+    for i, lane in enumerate(lanes):
         if lane.error is not None:
-            results.append((lane.data, f"solver failure after {lane.steps} steps: {lane.error}"))
-            break
-        results.append((lane.data, None))
-    return results
+            error = SolverError(f"solver failure after {lane.steps} steps: {lane.error}")
+            return [done.data for done in lanes[:i]], error
+    return [lane.data for lane in lanes], None

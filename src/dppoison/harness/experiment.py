@@ -246,8 +246,9 @@ def _build_section(cls, raw, section, base_dir):
     """Construct a config dataclass from a mapping, rejecting unknown keys.
 
     A field with no default is required, and a null value counts as
-    absent. Lists become tuples, sections are built recursively, and
-    ``path`` fields are resolved against base_dir and must exist.
+    absent. An integer field takes only integers (not bools), lists become
+    tuples, sections are built recursively, and ``path`` fields are
+    resolved against base_dir and must exist.
     """
     if raw is None:
         raw = {}
@@ -267,6 +268,9 @@ def _build_section(cls, raw, section, base_dir):
         sub = _section_class(f.type)
         if sub is not None:
             value = _build_section(sub, value, f.name, base_dir)
+        elif f.type in (int, Optional[int]):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"config section {section!r}: {f.name!r} must be an integer, got {value!r}")
         elif isinstance(value, list):
             value = tuple(value)
         elif f.name == "path":
@@ -521,9 +525,9 @@ def _sweep_rows(config, data, cost, out_dir, summary):
     """One row per swept value: attack with that k (items ranked once, by
     the configured selection) or that epsilon (selected afresh, in row
     order, against its own clean estimate), then estimate the poisoned
-    cost. The rows' attacks run in lockstep (sweep_attacks). A row whose
-    selection or attack fails raises, so the rows before it are kept and
-    it is not written."""
+    cost. The rows' attacks run in lockstep (sweep_attacks). The first row
+    whose selection or attack fails ends the sweep: the rows before it are
+    kept, and it is neither estimated nor written."""
     kind, values = config.sweep.kind, config.sweep.values
     victim, atk = config.victim, config.attack
     seeds = [subseed(config.seed, STAGE_SWEEP, i) for i in range(len(values))]
@@ -532,10 +536,11 @@ def _sweep_rows(config, data, cost, out_dir, summary):
         scores = selection_scores(victim, data, cost, atk, config.seed)
         clean_est, j_clean = _clean_cost(config, victim, data, cost)
         summary["clean_cost"] = _estimate_dict(clean_est)
-        victims = [victim] * len(values)
+        victims, ks = [victim] * len(values), values
         selections = [top_k_indices(scores, value) for value in values]
     else:
         victims = [dataclasses.replace(victim, epsilon=value) for value in values]
+        ks = [atk.k] * len(values)
         selections = []
         try:
             for row_victim, seed in zip(victims, seeds):
@@ -543,25 +548,20 @@ def _sweep_rows(config, data, cost, out_dir, summary):
         except SolverError as exc:
             failure = exc
     scales = [row_victim.noise_scale_for(data.n) for row_victim in victims[: len(selections)]]
-    attacks = sweep_attacks(victim, data, cost, atk, selections, seeds, scales)
+    finals, error = sweep_attacks(victim, data, cost, atk, selections, seeds, scales)
     summary["sweep_rows"] = []
-    for i, (value, (final_data, error)) in enumerate(zip(values, attacks)):
+    for i, (value, row_victim, k, final_data) in enumerate(zip(values, victims, ks, finals)):
         row = {kind: value}
-        if kind == "k":
-            atk = dataclasses.replace(config.attack, k=value)
-        else:
-            victim = victims[i]
-            clean_est, j_clean = _clean_cost(config, victim, data, cost, i)
+        if kind == "epsilon":
+            clean_est, j_clean = _clean_cost(config, row_victim, data, cost, i)
             row["clean"] = _estimate_dict(clean_est)
-        if error is not None:
-            raise SolverError(f"{kind}={value}: {error}")
         seed = subseed(config.seed, STAGE_MC_POISONED, i)
-        est = estimate_attack_cost(victim, final_data, cost, atk.T_eval, seed)
-        row["lower_bound"] = bound_for(victim, cost, atk.k, j_clean)
+        est = estimate_attack_cost(row_victim, final_data, cost, atk.T_eval, seed)
+        row["lower_bound"] = bound_for(row_victim, cost, k, j_clean)
         summary["sweep_rows"].append({**row, **_estimate_dict(est)})
         yield value, est, row["lower_bound"]
-    if failure is not None:
-        raise failure
+    if error or failure:  # a failed attack's row comes before a failed selection's
+        raise SolverError(f"{kind}={values[len(finals)]}: {error or failure}")
 
 
 def run_experiment(config, out_dir):

@@ -32,6 +32,28 @@ def test_gate_needs_ten_pairs(pairs, gate):
     assert run_line.split()[-1] == gate
 
 
+@pytest.mark.parametrize(
+    "parent_run_s, change_run_s, worse",
+    [
+        # run_s may worsen by 25% of the parent's median (BENCHMARK.json)
+        ([2.0 + 0.01 * i for i in range(10)], [2.6 + 0.01 * i for i in range(10)], "yes"),
+        ([2.0 + 0.01 * i for i in range(10)], [2.2 + 0.01 * i for i in range(10)], "no"),
+        # the parent's own IQR is wider than the bound
+        ([1.0, 3.0] * 5, [1.1, 3.1] * 5, "unresolved"),
+        # unless every change run beats every parent run
+        ([2.0, 3.0] * 5, [1.0, 1.9] * 5, "no"),
+    ],
+)
+def test_worse_verdict_holds_the_benchmark_bound(parent_run_s, change_run_s, worse):
+    parent = [{"setup_s": 1.0, "run_s": v, "peak_rss_mb": 50.0} for v in parent_run_s]
+    change = [{"setup_s": 1.0, "run_s": v, "peak_rss_mb": 50.0} for v in change_run_s]
+    lines = ab_pairs.summarize(parent, change)
+    (run_line,) = [line for line in lines if line.startswith("run_s ")]
+    assert run_line.split()[-2] == worse
+    (setup_line,) = [line for line in lines if line.startswith("setup_s ")]
+    assert setup_line.split()[-2] == "no"
+
+
 def test_unknown_workload_fails():
     script = os.path.join(ROOT, "tools", "ab_pairs.py")
     command = [sys.executable, script, ROOT, ROOT, "--workload", "no-such-workload", "--pairs", "1"]

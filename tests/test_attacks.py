@@ -394,10 +394,10 @@ class TestSweepAttacks:
         selections = [np.array([1, 4, 7, 9]), np.arange(0), np.array([0, 2, 3, 5, 11])]
         seeds = [11, 12, 13]
         scales = [v.noise_scale_for(data.n) for v in victims]
-        got = attacks.sweep_attacks(victims[0], data, cost, config, selections, seeds, scales)
-        assert len(got) == 3
-        for victim, items, seed, (final, error) in zip(victims, selections, seeds, got):
-            assert error is None
+        finals, error = attacks.sweep_attacks(victims[0], data, cost, config, selections, seeds, scales)
+        assert len(finals) == 3
+        assert error is None
+        for victim, items, seed, final in zip(victims, selections, seeds, finals):
             lone = run_attack(victim, data, cost, config, seed, items)
             assert lone.error is None
             if (mechanism, base) != ("objective", "logistic"):
@@ -405,14 +405,14 @@ class TestSweepAttacks:
                 np.testing.assert_array_equal(final.y, lone.final_data.y)
             np.testing.assert_allclose(final.X, lone.final_data.X, rtol=0, atol=1e-10)
             np.testing.assert_allclose(final.y, lone.final_data.y, rtol=0, atol=1e-10)
-        assert got[1][0] is data
+        assert finals[1] is data
 
     def test_one_lane_is_the_lone_attack_bit_for_bit(self):
         victim, data, cost = small_logistic_setup(23)
         config = AttackConfig(k=3, T=8)
         items = np.array([2, 5, 6])
         scale = victim.noise_scale_for(data.n)
-        [(final, error)] = attacks.sweep_attacks(victim, data, cost, config, [items], [4], [scale])
+        [final], error = attacks.sweep_attacks(victim, data, cost, config, [items], [4], [scale])
         assert error is None
         lone = run_attack(victim, data, cost, config, 4, items)
         np.testing.assert_array_equal(final.X, lone.final_data.X)
@@ -434,13 +434,14 @@ class TestSweepAttacks:
         monkeypatch.setattr(attacks, "train_mechanism", third_step_fails_in_row_one)
         selections = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
         scale = victim.noise_scale_for(data.n)
-        got = attacks.sweep_attacks(victim, data, cost, config, selections, [1, 2, 3], [scale] * 3)
-        assert [error for _, error in got] == [None, "solver failure after 2 steps: instrumented failure"]
+        finals, error = attacks.sweep_attacks(victim, data, cost, config, selections, [1, 2, 3], [scale] * 3)
+        assert len(finals) == 1
+        assert isinstance(error, SolverError)
+        assert str(error) == "solver failure after 2 steps: instrumented failure"
         assert stacked == [3, 3, 3]
         monkeypatch.undo()
         lone = run_attack(victim, data, cost, config, 1, selections[0])
-        np.testing.assert_allclose(got[0][0].X, lone.final_data.X, rtol=0, atol=1e-10)
-        assert not np.array_equal(got[1][0].X, data.X)
+        np.testing.assert_allclose(finals[0].X, lone.final_data.X, rtol=0, atol=1e-10)
 
     def test_failed_ridge_lane_ends_the_list(self, monkeypatch):
         # ridge lanes are solved one at a time; the failed one is named by
@@ -463,9 +464,45 @@ class TestSweepAttacks:
         monkeypatch.setattr(attacks, "train_mechanism", third_solve_of_lane_one_fails)
         selections = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
         scale = victim.noise_scale_for(data.n)
-        got = attacks.sweep_attacks(victim, data, cost, config, selections, [1, 2, 3], [scale] * 3)
-        assert [error for _, error in got] == [None, "solver failure after 2 steps: instrumented failure"]
+        finals, error = attacks.sweep_attacks(victim, data, cost, config, selections, [1, 2, 3], [scale] * 3)
+        assert len(finals) == 1
+        assert isinstance(error, SolverError)
+        assert str(error) == "solver failure after 2 steps: instrumented failure"
         monkeypatch.undo()
         lone = run_attack(victim, data, cost, config, 1, selections[0])
-        np.testing.assert_array_equal(got[0][0].X, lone.final_data.X)
-        assert not np.array_equal(got[1][0].X, data.X)
+        np.testing.assert_array_equal(finals[0].X, lone.final_data.X)
+
+    def test_failed_clean_solve_fails_the_first_attack(self, monkeypatch):
+        victim, data, cost = small_logistic_setup(27)
+
+        def fails(*args, **kwargs):
+            raise SolverError("instrumented failure")
+
+        monkeypatch.setattr(attacks, "train_mechanism", fails)
+        scale = victim.noise_scale_for(data.n)
+        finals, error = attacks.sweep_attacks(victim, data, cost, AttackConfig(k=2, T=3), [[0, 1]], [1], [scale])
+        assert finals == []
+        assert str(error) == "solver failure after 0 steps: instrumented failure"
+
+    def test_no_attacks_make_no_solve(self, monkeypatch):
+        victim, data, cost = small_logistic_setup(27)
+        monkeypatch.setattr(attacks, "train_mechanism", None)
+        assert attacks.sweep_attacks(victim, data, cost, AttackConfig(k=2, T=3), [], [], []) == ([], None)
+
+    @pytest.mark.parametrize("bad", ["-1", "n"])
+    def test_lanes_check_their_items(self, monkeypatch, bad):
+        # a lane sorts its items, as run_attack does, and an index outside
+        # [0, n) is rejected before any solve
+        victim, data, cost = small_logistic_setup(26)
+        config = AttackConfig(k=3, T=4)
+        scale = victim.noise_scale_for(data.n)
+        [final], error = attacks.sweep_attacks(victim, data, cost, config, [np.array([6, 2, 5])], [4], [scale])
+        assert error is None
+        lone = run_attack(victim, data, cost, config, 4, [6, 2, 5])
+        np.testing.assert_array_equal(final.X, lone.final_data.X)
+        solves = []
+        monkeypatch.setattr(attacks, "train_mechanism", lambda *args, **kwargs: solves.append(args))
+        selections = [np.array([0, 1]), np.array([2, -1 if bad == "-1" else data.n])]
+        with pytest.raises(ValueError, match="selected indices out of range"):
+            attacks.sweep_attacks(victim, data, cost, config, selections, [4, 5], [scale] * 2)
+        assert solves == []

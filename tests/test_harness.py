@@ -45,7 +45,7 @@ from dppoison.harness import (
     save_csv_dataset,
     write_dataset_files,
 )
-from dppoison.harness.cli import load_config
+from dppoison.harness.cli import load_config, main
 from dppoison.rng import STAGE_DATA, STAGE_MC_POISONED, subseed, substream
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
@@ -625,6 +625,34 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"^{key} must be finite"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("attack", "k"),
+            ("attack", "T"),
+            ("attack", "m_select"),
+            ("attack", "T_eval"),
+            ("attack", "relax_T"),
+            ("data", "n"),
+            ("eval", "m"),
+            ("eval", "count"),
+            ("top level", "seed"),
+            ("top level", "curve_points"),
+        ],
+    )
+    def test_non_integer_count_rejected_at_load(self, tmp_path, section, key, value):
+        # int() would truncate 2.5, and a bool passes as an int; both, and
+        # a string, must stop the config before anything is written
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        (raw if section == "top level" else raw[section])[key] = value
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^config section '{section}': '{key}' must be an integer"):
+            main(["attack", "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_epsilon_sweep_value_rejected(self, value):
         raw = yaml.safe_load(ONE_D_CONFIG)
@@ -924,13 +952,47 @@ class TestSweepConfigs:
         out = tmp_path / "esweep"
         summary = run_experiment(config_from_dict(raw), str(out))
         kept = [0.5, 1.0][: failing - 1]
-        assert summary["error"] == f"solver failure after {len(kept)} cost rows: instrumented failure"
+        row = f"epsilon={[0.5, 1.0][failing - 1]}"
+        assert summary["error"] == f"solver failure after {len(kept)} cost rows: {row}: instrumented failure"
         assert len(calls) == failing
         _, rows = read_csv_rows(out / "costs.csv")
         assert [float(r[0]) for r in rows] == kept
         assert [row["epsilon"] for row in summary["sweep_rows"]] == kept
         if failing == 1:
             assert solves == []
+
+    def test_failed_row_attack_ends_the_epsilon_sweep_before_its_estimate(self, tmp_path, monkeypatch):
+        # row 2's attack fails: row 1 is estimated (clean and poisoned),
+        # row 2 is not, and the error names row 2 and its attack failure
+        import dppoison.attacks as attacks
+        import dppoison.harness.experiment as experiment
+
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["attack"].update(k=4, selection="shallow", mode="sv", m_select=3, T=3)
+        raw["sweep"] = {"kind": "epsilon", "values": [0.5, 1.0, 2.0]}
+        stacked, estimated = [], []
+
+        def row_two_fails_at_its_second_step(victim, data, b, warm_start=None):
+            if np.ndim(b) == 2:
+                stacked.append(1)
+                if len(stacked) == 2:
+                    raise SolverError("instrumented failure", [1])
+            return train_mechanism(victim, data, b, warm_start=warm_start)
+
+        def recorded(victim, *args):
+            estimated.append(victim.epsilon)
+            return estimate_attack_cost(victim, *args)
+
+        monkeypatch.setattr(attacks, "train_mechanism", row_two_fails_at_its_second_step)
+        monkeypatch.setattr(experiment, "estimate_attack_cost", recorded)
+        out = tmp_path / "esweep"
+        summary = run_experiment(config_from_dict(raw), str(out))
+        assert summary["error"] == (
+            "solver failure after 1 cost rows: epsilon=1.0: solver failure after 1 steps: instrumented failure"
+        )
+        assert estimated == [0.5, 0.5]
+        _, rows = read_csv_rows(out / "costs.csv")
+        assert [float(r[0]) for r in rows] == [0.5]
 
     def test_zero_budget_row_draws_no_noise_and_makes_no_solve(self, tmp_path, monkeypatch):
         # the k = 0 lane never moves: only the other rows' lanes draw noise

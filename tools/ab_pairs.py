@@ -5,12 +5,18 @@
 Each pair runs ``perfbench/worker.py`` once from each checkout, in a fresh
 process with one BLAS/OpenMP thread, both pinned to the same CPU, writing
 under a temporary directory. The first pair runs the parent first, the
-next the change first, and so on. For each end-to-end metric the script
-prints both sides' median and interquartile range (IQR), the pairs the
-change won (lower is better; ties count for neither side), and whether the
-gain gate holds: the change wins at least 9 in 10 pairs and the medians
-differ by more than the parent's IQR. The gate needs at least 10 pairs
-and reads ``n/a`` with fewer. It then says whether every pair wrote
+next the change first, and so on. The end-to-end metrics, the
+direction in which each is better and the bound by which it may worsen
+are read from ``BENCHMARK.json``. For each metric the script prints both
+sides' median and interquartile range (IQR), the pairs the change won
+(ties count for neither side), whether the change is worse, and whether
+the gain gate holds. The change is worse when its median is worse than
+the parent's by more than the bound, relative to the parent's median;
+the verdict reads ``unresolved`` when the parent's IQR exceeds the bound
+by the same measure, unless every change run beats every parent run. The
+gate holds when the change wins at least 9 in 10 pairs and the medians
+differ by more than the parent's IQR; it needs at least 10 pairs and
+reads ``n/a`` with fewer. It then says whether every pair wrote
 byte-identical CSVs and, for each CSV that differed in some pair, the
 largest relative cell change over the pairs, by the rule of
 ``tools/csvdiff.py`` that ``tests/test_golden.py`` applies. The worker
@@ -30,7 +36,7 @@ import tempfile
 
 import csvdiff
 
-METRICS = ("setup_s", "run_s", "peak_rss_mb")
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 MIN_GATE_PAIRS = 10
 
@@ -87,21 +93,32 @@ def quartiles(values):
 
 def summarize(parent, change):
     """Per-metric lines from lists of parent and change result dicts."""
-    lines = [f"{'metric':<12} {'parent median [IQR]':>22} {'change median [IQR]':>22} {'ratio':>6} {'won':>6} gate"]
-    for metric in METRICS:
-        a = [r[metric] for r in parent]
-        b = [r[metric] for r in change]
+    header = f"{'metric':<12} {'parent median [IQR]':>22} {'change median [IQR]':>22} {'ratio':>6} {'won':>6}"
+    lines = [f"{header} {'worse':>10} gate"]
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
+        sign = 1 if metric["better"] == "lower" else -1  # sign * (x - y) > 0: y beats x
+        a = [r[name] for r in parent]
+        b = [r[name] for r in change]
         ma, mb = statistics.median(a), statistics.median(b)
         qa, qb = quartiles(a), quartiles(b)
-        won = sum(y < x for x, y in zip(a, b))
+        won = sum(sign * (x - y) > 0 for x, y in zip(a, b))
         iqr = qa[1] - qa[0]
+        if all(sign * (x - y) > 0 for x in a for y in b):
+            worse = "no"
+        elif iqr > bound * abs(ma):
+            worse = "unresolved"
+        else:
+            worse = "yes" if sign * (mb - ma) > bound * abs(ma) else "no"
         if len(a) < MIN_GATE_PAIRS:
             gate = "n/a"
         else:
-            gate = "yes" if won >= 0.9 * len(a) and ma - mb > iqr else "no"
+            gate = "yes" if won >= 0.9 * len(a) and sign * (ma - mb) > iqr else "no"
         lines.append(
-            f"{metric:<12} {ma:>12.4f} [{iqr:7.4f}] {mb:>12.4f} [{qb[1] - qb[0]:7.4f}] "
-            f"{mb / ma:>6.3f} {won:>2}/{len(a):<3} {gate}"
+            f"{name:<12} {ma:>12.4f} [{iqr:7.4f}] {mb:>12.4f} [{qb[1] - qb[0]:7.4f}] "
+            f"{mb / ma:>6.3f} {won:>2}/{len(a):<3} {worse:>10} {gate}"
         )
     return lines
 
