@@ -13,78 +13,13 @@ The package has three layers:
   (:mod:`dppoison.bounds`, :mod:`dppoison.harness`).
 """
 
-from .attacks import (
-    AttackConfig,
-    AttackMode,
-    SelectionMethod,
-    relaxed_attack,
-    run_attack,
-    deep_scores,
-    shallow_scores,
-    top_k_indices,
-)
-from .bounds import BoundQuery, lower_bound, min_items
-from .core import (
-    BaseLearner,
-    CostSpec,
-    Dataset,
-    Goal,
-    Mechanism,
-    ModelParams,
-    Sign,
-    VictimSpec,
-    eval_cost,
-    modification_distances,
-    project_rows_inplace,
-    sigmoid,
-    softplus,
-)
-from .gradients import (
-    batch_item_gradients,
-    cost_gradient,
-    finite_difference_oracle,
-)
-from .learners import (
-    SolverError,
-    sample_noise,
-    train_base_logistic,
-    train_base_ridge_constrained,
-    train_mechanism,
-)
+from . import attacks, bounds, core, gradients, learners
+from .attacks import *  # noqa: F403
+from .bounds import *  # noqa: F403
+from .core import *  # noqa: F403
+from .gradients import *  # noqa: F403
+from .learners import *  # noqa: F403
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackConfig",
-    "AttackMode",
-    "BaseLearner",
-    "BoundQuery",
-    "CostSpec",
-    "Dataset",
-    "Goal",
-    "Mechanism",
-    "ModelParams",
-    "SelectionMethod",
-    "Sign",
-    "SolverError",
-    "VictimSpec",
-    "batch_item_gradients",
-    "cost_gradient",
-    "eval_cost",
-    "finite_difference_oracle",
-    "lower_bound",
-    "min_items",
-    "modification_distances",
-    "project_rows_inplace",
-    "sigmoid",
-    "softplus",
-    "relaxed_attack",
-    "run_attack",
-    "sample_noise",
-    "deep_scores",
-    "shallow_scores",
-    "top_k_indices",
-    "train_base_logistic",
-    "train_base_ridge_constrained",
-    "train_mechanism",
-    "__version__",
-]
+__all__ = [*attacks.__all__, *bounds.__all__, *core.__all__, *gradients.__all__, *learners.__all__, "__version__"]

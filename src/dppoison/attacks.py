@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BaseLearner, Dataset, ModelParams, eval_cost, modification_distances, project_rows_inplace
-from .core import Mechanism, _require_finite
+from .core import Mechanism, _check_fields
 from .gradients import batch_item_gradients, cost_gradient
 from .learners import SolverError, sample_noise, train_mechanism
 from .rng import STAGE_SELECT, STAGE_SGD, substream
@@ -75,9 +75,9 @@ class AttackConfig:
     relax_T: Optional[int] = None
 
     def __post_init__(self):
+        _check_fields(self)
         object.__setattr__(self, "selection", SelectionMethod(self.selection))
         object.__setattr__(self, "mode", AttackMode(self.mode))
-        _require_finite(self, "eta", "alpha")
         if self.k < 0:
             raise ValueError("k must be nonnegative")
         if self.T < 0:

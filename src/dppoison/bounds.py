@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Sign, _require_finite
+from .core import Sign, _check_fields
 
 __all__ = ["BoundQuery", "lower_bound", "min_items"]
 
@@ -57,8 +57,8 @@ class BoundQuery:
     tau: float = 1.0
 
     def __post_init__(self):
+        _check_fields(self, "tau")
         object.__setattr__(self, "sign", Sign(self.sign))
-        _require_finite(self, "j_clean", "epsilon", "delta", "cbar")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.delta < 1.0:
@@ -76,7 +76,7 @@ class BoundQuery:
         if self.cbar is not None and self.cbar <= 0:
             raise ValueError("cbar must be positive")
         if self.cbar is not None and abs(self.j_clean) > self.cbar:
-            raise ValueError("|j_clean| cannot exceed cbar, which bounds |C|")
+            raise ValueError(f"|j_clean| = {abs(self.j_clean)!r} cannot exceed cbar = {self.cbar!r}, which bounds |C|")
 
 
 def _delta_slack(q, m):

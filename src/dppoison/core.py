@@ -7,6 +7,7 @@ items onto the feasible set, and the modification distance used by deep
 selection.
 """
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -85,13 +86,24 @@ class Sign(str, enum.Enum):
     NON_POSITIVE = "non-positive"
 
 
-def _require_finite(obj, *names):
-    """Reject a set but non-finite scalar field of a config dataclass;
-    nan and inf slip through the ``<=`` range checks that follow."""
-    for name in names:
-        value = getattr(obj, name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def _is_integer(value):
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_fields(obj, *unbounded):
+    """Check a config dataclass's scalar fields against their annotations:
+    an int field holds an integer, a float field a finite number (nan and
+    inf slip through the ``<=`` range checks that follow) unless it is named
+    in unbounded; an Optional field may hold None."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is None and f.type in (Optional[int], Optional[float]):
+            continue
+        if f.type in (int, Optional[int]) and not _is_integer(value):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type in (float, Optional[float]) and f.name not in unbounded and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def _check_finite(*arrays):
@@ -214,9 +226,9 @@ class VictimSpec:
     noise_scale: Optional[float] = None
 
     def __post_init__(self):
+        _check_fields(self)
         object.__setattr__(self, "mechanism", Mechanism(self.mechanism))
         object.__setattr__(self, "base", BaseLearner(self.base))
-        _require_finite(self, "lam", "epsilon", "rho", "noise_scale")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.epsilon <= 0:
@@ -264,10 +276,10 @@ class CostSpec:
     cbar: Optional[float] = None
 
     def __post_init__(self):
+        _check_fields(self)
         object.__setattr__(self, "goal", Goal(self.goal))
         if self.loss not in ("logistic", "squared"):
             raise ValueError("loss must be 'logistic' or 'squared'")
-        _require_finite(self, "cbar")
         if self.goal is Goal.PARAMETER_TARGETING:
             if self.target_model is None:
                 raise ValueError("parameter targeting requires a target model")

@@ -43,7 +43,7 @@ from ..attacks import (
 )
 from ..bounds import BoundQuery, lower_bound
 from ..core import _NORM_SLACK, BaseLearner, CostSpec, Goal, ModelParams, Sign, VictimSpec
-from ..core import _require_finite
+from ..core import _check_fields, _is_integer
 from ..learners import (
     SolverError,
     train_base_logistic,
@@ -115,6 +115,7 @@ class DataSource:
     label_range: tuple = (0.0, 10.0)
 
     def __post_init__(self):
+        _check_fields(self)
         if self.kind not in _DATA_KINDS:
             raise ValueError(f"data kind must be one of {_DATA_KINDS}, got {self.kind!r}")
         if self.kind.startswith("gen") and self.n < 1:
@@ -143,6 +144,7 @@ class EvalSource:
     label_map: Optional[dict] = None
 
     def __post_init__(self):
+        _check_fields(self)
         if self.kind not in _EVAL_KINDS:
             raise ValueError(f"eval kind must be one of {_EVAL_KINDS}, got {self.kind!r}")
         if self.kind == "csv" and not self.path:
@@ -168,6 +170,7 @@ class CostDescriptor:
     cbar: Optional[float] = None
 
     def __post_init__(self):
+        _check_fields(self)
         object.__setattr__(self, "goal", Goal(self.goal))
         if self.loss not in ("logistic", "squared"):
             raise ValueError("loss must be 'logistic' or 'squared'")
@@ -178,7 +181,6 @@ class CostDescriptor:
                 raise ValueError(f"unknown target directive {self.target!r}")
         elif self.target is not None:
             raise ValueError("target applies to parameter targeting only")
-        _require_finite(self, "cbar")
         if self.cbar is not None and self.cbar <= 0:
             raise ValueError("cbar must be positive when given")
 
@@ -197,7 +199,7 @@ class SweepSpec:
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if self.kind == "k":
-            if any(int(v) != v or v < 0 for v in vals):
+            if not all(_is_integer(v) and v >= 0 for v in vals):
                 raise ValueError("k sweep values must be nonnegative integers")
             vals = tuple(int(v) for v in vals)
         else:
@@ -222,6 +224,7 @@ class ExperimentConfig:
     curve_points: int = 21
 
     def __post_init__(self):
+        _check_fields(self)  # then int() only makes numpy integers plain for JSON
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "curve_points", int(self.curve_points))
         if self.curve_points < 2:
@@ -246,9 +249,9 @@ def _build_section(cls, raw, section, base_dir):
     """Construct a config dataclass from a mapping, rejecting unknown keys.
 
     A field with no default is required, and a null value counts as
-    absent. An integer field takes only integers (not bools), lists become
-    tuples, sections are built recursively, and ``path`` fields are
-    resolved against base_dir and must exist.
+    absent. Lists become tuples, sections are built recursively, and
+    ``path`` fields are resolved against base_dir and must exist; each
+    dataclass checks its own field types.
     """
     if raw is None:
         raw = {}
@@ -268,9 +271,6 @@ def _build_section(cls, raw, section, base_dir):
         sub = _section_class(f.type)
         if sub is not None:
             value = _build_section(sub, value, f.name, base_dir)
-        elif f.type in (int, Optional[int]):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"config section {section!r}: {f.name!r} must be an integer, got {value!r}")
         elif isinstance(value, list):
             value = tuple(value)
         elif f.name == "path":
@@ -497,6 +497,9 @@ def _evaluation_rows(config, data, cost, out_dir, summary):
 
 def _curve_rows(config, data, cost, out_dir, summary):
     victim, atk = config.victim, config.attack
+    clean_est, j_clean = _clean_cost(config, victim, data, cost)
+    summary["clean_cost"] = _estimate_dict(clean_est)
+    bound = summary["lower_bound"] = bound_for(victim, cost, atk.k, j_clean)
     trace = run_attack(victim, data, cost, atk, config.seed)
     summary["selected"] = [int(i) for i in trace.selected]
     if trace.error is None:
@@ -506,9 +509,6 @@ def _curve_rows(config, data, cost, out_dir, summary):
     else:
         summary["error"] = trace.error
     summary["curve"] = []
-    clean_est, j_clean = _clean_cost(config, victim, data, cost)
-    summary["clean_cost"] = _estimate_dict(clean_est)
-    bound = summary["lower_bound"] = bound_for(victim, cost, atk.k, j_clean)
     iters = curve_iterations(int(trace.iterations[-1]), config.curve_points)
     _write_trace(os.path.join(out_dir, "trace.csv"), trace, iters)
     for t in iters:
@@ -525,23 +525,26 @@ def _sweep_rows(config, data, cost, out_dir, summary):
     """One row per swept value: attack with that k (items ranked once, by
     the configured selection) or that epsilon (selected afresh, in row
     order, against its own clean estimate), then estimate the poisoned
-    cost. The rows' attacks run in lockstep (sweep_attacks). The first row
-    whose selection or attack fails ends the sweep: the rows before it are
-    kept, and it is neither estimated nor written."""
+    cost. A k sweep estimates the clean cost and bounds every row before
+    it ranks the items, so a cbar below the clean cost stops it there; an
+    epsilon sweep does so per row, after the attacks. The rows' attacks
+    run in lockstep (sweep_attacks). The first row whose selection or
+    attack fails ends the sweep: the rows before it are kept, and it is
+    neither estimated nor written."""
     kind, values = config.sweep.kind, config.sweep.values
     victim, atk = config.victim, config.attack
     seeds = [subseed(config.seed, STAGE_SWEEP, i) for i in range(len(values))]
     failure = None
     if kind == "k":
-        scores = selection_scores(victim, data, cost, atk, config.seed)
         clean_est, j_clean = _clean_cost(config, victim, data, cost)
         summary["clean_cost"] = _estimate_dict(clean_est)
-        victims, ks = [victim] * len(values), values
+        bounds = [bound_for(victim, cost, value, j_clean) for value in values]
+        scores = selection_scores(victim, data, cost, atk, config.seed)
+        victims = [victim] * len(values)
         selections = [top_k_indices(scores, value) for value in values]
     else:
         victims = [dataclasses.replace(victim, epsilon=value) for value in values]
-        ks = [atk.k] * len(values)
-        selections = []
+        bounds, selections = [], []
         try:
             for row_victim, seed in zip(victims, seeds):
                 selections.append(select_items(row_victim, data, cost, atk, seed))
@@ -550,14 +553,15 @@ def _sweep_rows(config, data, cost, out_dir, summary):
     scales = [row_victim.noise_scale_for(data.n) for row_victim in victims[: len(selections)]]
     finals, error = sweep_attacks(victim, data, cost, atk, selections, seeds, scales)
     summary["sweep_rows"] = []
-    for i, (value, row_victim, k, final_data) in enumerate(zip(values, victims, ks, finals)):
+    for i, (value, row_victim, final_data) in enumerate(zip(values, victims, finals)):
         row = {kind: value}
         if kind == "epsilon":
             clean_est, j_clean = _clean_cost(config, row_victim, data, cost, i)
             row["clean"] = _estimate_dict(clean_est)
+            bounds.append(bound_for(row_victim, cost, atk.k, j_clean))
         seed = subseed(config.seed, STAGE_MC_POISONED, i)
         est = estimate_attack_cost(row_victim, final_data, cost, atk.T_eval, seed)
-        row["lower_bound"] = bound_for(row_victim, cost, k, j_clean)
+        row["lower_bound"] = bounds[i]
         summary["sweep_rows"].append({**row, **_estimate_dict(est)})
         yield value, est, row["lower_bound"]
     if error or failure:  # a failed attack's row comes before a failed selection's

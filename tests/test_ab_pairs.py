@@ -86,16 +86,33 @@ def test_csv_changes_reports_the_largest_cell_change_per_file(tmp_path):
 
 
 def test_report_names_moved_cells_and_exit_status_is_unchanged(tmp_path, monkeypatch, capsys):
-    # a stand-in worker: the change writes one cell that moved by 0.2
+    # a stand-in worker: the change writes one cell that moved by 0.2; each
+    # side is told apart by a marker in its checkout's copied src/
+    runs = []
 
     def fake_worker(checkout, workload, seed, out_dir, tiny, cpu):
-        value = "2.0" if checkout == "parent" else "2.5"
+        with open(os.path.join(checkout, "src", "side"), encoding="utf-8") as fh:
+            side = fh.read()
+        runs.append((side, checkout))
+        value = "2.0" if side == "parent" else "2.5"
         write_csv(out_dir, "costs.csv", [["iteration", "mean"], ["0", value]])
         return {"setup_s": 0.1, "run_s": 1.0, "peak_rss_mb": 40.0, "error": None}
 
+    checkouts = {side: tmp_path / f"checkout-of-the-{side}" for side in ("parent", "change")}
+    for side, checkout in checkouts.items():
+        for part in ab_pairs.COPIED:
+            (checkout / part).mkdir(parents=True)
+        (checkout / "src" / "side").write_text(side)
     monkeypatch.setattr(ab_pairs, "run_worker", fake_worker)
-    status = ab_pairs.main(["parent", "change", "--workload", "w", "--pairs", "2"])
+    status = ab_pairs.main([str(checkouts["parent"]), str(checkouts["change"]), "--workload", "w", "--pairs", "4"])
     lines = capsys.readouterr().out.splitlines()
     assert status == 1
-    assert "CSVs byte-identical in 0 of 2 pairs" in lines
+    assert "CSVs byte-identical in 0 of 4 pairs" in lines
     assert "costs.csv: largest relative change 0.2 at row 1, column 1" in lines
+    # both sides ran from copies, never from a checkout, on two paths of one
+    # length, and each side from each path in two of the four pairs
+    paths = {path for _, path in runs}
+    assert len(paths) == 2 and len({len(path) for path in paths}) == 1
+    assert not paths & {str(checkout) for checkout in checkouts.values()}
+    for side in checkouts:
+        assert sorted(path for s, path in runs if s == side) == sorted([*paths, *paths])

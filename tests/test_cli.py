@@ -176,7 +176,7 @@ class TestBound:
         )
         assert proc.returncode != 0
         assert proc.stdout == ""
-        assert proc.stderr == "bound: |j_clean| cannot exceed cbar, which bounds |C|\n"
+        assert proc.stderr == "bound: |j_clean| = 1e+308 cannot exceed cbar = 1.0, which bounds |C|\n"
 
 
 class TestGenData:

@@ -649,7 +649,7 @@ class TestConfigParsing:
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(raw))
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=f"^config section '{section}': '{key}' must be an integer"):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
             main(["attack", "--config", str(path), "--out", str(out)])
         assert not out.exists()
 
@@ -739,6 +739,24 @@ class TestRunExperiment:
         assert "instrumented failure" in summary["error"]
         assert (out / "summary.json").exists()
         assert (out / "costs.csv").exists()
+
+    @pytest.mark.parametrize("sweep", [None, {"kind": "k", "values": [1, 2]}], ids=["attack", "k-sweep"])
+    def test_cbar_below_clean_cost_stops_before_the_attack(self, tmp_path, monkeypatch, sweep):
+        import dppoison.harness.experiment as experiment
+
+        def no_attack(*args, **kwargs):
+            raise AssertionError("the attack ran")
+
+        monkeypatch.setattr(experiment, "run_attack", no_attack)
+        monkeypatch.setattr(experiment, "selection_scores", no_attack)
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["cost"]["cbar"] = 0.001
+        raw["attack"].update(T=5, T_eval=20, selection="shallow")
+        raw["sweep"] = sweep
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=r"^\|j_clean\| = \S+ cannot exceed cbar = 0.001, which bounds \|C\|$"):
+            run_experiment(config_from_dict(raw), str(out))
+        assert not (out / "costs.csv").exists()
 
     def test_attack_solver_failure_keeps_iteration_zero(
         self, one_d_config_path, tmp_path, monkeypatch

@@ -2,12 +2,16 @@
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seed S] [--tiny]
 
-Each pair runs ``perfbench/worker.py`` once from each checkout, in a fresh
-process with one BLAS/OpenMP thread, both pinned to the same CPU, writing
-under a temporary directory. The first pair runs the parent first, the
-next the change first, and so on. The end-to-end metrics, the
-direction in which each is better and the bound by which it may worsen
-are read from ``BENCHMARK.json``. For each metric the script prints both
+Each checkout's ``src/``, ``perfbench/`` and ``data/`` are first copied into
+two temporary directories whose paths have the same length, so the
+checkout's own path cannot read as a speed difference. Each pair runs
+``perfbench/worker.py`` once from each copy, in a fresh process with one
+BLAS/OpenMP thread, both pinned to the same CPU, writing under the
+temporary directory. The first pair runs the parent first, the next the
+change first, and so on; after every second pair the two copies swap
+paths, so in each four pairs each side runs first and second from each
+path once. The end-to-end metrics, the direction in which each is better
+and the bound by which it may worsen are read from ``BENCHMARK.json``. For each metric the script prints both
 sides' median and interquartile range (IQR), the pairs the change won
 (ties count for neither side), whether the change is worse, and whether
 the gain gate holds. The change is worse when its median is worse than
@@ -29,6 +33,7 @@ import filecmp
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -39,6 +44,7 @@ import csvdiff
 BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 MIN_GATE_PAIRS = 10
+COPIED = ("src", "perfbench", "data")  # what a worker run reads of a checkout
 
 
 def run_worker(checkout, workload, seed, out_dir, tiny, cpu):
@@ -59,6 +65,27 @@ def run_worker(checkout, workload, seed, out_dir, tiny, cpu):
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: worker failed\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def stage(checkouts, tmp):
+    """Copy what a worker run reads of each side's checkout into tmp/a and
+    tmp/b, paths of the same length; returns {side: path}."""
+    homes = {}
+    ignore = shutil.ignore_patterns("__pycache__")
+    for (side, checkout), name in zip(checkouts.items(), "ab"):
+        homes[side] = os.path.join(tmp, name)
+        for part in COPIED:
+            shutil.copytree(os.path.join(checkout, part), os.path.join(homes[side], part), ignore=ignore)
+    return homes
+
+
+def swap(homes):
+    """Swap the two sides' copies between their paths."""
+    (side_a, path_a), (side_b, path_b) = homes.items()
+    os.rename(path_a, path_a + "~")
+    os.rename(path_b, path_a)
+    os.rename(path_a + "~", path_b)
+    return {side_a: path_b, side_b: path_a}
 
 
 def csv_changes(dir_a, dir_b):
@@ -139,11 +166,14 @@ def main(argv=None):
     identical = errors = 0
     changes = {}
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
+        homes = stage({"parent": args.parent, "change": args.change}, tmp)
         for i in range(args.pairs):
+            if i > 0 and i % 2 == 0:
+                homes = swap(homes)
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 out = os.path.join(tmp, f"{i}_{side}")
-                result = run_worker(getattr(args, side), args.workload, args.seed, out, args.tiny, cpu)
+                result = run_worker(homes[side], args.workload, args.seed, out, args.tiny, cpu)
                 errors += result.get("error") is not None
                 results[side].append(result)
             pair_changes = csv_changes(os.path.join(tmp, f"{i}_parent"), os.path.join(tmp, f"{i}_change"))
@@ -153,7 +183,8 @@ def main(argv=None):
                     changes[name] = change
             print(
                 f"pair {i + 1}: run_s parent {results['parent'][-1]['run_s']:.4f} "
-                f"change {results['change'][-1]['run_s']:.4f} ({order[0]} first)",
+                f"change {results['change'][-1]['run_s']:.4f} ({order[0]} first, "
+                f"parent in {os.path.basename(homes['parent'])})",
                 file=sys.stderr,
             )
     print(f"{args.workload} seed {args.seed}{' tiny' if args.tiny else ''}: {args.pairs} pairs, CPU {cpu}")
