@@ -76,8 +76,6 @@ class AttackConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        object.__setattr__(self, "selection", SelectionMethod(self.selection))
-        object.__setattr__(self, "mode", AttackMode(self.mode))
         if self.k < 0:
             raise ValueError("k must be nonnegative")
         if self.T < 0:

@@ -58,7 +58,6 @@ class BoundQuery:
 
     def __post_init__(self):
         _check_fields(self, "tau")
-        object.__setattr__(self, "sign", Sign(self.sign))
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.delta < 1.0:

@@ -10,8 +10,10 @@ selection.
 import dataclasses
 import enum
 import math
+import numbers
+import typing
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -91,19 +93,42 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_number(value):
+    """A real number (numpy's included), and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_fields(obj, *unbounded):
-    """Check a config dataclass's scalar fields against their annotations:
-    an int field holds an integer, a float field a finite number (nan and
-    inf slip through the ``<=`` range checks that follow) unless it is named
-    in unbounded; an Optional field may hold None."""
+    """Check a config dataclass's fields by their annotations. Optional: may
+    be None; enum: stored as the member; Literal: one of the choices; int:
+    an integer, stored as an int; float: a number, finite unless named in
+    unbounded (nan and inf slip through the ``<=`` checks that follow);
+    tuple: a tuple or list, stored as a tuple; any other class: an instance."""
     for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if value is None and f.type in (Optional[int], Optional[float]):
-            continue
-        if f.type in (int, Optional[int]) and not _is_integer(value):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if f.type in (float, Optional[float]) and f.name not in unbounded and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        value, tp = getattr(obj, f.name), f.type
+        if typing.get_origin(tp) is typing.Union:  # Optional[tp]
+            if value is None:
+                continue
+            tp = typing.get_args(tp)[0]
+        if typing.get_origin(tp) is typing.Literal:
+            if value not in typing.get_args(tp):
+                raise ValueError(f"{f.name} must be one of {typing.get_args(tp)}, got {value!r}")
+        elif issubclass(tp, enum.Enum):
+            value = tp(value)
+        elif tp is int:
+            if not _is_integer(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            value = int(value)
+        elif tp is float:
+            if not _is_number(value):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if f.name not in unbounded and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        elif tp is tuple and isinstance(value, list):
+            value = tuple(value)
+        elif not isinstance(value, tp):
+            raise ValueError(f"{f.name} must be a {tp.__name__}, got {value!r}")
+        object.__setattr__(obj, f.name, value)
 
 
 def _check_finite(*arrays):
@@ -227,8 +252,6 @@ class VictimSpec:
 
     def __post_init__(self):
         _check_fields(self)
-        object.__setattr__(self, "mechanism", Mechanism(self.mechanism))
-        object.__setattr__(self, "base", BaseLearner(self.base))
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.epsilon <= 0:
@@ -272,14 +295,11 @@ class CostSpec:
     goal: Goal
     target_model: Optional[ModelParams] = None
     eval_set: Optional[Dataset] = None
-    loss: str = "logistic"
+    loss: Literal["logistic", "squared"] = "logistic"
     cbar: Optional[float] = None
 
     def __post_init__(self):
         _check_fields(self)
-        object.__setattr__(self, "goal", Goal(self.goal))
-        if self.loss not in ("logistic", "squared"):
-            raise ValueError("loss must be 'logistic' or 'squared'")
         if self.goal is Goal.PARAMETER_TARGETING:
             if self.target_model is None:
                 raise ValueError("parameter targeting requires a target model")

@@ -8,6 +8,7 @@ time via a label map.
 
 import csv
 import math
+import os
 
 import numpy as np
 
@@ -135,8 +136,9 @@ def _cell(v):
 
 
 def write_csv(path, header, rows):
-    """Write a CSV with a header row. Integers are written as integers and
-    every other cell as a float at full precision."""
+    """Write a CSV with a header row, making its directory. Integers are
+    written as integers and every other cell as a float at full precision."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

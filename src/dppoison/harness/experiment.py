@@ -24,7 +24,7 @@ import os
 import time
 import typing
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from ..attacks import (
 )
 from ..bounds import BoundQuery, lower_bound
 from ..core import _NORM_SLACK, BaseLearner, CostSpec, Goal, ModelParams, Sign, VictimSpec
-from ..core import _check_fields, _is_integer
+from ..core import _check_fields, _is_integer, _is_number
 from ..learners import (
     SolverError,
     train_base_logistic,
@@ -94,8 +94,6 @@ __all__ = [
     "write_dataset_files",
 ]
 
-_DATA_KINDS = ("gen-1d", "gen-2d", "csv")
-_EVAL_KINDS = ("grid-1d", "grid-2d", "nn-flip", "extreme-item", "csv", "none")
 _ALL_RANKS_NONE = "selection 'all' ranks no items: k < n needs shallow or deep selection"
 
 
@@ -103,7 +101,7 @@ _ALL_RANKS_NONE = "selection 'all' ranks no items: k < n needs shallow or deep s
 class DataSource:
     """Where the training set comes from."""
 
-    kind: str
+    kind: Literal["gen-1d", "gen-2d", "csv"]
     n: int = 0
     theta_star: tuple = (1.0, 1.0)
     path: Optional[str] = None
@@ -116,8 +114,6 @@ class DataSource:
 
     def __post_init__(self):
         _check_fields(self)
-        if self.kind not in _DATA_KINDS:
-            raise ValueError(f"data kind must be one of {_DATA_KINDS}, got {self.kind!r}")
         if self.kind.startswith("gen") and self.n < 1:
             raise ValueError("generated data sources need n >= 1")
         if self.kind == "gen-2d" and len(self.theta_star) != 2:
@@ -131,12 +127,12 @@ class EvalSource:
     """Where the cost's evaluation set comes from (kind 'none' for
     parameter targeting with an explicit target)."""
 
-    kind: str = "none"
+    kind: Literal["grid-1d", "grid-2d", "nn-flip", "extreme-item", "csv", "none"] = "none"
     m: int = 21
     count: int = 10
     class_label: float = 1.0
     include_seed: bool = False
-    extreme: str = "min"
+    extreme: Literal["min", "max"] = "min"
     target_label: float = 1.0
     path: Optional[str] = None
     feature_columns: Optional[tuple] = None
@@ -145,8 +141,6 @@ class EvalSource:
 
     def __post_init__(self):
         _check_fields(self)
-        if self.kind not in _EVAL_KINDS:
-            raise ValueError(f"eval kind must be one of {_EVAL_KINDS}, got {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv eval source needs a path")
         if self.kind.startswith("grid") and self.m < 1:
@@ -165,15 +159,12 @@ class CostDescriptor:
     """
 
     goal: Goal
-    loss: str = "logistic"
+    loss: Literal["logistic", "squared"] = "logistic"
     target: object = None
     cbar: Optional[float] = None
 
     def __post_init__(self):
         _check_fields(self)
-        object.__setattr__(self, "goal", Goal(self.goal))
-        if self.loss not in ("logistic", "squared"):
-            raise ValueError("loss must be 'logistic' or 'squared'")
         if self.goal is Goal.PARAMETER_TARGETING:
             if self.target is None:
                 raise ValueError("parameter targeting needs a target vector or 'fit-eval'")
@@ -187,25 +178,20 @@ class CostDescriptor:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    kind: str
+    kind: Literal["k", "epsilon"]
     values: tuple
 
     def __post_init__(self):
-        if self.kind not in ("k", "epsilon"):
-            raise ValueError("sweep kind must be 'k' or 'epsilon'")
-        vals = tuple(self.values)
+        _check_fields(self)
+        if self.kind == "k" and not all(_is_integer(v) and v >= 0 for v in self.values):
+            raise ValueError("k sweep values must be nonnegative integers")
+        if self.kind == "epsilon" and not all(_is_number(v) and math.isfinite(v) and v > 0 for v in self.values):
+            raise ValueError("epsilon sweep values must be finite and positive")
+        vals = tuple(map(int if self.kind == "k" else float, self.values))
         if len(vals) < 2:
             raise ValueError("a sweep needs at least two values")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        if self.kind == "k":
-            if not all(_is_integer(v) and v >= 0 for v in vals):
-                raise ValueError("k sweep values must be nonnegative integers")
-            vals = tuple(int(v) for v in vals)
-        else:
-            if not all(math.isfinite(v) and v > 0 for v in vals):
-                raise ValueError("epsilon sweep values must be finite and positive")
-            vals = tuple(float(v) for v in vals)
         object.__setattr__(self, "values", vals)
 
 
@@ -224,9 +210,7 @@ class ExperimentConfig:
     curve_points: int = 21
 
     def __post_init__(self):
-        _check_fields(self)  # then int() only makes numpy integers plain for JSON
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "curve_points", int(self.curve_points))
+        _check_fields(self)
         if self.curve_points < 2:
             raise ValueError("curve_points must be at least 2")
         if self.sweep is not None and self.sweep.kind == "epsilon":
@@ -249,9 +233,9 @@ def _build_section(cls, raw, section, base_dir):
     """Construct a config dataclass from a mapping, rejecting unknown keys.
 
     A field with no default is required, and a null value counts as
-    absent. Lists become tuples, sections are built recursively, and
-    ``path`` fields are resolved against base_dir and must exist; each
-    dataclass checks its own field types.
+    absent. Sections are built recursively, and ``path`` fields are
+    resolved against base_dir and must exist; each dataclass checks its
+    own field types.
     """
     if raw is None:
         raw = {}
@@ -271,9 +255,7 @@ def _build_section(cls, raw, section, base_dir):
         sub = _section_class(f.type)
         if sub is not None:
             value = _build_section(sub, value, f.name, base_dir)
-        elif isinstance(value, list):
-            value = tuple(value)
-        elif f.name == "path":
+        elif f.name == "path" and isinstance(value, str):  # the dataclass rejects others
             if base_dir is not None and not os.path.isabs(value):
                 value = os.path.join(base_dir, value)
             if not os.path.exists(value):
@@ -443,7 +425,7 @@ def _run(config, out_dir, key, mode_rows):
     (key value, estimate, bound) per row and records its details in the
     summary. A solver failure ends the rows early and is recorded in the
     summary after any error the mode recorded; the rows before it are
-    kept. The inputs and an attack's budget are checked before out_dir is made.
+    kept. The first file written makes out_dir, so a refused run leaves none.
     """
     t0 = time.perf_counter()
     data = build_dataset(config)
@@ -456,7 +438,6 @@ def _run(config, out_dir, key, mode_rows):
             raise ValueError(f"budget k={k} exceeds dataset size n={data.n}")
         if atk.selection is SelectionMethod.ALL and k != data.n:
             raise ValueError(_ALL_RANKS_NONE)
-    os.makedirs(out_dir, exist_ok=True)
     summary = {
         "config": config_to_dict(config),
         "seed": config.seed,
@@ -497,9 +478,8 @@ def _evaluation_rows(config, data, cost, out_dir, summary):
 
 def _curve_rows(config, data, cost, out_dir, summary):
     victim, atk = config.victim, config.attack
-    clean_est, j_clean = _clean_cost(config, victim, data, cost)
-    summary["clean_cost"] = _estimate_dict(clean_est)
-    bound = summary["lower_bound"] = bound_for(victim, cost, atk.k, j_clean)
+    yield from _evaluation_rows(config, data, cost, out_dir, summary)
+    summary["curve"] = [{"iteration": 0, **summary["clean_cost"]}]
     trace = run_attack(victim, data, cost, atk, config.seed)
     summary["selected"] = [int(i) for i in trace.selected]
     if trace.error is None:
@@ -508,16 +488,13 @@ def _curve_rows(config, data, cost, out_dir, summary):
         summary["final_surrogate_model"] = {"theta": [float(v) for v in model.theta], "mu": model.mu}
     else:
         summary["error"] = trace.error
-    summary["curve"] = []
     iters = curve_iterations(int(trace.iterations[-1]), config.curve_points)
     _write_trace(os.path.join(out_dir, "trace.csv"), trace, iters)
-    for t in iters:
-        est = clean_est
-        if t > 0:
-            seed = subseed(config.seed, STAGE_CURVE, int(t))
-            est = estimate_attack_cost(victim, trace.dataset_at(t), cost, atk.T_eval, seed)
+    for t in iters[1:]:
+        seed = subseed(config.seed, STAGE_CURVE, int(t))
+        est = estimate_attack_cost(victim, trace.dataset_at(t), cost, atk.T_eval, seed)
         summary["curve"].append({"iteration": int(t), **_estimate_dict(est)})
-        yield t, est, bound
+        yield t, est, summary["lower_bound"]
     summary["final_cost"] = summary["curve"][-1]
 
 
@@ -588,7 +565,6 @@ def write_dataset_files(config, out_dir):
     """Materialize the config's data (and evaluation set, if any) to CSVs."""
     data = build_dataset(config)
     eval_set = build_eval_set(config, data)
-    os.makedirs(out_dir, exist_ok=True)
     save_csv_dataset(data, os.path.join(out_dir, "dataset.csv"))
     written = {"dataset": os.path.join(out_dir, "dataset.csv")}
     if eval_set is not None and len(eval_set) > 0:

@@ -740,8 +740,19 @@ class TestRunExperiment:
         assert (out / "summary.json").exists()
         assert (out / "costs.csv").exists()
 
-    @pytest.mark.parametrize("sweep", [None, {"kind": "k", "values": [1, 2]}], ids=["attack", "k-sweep"])
-    def test_cbar_below_clean_cost_stops_before_the_attack(self, tmp_path, monkeypatch, sweep):
+    @pytest.mark.parametrize(
+        "run, sweep",
+        [
+            (run_experiment, None),
+            (run_experiment, {"kind": "k", "values": [1, 2]}),
+            # an epsilon sweep checks each row after the attacks, which
+            # call neither patched function
+            (run_experiment, {"kind": "epsilon", "values": [0.5, 1.0]}),
+            (run_evaluation, None),
+        ],
+        ids=["attack", "k-sweep", "epsilon-sweep", "evaluate"],
+    )
+    def test_cbar_below_clean_cost_stops_before_the_attack(self, tmp_path, monkeypatch, run, sweep):
         import dppoison.harness.experiment as experiment
 
         def no_attack(*args, **kwargs):
@@ -755,8 +766,34 @@ class TestRunExperiment:
         raw["sweep"] = sweep
         out = tmp_path / "run"
         with pytest.raises(ValueError, match=r"^\|j_clean\| = \S+ cannot exceed cbar = 0.001, which bounds \|C\|$"):
-            run_experiment(config_from_dict(raw), str(out))
-        assert not (out / "costs.csv").exists()
+            run(config_from_dict(raw), str(out))
+        assert not out.exists()
+
+    def test_failed_selection_keeps_the_clean_row(self, tmp_path, monkeypatch):
+        import dppoison.attacks as attacks
+
+        def boom(*args, **kwargs):
+            raise SolverError("instrumented failure")
+
+        monkeypatch.setattr(attacks, "selection_scores", boom)
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["attack"].update(k=3, selection="shallow")
+        out = tmp_path / "run"
+        summary = run_experiment(config_from_dict(raw), str(out))
+        assert summary["error"] == "solver failure after 1 cost rows: instrumented failure"
+        assert [c["iteration"] for c in summary["curve"]] == [0]
+        _, rows = read_csv_rows(out / "costs.csv")
+        assert [r[0] for r in rows] == ["0"]
+        assert not (out / "trace.csv").exists()
+
+    def test_numpy_integer_fields_reach_summary_json(self, tmp_path):
+        cfg = config_from_dict(yaml.safe_load(ONE_D_CONFIG))
+        attack = dataclasses.replace(cfg.attack, k=np.int64(11), T=np.int64(4))
+        cfg = dataclasses.replace(cfg, attack=attack, data=dataclasses.replace(cfg.data, n=np.int64(11)))
+        run_experiment(cfg, str(tmp_path / "run"))
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert (summary["config"]["attack"]["k"], summary["config"]["attack"]["T"]) == (11, 4)
+        assert summary["config"]["data"]["n"] == 11
 
     def test_attack_solver_failure_keeps_iteration_zero(
         self, one_d_config_path, tmp_path, monkeypatch

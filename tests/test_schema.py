@@ -5,8 +5,12 @@ field added later is covered without a new list.
 """
 
 import dataclasses
+import enum
 import importlib
 import math
+import os
+import re
+import typing
 from typing import Optional
 
 import numpy as np
@@ -33,6 +37,8 @@ VALID = [
     ExperimentConfig(VICTIM, COST, DATA, ATTACK),
 ]
 UNBOUNDED = {(BoundQuery, "tau")}
+CONFIGS = VALID + [SweepSpec("k", (1, 2))]
+CONFIGS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def fields_of(types):
@@ -88,6 +94,116 @@ def test_k_sweep_rejects_a_bool_at_load():
     raw["sweep"]["values"] = [np.int64(1), 2]
     values = config_from_dict(raw).sweep.values
     assert values == (1, 2) and all(type(v) is int for v in values)
+
+
+def rule(tp):
+    """A field's annotation without its Optional."""
+    return typing.get_args(tp)[0] if typing.get_origin(tp) is typing.Union else tp
+
+
+def fields_whose_rule(test):
+    return [
+        pytest.param(obj, f.name, rule(f.type), id=f"{type(obj).__name__}.{f.name}")
+        for obj in CONFIGS
+        for f in dataclasses.fields(obj)
+        if test(rule(f.type))
+    ]
+
+
+def is_literal(tp):
+    return typing.get_origin(tp) is typing.Literal
+
+
+def is_enum(tp):
+    return isinstance(tp, type) and issubclass(tp, enum.Enum)
+
+
+def is_plain_class(tp):
+    return isinstance(tp, type) and tp not in (int, float, object) and not is_enum(tp)
+
+
+@pytest.mark.parametrize("obj, name, tp", fields_whose_rule(is_literal))
+def test_literal_field_takes_only_its_choices(obj, name, tp):
+    message = f"{name} must be one of {typing.get_args(tp)}, got 'bogus'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(obj, **{name: "bogus"})
+
+
+def test_kinds_losses_and_extreme_are_literals():
+    literals = {p.id for p in fields_whose_rule(is_literal)}
+    assert literals == {
+        "DataSource.kind", "EvalSource.kind", "EvalSource.extreme", "CostSpec.loss",
+        "CostDescriptor.loss", "SweepSpec.kind",
+    }
+
+
+@pytest.mark.parametrize("obj, name, tp", fields_whose_rule(is_enum))
+def test_enum_field_stores_its_member(obj, name, tp):
+    member = getattr(obj, name)
+    assert type(member) is tp
+    assert getattr(dataclasses.replace(obj, **{name: member.value}), name) is member
+
+
+@pytest.mark.parametrize("obj, name, tp", fields_whose_rule(lambda tp: tp is int))
+def test_int_field_stores_a_plain_int(obj, name, tp):
+    value = getattr(dataclasses.replace(obj, **{name: np.int64(3)}), name)
+    assert value == 3 and type(value) is int
+
+
+@pytest.mark.parametrize("value", ["1e-1", True, [0.1]])
+@pytest.mark.parametrize("obj, name, tp", fields_whose_rule(lambda tp: tp is float))
+def test_float_field_takes_only_numbers(obj, name, tp, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a number, got {value!r}')}$"):
+        dataclasses.replace(obj, **{name: value})
+
+
+def typed_fields():
+    """(obj, name, class, value): every field annotated with a plain class
+    (bool, str, tuple, dict, a section) and a value it must refuse."""
+    return [
+        pytest.param(*p.values, value, id=f"{p.id}-{value!r}")
+        for p in fields_whose_rule(is_plain_class)
+        for value in (5, "x0", [1, 2])
+        if not isinstance(value, p.values[2]) and not (p.values[2] is tuple and isinstance(value, list))
+    ]
+
+
+@pytest.mark.parametrize("obj, name, tp, value", typed_fields())
+def test_typed_field_takes_only_its_class(obj, name, tp, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a {tp.__name__}, got {value!r}')}$"):
+        dataclasses.replace(obj, **{name: value})
+
+
+@pytest.mark.parametrize("obj, name, tp", fields_whose_rule(lambda tp: tp is tuple))
+def test_tuple_field_stores_a_list_as_a_tuple(obj, name, tp):
+    assert getattr(dataclasses.replace(obj, **{name: [1, 2]}), name) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "section, text, message",
+    [
+        ("victim", "epsilon: 1e-1", "epsilon must be a number, got '1e-1'"),
+        ("victim", "lam: true", "lam must be a number, got True"),
+        ("eval", 'class_label: "1"', "class_label must be a number, got '1'"),
+        ("eval", "extreme: median", "extreme must be one of ('min', 'max'), got 'median'"),
+        ("data", "kind: gen-3d", "kind must be one of ('gen-1d', 'gen-2d', 'csv'), got 'gen-3d'"),
+        ("data", "{kind: csv, path: 5}", "path must be a str, got 5"),
+        ("data", "normalize: 'yes'", "normalize must be a bool, got 'yes'"),
+        ("data", "feature_columns: x0", "feature_columns must be a tuple, got 'x0'"),
+        ("data", "label_range: 5", "label_range must be a tuple, got 5"),
+        ("data", "label_map: [1, 2]", "label_map must be a dict, got [1, 2]"),
+        ("cost", "loss: hinge", "loss must be one of ('logistic', 'squared'), got 'hinge'"),
+        ("sweep", "{kind: n, values: [1, 2]}", "kind must be one of ('k', 'epsilon'), got 'n'"),
+        ("sweep", "{kind: k, values: 5}", "values must be a tuple, got 5"),
+        ("sweep", "{kind: epsilon, values: [a, b]}", "epsilon sweep values must be finite and positive"),
+    ],
+)
+def test_yaml_of_the_wrong_type_is_refused_at_load(section, text, message):
+    with open(os.path.join(CONFIGS_DIR, "synth1d_flip.yaml"), encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw.setdefault(section, {}).update(yaml.safe_load(text))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict(raw, base_dir=CONFIGS_DIR)
 
 
 # The names each package exported before its __all__ was derived from its
