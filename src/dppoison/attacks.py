@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BaseLearner, Dataset, ModelParams, eval_cost, modification_distances, project_rows_inplace
-from .core import Mechanism, _check_fields
+from .core import AtLeast, Count, Mechanism, Positive, _check_fields
 from .gradients import batch_item_gradients, cost_gradient
 from .learners import SolverError, sample_noise, train_mechanism
 from .rng import STAGE_SELECT, STAGE_SGD, substream
@@ -38,6 +38,9 @@ __all__ = [
     "run_attack",
     "sweep_attacks",
 ]
+
+
+_ALL_RANKS_NONE = "selection 'all' ranks no items: k < n needs shallow or deep selection"
 
 
 class SelectionMethod(str, enum.Enum):
@@ -64,32 +67,18 @@ class AttackConfig:
     The seed an attack draws from is an argument of run_attack.
     """
 
-    k: int
-    T: int
+    k: Count
+    T: Count
     selection: SelectionMethod = SelectionMethod.ALL
     mode: AttackMode = AttackMode.DPV
-    eta: float = 1.0
-    m_select: int = 1000
-    alpha: float = 1e-4
-    T_eval: int = 1000
-    relax_T: Optional[int] = None
+    eta: Positive = 1.0
+    m_select: AtLeast(1) = 1000
+    alpha: Positive = 1e-4
+    T_eval: AtLeast(2) = 1000
+    relax_T: Optional[Count] = None
 
     def __post_init__(self):
         _check_fields(self)
-        if self.k < 0:
-            raise ValueError("k must be nonnegative")
-        if self.T < 0:
-            raise ValueError("T must be nonnegative")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.m_select < 1:
-            raise ValueError("m_select must be at least 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.T_eval < 2:
-            raise ValueError("T_eval must be at least 2")
-        if self.relax_T is not None and self.relax_T < 0:
-            raise ValueError("relax_T must be nonnegative")
 
 
 @dataclass
@@ -167,8 +156,8 @@ def shallow_scores(victim, data, cost, mode, m_select, rng):
 
 
 class _Lane:
-    """One attack of a lockstep descent: its items (sorted, each in [0, n))
-    and their moved coordinates, its noise stream and radial scale, its
+    """One attack of a lockstep descent: its items (sorted, distinct, each in
+    [0, n)) and their moved coordinates, its noise stream and radial scale, its
     current dataset and model (the next warm start, set by the caller), the
     steps it completed, and the SolverError that stopped it, if one did."""
 
@@ -176,6 +165,8 @@ class _Lane:
         items = np.sort(np.asarray(items, dtype=int))
         if len(items) > 0 and (items[0] < 0 or items[-1] >= data.n):
             raise ValueError("selected indices out of range")
+        if np.any(items[1:] == items[:-1]):
+            raise ValueError("selected indices must be distinct")
         self.items = items
         self.X0, self.y0 = data.X[items], data.y[items]
         self.Xs, self.ys = self.X0.copy(), self.y0.copy()
@@ -284,7 +275,7 @@ def selection_scores(victim, data, cost, config, seed):
     deep), drawn from the selection substream of seed. The k items to
     poison are the k largest scores."""
     if config.selection is SelectionMethod.ALL:
-        raise ValueError("selection 'all' ranks no items: k < n needs shallow or deep selection")
+        raise ValueError(_ALL_RANKS_NONE)
     rng = substream(seed, STAGE_SELECT)
     if config.selection is SelectionMethod.SHALLOW:
         return shallow_scores(victim, data, cost, config.mode, config.m_select, rng)

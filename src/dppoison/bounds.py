@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Sign, _check_fields
+from .core import AtLeast, Count, Fraction, Positive, Sign, _check_fields
 
 __all__ = ["BoundQuery", "lower_bound", "min_items"]
 
@@ -49,31 +49,21 @@ class BoundQuery:
     """
 
     j_clean: float
-    epsilon: float
-    k: int = 0
-    delta: float = 0.0
-    cbar: Optional[float] = None
+    epsilon: Positive
+    k: Count = 0
+    delta: Fraction = 0.0
+    cbar: Optional[Positive] = None
     sign: Sign = Sign.NON_NEGATIVE
-    tau: float = 1.0
+    tau: AtLeast(1, float) = 1.0
 
     def __post_init__(self):
-        _check_fields(self, "tau")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must lie in [0, 1)")
-        if self.k < 0:
-            raise ValueError("k must be nonnegative")
-        if not self.tau >= 1.0:
-            raise ValueError("tau must be at least 1")
+        _check_fields(self)
         if self.sign is Sign.NON_NEGATIVE and self.j_clean < 0:
             raise ValueError("a non-negative cost cannot have j_clean < 0")
         if self.sign is Sign.NON_POSITIVE and self.j_clean > 0:
             raise ValueError("a non-positive cost cannot have j_clean > 0")
         if self.delta > 0 and self.cbar is None:
             raise ValueError("delta > 0 requires cbar")
-        if self.cbar is not None and self.cbar <= 0:
-            raise ValueError("cbar must be positive")
         if self.cbar is not None and abs(self.j_clean) > self.cbar:
             raise ValueError(f"|j_clean| = {abs(self.j_clean)!r} cannot exceed cbar = {self.cbar!r}, which bounds |C|")
 

@@ -13,7 +13,7 @@ import math
 import numbers
 import typing
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Annotated, Literal, Optional
 
 import numpy as np
 
@@ -98,37 +98,69 @@ def _is_number(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_fields(obj, *unbounded):
-    """Check a config dataclass's fields by their annotations. Optional: may
-    be None; enum: stored as the member; Literal: one of the choices; int:
-    an integer, stored as an int; float: a number, finite unless named in
-    unbounded (nan and inf slip through the ``<=`` checks that follow);
-    tuple: a tuple or list, stored as a tuple; any other class: an instance."""
+class _Range(typing.NamedTuple):
+    """A field's range, checked after its type: <field> must be <text>."""
+
+    text: str
+    holds: typing.Callable
+    allows_inf: bool = False
+
+
+Positive = Annotated[float, _Range("positive", lambda v: v > 0)]
+Count = Annotated[int, _Range("nonnegative", lambda v: v >= 0)]
+Fraction = Annotated[float, _Range("in [0, 1)", lambda v: 0 <= v < 1)]
+
+
+def AtLeast(m, tp=int):
+    """An int field of at least m; a float one (tp=float) may also be inf."""
+    return Annotated[tp, _Range(f"at least {m}", lambda v: v >= m, allows_inf=True)]
+
+
+def _checked(name, value, tp):
+    """value as a field annotated tp stores it, else ValueError. Optional:
+    may be None; numpy scalar: stored as a Python one; enum: stored as the
+    member; Literal: one of the choices; int: an integer; float: a number,
+    not a bool, finite unless its range allows inf; dict[K, V]: keys pass K,
+    values V; tuple: a tuple or list, stored as a tuple; other class: an
+    instance; Annotated[tp, range]: tp, then the range."""
+    if typing.get_origin(tp) is typing.Union:  # Optional[tp]
+        if value is None:
+            return None
+        tp = typing.get_args(tp)[0]
+    tp, rule = typing.get_args(tp) if typing.get_origin(tp) is typing.Annotated else (tp, None)
+    if isinstance(value, np.generic):
+        value = value.item()
+    if typing.get_origin(tp) is typing.Literal:
+        if value not in typing.get_args(tp):
+            raise ValueError(f"{name} must be one of {typing.get_args(tp)}, got {value!r}")
+    elif typing.get_origin(tp) is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be a dict, got {value!r}")
+        kt, vt = typing.get_args(tp)
+        value = {_checked(f"{name} key", k, kt): _checked(f"{name}[{k!r}]", v, vt) for k, v in value.items()}
+    elif issubclass(tp, enum.Enum):
+        value = tp(value)
+    elif tp is int:
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif tp is float:
+        if not _is_number(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(value) and not (rule and rule.allows_inf):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    elif tp is tuple and isinstance(value, list):
+        value = tuple(value)
+    elif not isinstance(value, tp):
+        raise ValueError(f"{name} must be a {tp.__name__}, got {value!r}")
+    if rule is not None and not rule.holds(value):
+        raise ValueError(f"{name} must be {rule.text}, got {value!r}")
+    return value
+
+
+def _check_fields(obj):
+    """Store each field of a config dataclass as _checked returns it."""
     for f in dataclasses.fields(obj):
-        value, tp = getattr(obj, f.name), f.type
-        if typing.get_origin(tp) is typing.Union:  # Optional[tp]
-            if value is None:
-                continue
-            tp = typing.get_args(tp)[0]
-        if typing.get_origin(tp) is typing.Literal:
-            if value not in typing.get_args(tp):
-                raise ValueError(f"{f.name} must be one of {typing.get_args(tp)}, got {value!r}")
-        elif issubclass(tp, enum.Enum):
-            value = tp(value)
-        elif tp is int:
-            if not _is_integer(value):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            value = int(value)
-        elif tp is float:
-            if not _is_number(value):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
-            if f.name not in unbounded and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        elif tp is tuple and isinstance(value, list):
-            value = tuple(value)
-        elif not isinstance(value, tp):
-            raise ValueError(f"{f.name} must be a {tp.__name__}, got {value!r}")
-        object.__setattr__(obj, f.name, value)
+        object.__setattr__(obj, f.name, _checked(f.name, getattr(obj, f.name), f.type))
 
 
 def _check_finite(*arrays):
@@ -244,25 +276,17 @@ class VictimSpec:
 
     mechanism: Mechanism
     base: BaseLearner
-    lam: float
-    epsilon: float
-    delta: float = 0.0
+    lam: Positive
+    epsilon: Positive
+    delta: Fraction = 0.0
     rho: Optional[float] = None
-    noise_scale: Optional[float] = None
+    noise_scale: Optional[Positive] = None
 
     def __post_init__(self):
         _check_fields(self)
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must lie in [0, 1)")
         if self.base is BaseLearner.RIDGE:
             if self.rho is None or self.rho <= 0:
                 raise ValueError("ridge victims require a positive model-space radius rho")
-        if self.noise_scale is not None and self.noise_scale <= 0:
-            raise ValueError("noise_scale must be positive when given")
         if self.noise_scale is None:
             self.noise_scale_for(1)  # fail at config load where n cannot help
 
@@ -296,7 +320,7 @@ class CostSpec:
     target_model: Optional[ModelParams] = None
     eval_set: Optional[Dataset] = None
     loss: Literal["logistic", "squared"] = "logistic"
-    cbar: Optional[float] = None
+    cbar: Optional[Positive] = None
 
     def __post_init__(self):
         _check_fields(self)
@@ -306,8 +330,6 @@ class CostSpec:
         else:
             if self.eval_set is None or len(self.eval_set) == 0:
                 raise ValueError(f"{self.goal.value} requires a nonempty evaluation set")
-        if self.cbar is not None and self.cbar <= 0:
-            raise ValueError("cbar must be positive when given")
 
     @property
     def sign(self):

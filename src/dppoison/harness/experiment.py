@@ -31,6 +31,7 @@ import numpy as np
 # Nothing here calls deep_scores, shallow_scores or train_mechanism, but
 # perfbench/tracer.py rebinds them in this module, so the names stay.
 from ..attacks import (
+    _ALL_RANKS_NONE,
     AttackConfig,
     SelectionMethod,
     deep_scores,  # noqa: F401
@@ -43,7 +44,7 @@ from ..attacks import (
 )
 from ..bounds import BoundQuery, lower_bound
 from ..core import _NORM_SLACK, BaseLearner, CostSpec, Goal, ModelParams, Sign, VictimSpec
-from ..core import _check_fields, _is_integer, _is_number
+from ..core import AtLeast, Positive, _check_fields, _checked, _is_integer, _is_number
 from ..learners import (
     SolverError,
     train_base_logistic,
@@ -94,9 +95,6 @@ __all__ = [
     "write_dataset_files",
 ]
 
-_ALL_RANKS_NONE = "selection 'all' ranks no items: k < n needs shallow or deep selection"
-
-
 @dataclass(frozen=True)
 class DataSource:
     """Where the training set comes from."""
@@ -107,7 +105,7 @@ class DataSource:
     path: Optional[str] = None
     feature_columns: Optional[tuple] = None
     label_column: str = "y"
-    label_map: Optional[dict] = None
+    label_map: Optional[dict[str, float]] = None
     normalize: bool = False
     normalize_labels: bool = False
     label_range: tuple = (0.0, 10.0)
@@ -137,7 +135,7 @@ class EvalSource:
     path: Optional[str] = None
     feature_columns: Optional[tuple] = None
     label_column: str = "y"
-    label_map: Optional[dict] = None
+    label_map: Optional[dict[str, float]] = None
 
     def __post_init__(self):
         _check_fields(self)
@@ -154,26 +152,26 @@ class CostDescriptor:
     """Config-level description of the attack goal; materialized into a
     CostSpec once data and evaluation set exist.
 
-    target applies to parameter targeting only: an explicit vector, or
-    "fit-eval" to fit the base learner on the evaluation set.
+    target applies to parameter targeting only: an explicit vector (a
+    nonempty list of finite numbers, stored as a tuple), or "fit-eval" to
+    fit the base learner on the evaluation set.
     """
 
     goal: Goal
     loss: Literal["logistic", "squared"] = "logistic"
     target: object = None
-    cbar: Optional[float] = None
+    cbar: Optional[Positive] = None
 
     def __post_init__(self):
         _check_fields(self)
-        if self.goal is Goal.PARAMETER_TARGETING:
-            if self.target is None:
-                raise ValueError("parameter targeting needs a target vector or 'fit-eval'")
-            if isinstance(self.target, str) and self.target != "fit-eval":
-                raise ValueError(f"unknown target directive {self.target!r}")
-        elif self.target is not None:
-            raise ValueError("target applies to parameter targeting only")
-        if self.cbar is not None and self.cbar <= 0:
-            raise ValueError("cbar must be positive when given")
+        target = self.target
+        if self.goal is not Goal.PARAMETER_TARGETING:
+            if target is not None:
+                raise ValueError("target applies to parameter targeting only")
+        elif not (isinstance(target, str) and target == "fit-eval"):
+            if not isinstance(target, (list, tuple)) or len(target) == 0:
+                raise ValueError(f"target must be 'fit-eval' or a nonempty list of numbers, got {target!r}")
+            object.__setattr__(self, "target", tuple(_checked(f"target[{i}]", v, float) for i, v in enumerate(target)))
 
 
 @dataclass(frozen=True)
@@ -207,12 +205,10 @@ class ExperimentConfig:
     eval: EvalSource = EvalSource()
     seed: int = 0
     sweep: Optional[SweepSpec] = None
-    curve_points: int = 21
+    curve_points: AtLeast(2) = 21
 
     def __post_init__(self):
         _check_fields(self)
-        if self.curve_points < 2:
-            raise ValueError("curve_points must be at least 2")
         if self.sweep is not None and self.sweep.kind == "epsilon":
             for value in self.sweep.values:  # each swept victim must be valid
                 dataclasses.replace(self.victim, epsilon=value)

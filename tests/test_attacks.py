@@ -489,10 +489,10 @@ class TestSweepAttacks:
         monkeypatch.setattr(attacks, "train_mechanism", None)
         assert attacks.sweep_attacks(victim, data, cost, AttackConfig(k=2, T=3), [], [], []) == ([], None)
 
-    @pytest.mark.parametrize("bad", ["-1", "n"])
+    @pytest.mark.parametrize("bad", ["-1", "n", "repeat"])
     def test_lanes_check_their_items(self, monkeypatch, bad):
         # a lane sorts its items, as run_attack does, and an index outside
-        # [0, n) is rejected before any solve
+        # [0, n), or one given twice, is rejected before any solve
         victim, data, cost = small_logistic_setup(26)
         config = AttackConfig(k=3, T=4)
         scale = victim.noise_scale_for(data.n)
@@ -502,7 +502,11 @@ class TestSweepAttacks:
         np.testing.assert_array_equal(final.X, lone.final_data.X)
         solves = []
         monkeypatch.setattr(attacks, "train_mechanism", lambda *args, **kwargs: solves.append(args))
-        selections = [np.array([0, 1]), np.array([2, -1 if bad == "-1" else data.n])]
-        with pytest.raises(ValueError, match="selected indices out of range"):
+        second = {"-1": -1, "n": data.n, "repeat": 2}[bad]
+        message = "selected indices must be distinct" if bad == "repeat" else "selected indices out of range"
+        selections = [np.array([0, 1]), np.array([2, second])]
+        with pytest.raises(ValueError, match=message):
             attacks.sweep_attacks(victim, data, cost, config, selections, [4, 5], [scale] * 2)
+        with pytest.raises(ValueError, match=message):
+            run_attack(victim, data, cost, config, 4, [2, second])
         assert solves == []

@@ -666,6 +666,15 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="noise scale"):
             config_from_dict(raw)
 
+    def test_parameter_target_list_stored_as_tuple(self):
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["cost"] = {"goal": "parameter-targeting", "target": [np.float32(-1.5)]}
+        cost = config_from_dict(raw).cost
+        assert cost.target == (-1.5,) and type(cost.target[0]) is float
+        assert hash(cost) == hash(config_from_dict(config_to_dict(config_from_dict(raw))).cost)
+        raw["cost"]["target"] = "fit-eval"
+        assert config_from_dict(raw).cost.target == "fit-eval"
+
     def test_seed_override(self, one_d_config_path):
         cfg = load_config(one_d_config_path, seed=99)
         assert cfg.seed == 99
@@ -788,12 +797,15 @@ class TestRunExperiment:
 
     def test_numpy_integer_fields_reach_summary_json(self, tmp_path):
         cfg = config_from_dict(yaml.safe_load(ONE_D_CONFIG))
-        attack = dataclasses.replace(cfg.attack, k=np.int64(11), T=np.int64(4))
+        attack = dataclasses.replace(cfg.attack, k=np.int64(11), T=np.int64(4), eta=np.float32(1.0))
         cfg = dataclasses.replace(cfg, attack=attack, data=dataclasses.replace(cfg.data, n=np.int64(11)))
+        cfg = dataclasses.replace(cfg, victim=dataclasses.replace(cfg.victim, lam=np.float32(10.0)))
         run_experiment(cfg, str(tmp_path / "run"))
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert (summary["config"]["attack"]["k"], summary["config"]["attack"]["T"]) == (11, 4)
         assert summary["config"]["data"]["n"] == 11
+        # numpy floats too: np.float32 is not JSON serializable
+        assert (summary["config"]["victim"]["lam"], summary["config"]["attack"]["eta"]) == (10.0, 1.0)
 
     def test_attack_solver_failure_keeps_iteration_zero(
         self, one_d_config_path, tmp_path, monkeypatch

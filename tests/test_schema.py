@@ -10,8 +10,8 @@ import importlib
 import math
 import os
 import re
+import sys
 import typing
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ VALID = [
     ATTACK,
     VICTIM,
     CostSpec(Goal.PARAMETER_TARGETING, target_model=ModelParams([0.0])),
-    BoundQuery(0.5, 0.1),
+    BoundQuery(0.0, 0.1),
     COST,
     DATA,
     EvalSource(),
@@ -41,24 +41,37 @@ CONFIGS = VALID + [SweepSpec("k", (1, 2))]
 CONFIGS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
+def unoptional(tp):
+    return typing.get_args(tp)[0] if typing.get_origin(tp) is typing.Union else tp
+
+
+def rule(tp):
+    """The class a field's annotation checks: without its Optional and its
+    Annotated range, and dict for a dict[K, V]."""
+    tp = unoptional(tp)
+    if typing.get_origin(tp) is typing.Annotated:
+        tp = typing.get_args(tp)[0]
+    return dict if typing.get_origin(tp) is dict else tp
+
+
 def fields_of(types):
     return [
         pytest.param(obj, f.name, id=f"{type(obj).__name__}.{f.name}")
         for obj in VALID
         for f in dataclasses.fields(obj)
-        if f.type in types and (type(obj), f.name) not in UNBOUNDED
+        if rule(f.type) in types and (type(obj), f.name) not in UNBOUNDED
     ]
 
 
 @pytest.mark.parametrize("value", [2.5, True, "3"])
-@pytest.mark.parametrize("obj, name", fields_of((int, Optional[int])))
+@pytest.mark.parametrize("obj, name", fields_of((int,)))
 def test_int_field_rejects_non_integers(obj, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
         dataclasses.replace(obj, **{name: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("obj, name", fields_of((float, Optional[float])))
+@pytest.mark.parametrize("obj, name", fields_of((float,)))
 def test_float_field_rejects_non_finite(obj, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         dataclasses.replace(obj, **{name: value})
@@ -66,16 +79,69 @@ def test_float_field_rejects_non_finite(obj, name, value):
 
 def test_every_config_dataclass_has_checked_fields():
     # the parametrizations above are not empty for any class with scalars
-    checked = {p.values[0].__class__ for p in fields_of((int, Optional[int], float, Optional[float]))}
+    checked = {p.values[0].__class__ for p in fields_of((int, float))}
     assert checked == {type(obj) for obj in VALID}
 
 
 def test_unbounded_tau_and_numpy_integers_accepted():
     assert BoundQuery(0.5, 0.1, tau=math.inf).tau == math.inf
+    for tau in (math.nan, -math.inf):  # only +inf passes tau's range
+        with pytest.raises(ValueError, match=f"^tau must be at least 1, got {tau}$"):
+            BoundQuery(0.5, 0.1, tau=tau)
     assert AttackConfig(k=np.int64(2), T=np.int32(5)).k == 2
     config = ExperimentConfig(VICTIM, COST, DATA, ATTACK, seed=np.int64(4))
     assert config.seed == 4 and type(config.seed) is int
     assert VictimSpec("output", "ridge", lam=1, epsilon=1, rho=1).lam == 1
+    # a numpy float is stored as a plain float, and a Python int stays an int
+    victim = VictimSpec("objective", "logistic", lam=np.float32(10.0), epsilon=np.float64(0.1), delta=np.float16(0))
+    assert (victim.lam, victim.epsilon, victim.delta) == (10.0, 0.1, 0.0)
+    assert all(type(v) is float for v in (victim.lam, victim.epsilon, victim.delta))
+    assert type(VictimSpec("objective", "logistic", lam=10, epsilon=1).lam) is int
+
+
+def ranged_fields():
+    """(obj, name, range): every field whose annotation carries a range."""
+    params = []
+    for obj in VALID:
+        for f in dataclasses.fields(obj):
+            tp = unoptional(f.type)
+            if typing.get_origin(tp) is typing.Annotated:
+                params.append(pytest.param(obj, f.name, typing.get_args(tp)[1], id=f"{type(obj).__name__}.{f.name}"))
+    return params
+
+
+# Each range's values just outside it, and its boundary value (for an open
+# bound, the least normal float inside it).
+RANGE_CASES = {
+    "positive": ((0.0, -0.0, -1.0), sys.float_info.min),
+    "nonnegative": ((-1,), 0),
+    "in [0, 1)": ((-sys.float_info.min, 1.0), 0.0),
+    "at least 1": ((0,), 1),
+    "at least 2": ((1,), 2),
+}
+
+
+@pytest.mark.parametrize("obj, name, limit", ranged_fields())
+def test_range_field_takes_only_its_range(obj, name, limit):
+    outside, boundary = RANGE_CASES[limit.text]
+    for value in outside:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {limit.text}, got {value!r}')}$"):
+            dataclasses.replace(obj, **{name: value})
+    assert getattr(dataclasses.replace(obj, **{name: boundary}), name) == boundary
+
+
+def test_ranges_are_named_in_the_annotations():
+    ranges = {p.id: p.values[2].text for p in ranged_fields()}
+    assert ranges == {
+        "AttackConfig.k": "nonnegative", "AttackConfig.T": "nonnegative", "AttackConfig.eta": "positive",
+        "AttackConfig.m_select": "at least 1", "AttackConfig.alpha": "positive",
+        "AttackConfig.T_eval": "at least 2", "AttackConfig.relax_T": "nonnegative",
+        "VictimSpec.lam": "positive", "VictimSpec.epsilon": "positive", "VictimSpec.delta": "in [0, 1)",
+        "VictimSpec.noise_scale": "positive", "CostSpec.cbar": "positive", "CostDescriptor.cbar": "positive",
+        "BoundQuery.epsilon": "positive", "BoundQuery.delta": "in [0, 1)", "BoundQuery.k": "nonnegative",
+        "BoundQuery.cbar": "positive", "BoundQuery.tau": "at least 1",
+        "ExperimentConfig.curve_points": "at least 2",
+    }
 
 
 @pytest.mark.parametrize("values", [(True, 2), (1.0, 2), (np.float64(1.0), 2), (-1, 2)])
@@ -94,11 +160,6 @@ def test_k_sweep_rejects_a_bool_at_load():
     raw["sweep"]["values"] = [np.int64(1), 2]
     values = config_from_dict(raw).sweep.values
     assert values == (1, 2) and all(type(v) is int for v in values)
-
-
-def rule(tp):
-    """A field's annotation without its Optional."""
-    return typing.get_args(tp)[0] if typing.get_origin(tp) is typing.Union else tp
 
 
 def fields_whose_rule(test):
@@ -192,6 +253,18 @@ def test_tuple_field_stores_a_list_as_a_tuple(obj, name, tp):
         ("data", "feature_columns: x0", "feature_columns must be a tuple, got 'x0'"),
         ("data", "label_range: 5", "label_range must be a tuple, got 5"),
         ("data", "label_map: [1, 2]", "label_map must be a dict, got [1, 2]"),
+        ("data", "label_map: {Abnormal: high}", "label_map['Abnormal'] must be a number, got 'high'"),
+        ("data", "label_map: {Abnormal: yes}", "label_map['Abnormal'] must be a number, got True"),
+        ("data", "label_map: {0: -1.0, 1: 1.0}", "label_map key must be a str, got 0"),
+        ("eval", "label_map: {Normal: .nan}", "label_map['Normal'] must be finite, got nan"),
+        ("cost", "{goal: parameter-targeting, target: {a: 1}}",
+         "target must be 'fit-eval' or a nonempty list of numbers, got {'a': 1}"),
+        ("cost", "{goal: parameter-targeting, target: fit-evl}",
+         "target must be 'fit-eval' or a nonempty list of numbers, got 'fit-evl'"),
+        ("cost", "{goal: parameter-targeting, target: []}",
+         "target must be 'fit-eval' or a nonempty list of numbers, got []"),
+        ("cost", "{goal: parameter-targeting, target: [1.0, .nan]}", "target[1] must be finite, got nan"),
+        ("cost", "{goal: parameter-targeting, target: [true]}", "target[0] must be a number, got True"),
         ("cost", "loss: hinge", "loss must be one of ('logistic', 'squared'), got 'hinge'"),
         ("sweep", "{kind: n, values: [1, 2]}", "kind must be one of ('k', 'epsilon'), got 'n'"),
         ("sweep", "{kind: k, values: 5}", "values must be a tuple, got 5"),
