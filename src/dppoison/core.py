@@ -17,6 +17,8 @@ from typing import Annotated, Literal, Optional
 
 import numpy as np
 
+from .rng import _ENTROPY_MOD
+
 __all__ = [
     "Mechanism",
     "BaseLearner",
@@ -109,6 +111,8 @@ class _Range(typing.NamedTuple):
 Positive = Annotated[float, _Range("positive", lambda v: v > 0)]
 Count = Annotated[int, _Range("nonnegative", lambda v: v >= 0)]
 Fraction = Annotated[float, _Range("in [0, 1)", lambda v: 0 <= v < 1)]
+# rng folds a seed mod 2**128, so one outside would replay another's streams
+Seed = Annotated[int, _Range("in [0, 2**128)", lambda v: 0 <= v < _ENTROPY_MOD)]
 
 
 def AtLeast(m, tp=int):

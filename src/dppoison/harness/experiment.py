@@ -44,7 +44,7 @@ from ..attacks import (
 )
 from ..bounds import BoundQuery, lower_bound
 from ..core import _NORM_SLACK, BaseLearner, CostSpec, Goal, ModelParams, Sign, VictimSpec
-from ..core import AtLeast, Positive, _check_fields, _checked, _is_integer, _is_number
+from ..core import AtLeast, Positive, Seed, _check_fields, _checked, _is_integer, _is_number
 from ..learners import (
     SolverError,
     train_base_logistic,
@@ -203,7 +203,7 @@ class ExperimentConfig:
     data: DataSource
     attack: AttackConfig
     eval: EvalSource = EvalSource()
-    seed: int = 0
+    seed: Seed = 0
     sweep: Optional[SweepSpec] = None
     curve_points: AtLeast(2) = 21
 

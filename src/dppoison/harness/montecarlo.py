@@ -6,7 +6,11 @@ import numpy as np
 
 from ..core import eval_cost
 from ..learners import sample_noise, train_mechanism
-from ..rng import substream
+from ..rng import substreams
+
+# Nothing here calls substream, but perfbench/tracer.py rebinds it in this
+# module, so the name stays.
+from ..rng import substream  # noqa: F401
 
 __all__ = ["CostEstimate", "estimate_attack_cost"]
 
@@ -39,22 +43,24 @@ class CostEstimate:
 def estimate_attack_cost(victim, data, cost, T_e, seed):
     """Estimate E_b[C(M(data, b))] from T_e independent noise draws.
 
-    Sample s always uses the dedicated stream substream(seed, s) and a cold
-    solver start. Draws are trained and evaluated in blocks of _BLOCK rows,
-    one train_mechanism and one eval_cost call per block; the last block
-    is padded with zero rows whose results are dropped. Every block has the
-    same shape, so draw s depends only on (seed, s): the first m values of
-    a larger estimate equal those of a T_e=m one bit for bit.
+    Sample s always uses the dedicated stream substream(seed, s), which
+    rng.substreams derives, and a cold solver start. Draws are trained and
+    evaluated in blocks of _BLOCK rows, one train_mechanism and one
+    eval_cost call per block; the last block is padded with zero rows whose
+    results are dropped. Every block has the same shape, so draw s depends
+    only on (seed, s): the first m values of a larger estimate equal those
+    of a T_e=m one bit for bit.
     """
     if T_e < 2:
         raise ValueError("T_e must be at least 2 for a standard error")
     scale = victim.noise_scale_for(data.n)
     samples = np.empty(T_e)
+    streams = substreams(seed, T_e)
     for lo in range(0, T_e, _BLOCK):
         draws = range(lo, min(lo + _BLOCK, T_e))
         noise = np.zeros((_BLOCK, data.dim))
-        for row, s in enumerate(draws):
-            noise[row] = sample_noise(data.dim, scale, substream(seed, s))
+        for row in range(len(draws)):
+            noise[row] = sample_noise(data.dim, scale, next(streams))
         values = eval_cost(cost, train_mechanism(victim, data, noise))
         samples[lo : draws.stop] = values[: len(draws)]
     mean = float(samples.mean())

@@ -1,6 +1,7 @@
 """tools/ab_pairs.py runs a checkout against itself end to end."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -85,10 +86,11 @@ def test_csv_changes_reports_the_largest_cell_change_per_file(tmp_path):
     assert ab_pairs.csv_changes(a, a) == {}
 
 
-def test_report_names_moved_cells_and_exit_status_is_unchanged(tmp_path, monkeypatch, capsys):
-    # a stand-in worker: the change writes one cell that moved by 0.2; each
-    # side is told apart by a marker in its checkout's copied src/
-    runs = []
+def stand_in_checkouts(tmp_path, monkeypatch, runs):
+    """A parent and a change checkout, told apart by a marker in their
+    copied src/, and a stand-in worker that records (marker, path) in runs.
+    The change writes one cell that moved by 0.2, and a run from the copy
+    staged at tmp/b reads 20% slower than one from tmp/a."""
 
     def fake_worker(checkout, workload, seed, out_dir, tiny, cpu):
         with open(os.path.join(checkout, "src", "side"), encoding="utf-8") as fh:
@@ -96,7 +98,8 @@ def test_report_names_moved_cells_and_exit_status_is_unchanged(tmp_path, monkeyp
         runs.append((side, checkout))
         value = "2.0" if side == "parent" else "2.5"
         write_csv(out_dir, "costs.csv", [["iteration", "mean"], ["0", value]])
-        return {"setup_s": 0.1, "run_s": 1.0, "peak_rss_mb": 40.0, "error": None}
+        run_s = 1.2 if os.path.basename(checkout) == "b" else 1.0
+        return {"setup_s": 0.1, "run_s": run_s, "peak_rss_mb": 40.0, "error": None}
 
     checkouts = {side: tmp_path / f"checkout-of-the-{side}" for side in ("parent", "change")}
     for side, checkout in checkouts.items():
@@ -104,6 +107,12 @@ def test_report_names_moved_cells_and_exit_status_is_unchanged(tmp_path, monkeyp
             (checkout / part).mkdir(parents=True)
         (checkout / "src" / "side").write_text(side)
     monkeypatch.setattr(ab_pairs, "run_worker", fake_worker)
+    return checkouts
+
+
+def test_report_names_moved_cells_and_exit_status_is_unchanged(tmp_path, monkeypatch, capsys):
+    runs = []
+    checkouts = stand_in_checkouts(tmp_path, monkeypatch, runs)
     status = ab_pairs.main([str(checkouts["parent"]), str(checkouts["change"]), "--workload", "w", "--pairs", "4"])
     lines = capsys.readouterr().out.splitlines()
     assert status == 1
@@ -116,3 +125,31 @@ def test_report_names_moved_cells_and_exit_status_is_unchanged(tmp_path, monkeyp
     assert not paths & {str(checkout) for checkout in checkouts.values()}
     for side in checkouts:
         assert sorted(path for s, path in runs if s == side) == sorted([*paths, *paths])
+
+
+def test_aa_runs_two_copies_of_the_parent_and_reads_a_null_ratio(tmp_path, monkeypatch, capsys):
+    runs = []
+    checkouts = stand_in_checkouts(tmp_path, monkeypatch, runs)
+    status = ab_pairs.main([str(checkouts["parent"]), "--aa", "--workload", "w", "--pairs", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert "CSVs byte-identical in 4 of 4 pairs" in lines
+    assert any(line.startswith("A/A: ") for line in lines)
+    # only the parent ran, from two copies on paths of one length, each in
+    # four runs; the slower path is shared by both sides, so the null
+    # ratio is 1 although the run times spread by 20%
+    assert {side for side, _ in runs} == {"parent"}
+    paths = {path for _, path in runs}
+    assert len(paths) == 2 and len({len(path) for path in paths}) == 1
+    assert str(checkouts["parent"]) not in paths
+    assert sorted(path for _, path in runs) == sorted([*paths] * 4)
+    (run_line,) = [line for line in lines if line.startswith("run_s ")]
+    assert re.fullmatch(r"run_s +1\.1000 \[ *0\.2000\] +1\.1000 \[ *0\.2000\] +1\.000 +2/4 +no n/a", run_line)
+
+
+@pytest.mark.parametrize("with_change, aa", [(True, True), (False, False)])
+def test_aa_takes_no_change_checkout_and_a_comparison_needs_one(tmp_path, with_change, aa):
+    argv = [str(tmp_path)] + [str(tmp_path)] * with_change + ["--aa"] * aa + ["--workload", "w", "--pairs", "1"]
+    with pytest.raises(SystemExit) as exc:
+        ab_pairs.main(argv)
+    assert exc.value.code == 2

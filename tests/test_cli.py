@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -237,6 +238,14 @@ class TestAttack:
         assert code == 0
         summary = json.load(open(os.path.join(out_dir, "summary.json")))
         assert summary["seed"] == 42
+
+    @pytest.mark.parametrize("seed", [-1, 2**128 + 1])
+    def test_seed_override_that_would_alias_another_is_refused(self, config_path, tmp_path, seed):
+        # the streams fold seeds mod 2**128: these would replay 2**128 - 1 and 1
+        out_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**128), got {seed}")):
+            main(["attack", "--config", config_path, "--out", str(out_dir), "--seed", str(seed)])
+        assert not out_dir.exists()
 
     def test_sweep_config_rejected(self, tmp_path):
         path = tmp_path / "sweep.yaml"

@@ -118,6 +118,7 @@ RANGE_CASES = {
     "in [0, 1)": ((-sys.float_info.min, 1.0), 0.0),
     "at least 1": ((0,), 1),
     "at least 2": ((1,), 2),
+    "in [0, 2**128)": ((-1, 2**128, 2**128 + 1), 0),
 }
 
 
@@ -140,8 +141,25 @@ def test_ranges_are_named_in_the_annotations():
         "VictimSpec.noise_scale": "positive", "CostSpec.cbar": "positive", "CostDescriptor.cbar": "positive",
         "BoundQuery.epsilon": "positive", "BoundQuery.delta": "in [0, 1)", "BoundQuery.k": "nonnegative",
         "BoundQuery.cbar": "positive", "BoundQuery.tau": "at least 1",
-        "ExperimentConfig.curve_points": "at least 2",
+        "ExperimentConfig.curve_points": "at least 2", "ExperimentConfig.seed": "in [0, 2**128)",
     }
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 1])
+def test_yaml_seed_that_would_alias_another_is_refused(seed):
+    # rng folds seeds mod 2**128, so these would replay the streams of
+    # 2**128 - 1, 0 and 1 (a config built in Python meets the same range in
+    # test_range_field_takes_only_its_range)
+    with open(os.path.join(CONFIGS_DIR, "synth1d_flip.yaml"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\nseed: " in text
+
+    def with_seed(value):
+        return yaml.safe_load(re.sub(r"\nseed: \d+", f"\nseed: {value}", text))
+
+    with pytest.raises(ValueError, match=f"^{re.escape(f'seed must be in [0, 2**128), got {seed}')}$"):
+        config_from_dict(with_seed(seed), base_dir=CONFIGS_DIR)
+    assert config_from_dict(with_seed(2**128 - 1), base_dir=CONFIGS_DIR).seed == 2**128 - 1
 
 
 @pytest.mark.parametrize("values", [(True, 2), (1.0, 2), (np.float64(1.0), 2), (-1, 2)])

@@ -1,6 +1,7 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seed S] [--tiny]
+    python3 tools/ab_pairs.py PARENT_DIR --aa --workload W --pairs N [--seed S] [--tiny]
 
 Each checkout's ``src/``, ``perfbench/`` and ``data/`` are first copied into
 two temporary directories whose paths have the same length, so the
@@ -26,6 +27,11 @@ largest relative cell change over the pairs, by the rule of
 ``tools/csvdiff.py`` that ``tests/test_golden.py`` applies. The worker
 rejects an unknown workload. The exit status is 1 if any run reported an
 error or any pair's CSVs differ.
+
+With ``--aa`` (an A/A run) the change side is a second copy of the parent
+checkout, run with the same alternation and path swaps, so each metric's
+ratio and IQRs show the spread that identical code reads: a gain smaller
+than it is noise.
 """
 
 import argparse
@@ -153,7 +159,8 @@ def summarize(parent, change):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", help="checkout of the parent commit")
-    p.add_argument("change", help="checkout of the change")
+    p.add_argument("change", nargs="?", help="checkout of the change; omitted with --aa")
+    p.add_argument("--aa", action="store_true", help="run the parent against a copy of itself")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
@@ -161,12 +168,14 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    if args.aa == (args.change is not None):
+        p.error("give either a change checkout or --aa")
     cpu = max(os.sched_getaffinity(0))
     results = {"parent": [], "change": []}
     identical = errors = 0
     changes = {}
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
-        homes = stage({"parent": args.parent, "change": args.change}, tmp)
+        homes = stage({"parent": args.parent, "change": args.parent if args.aa else args.change}, tmp)
         for i in range(args.pairs):
             if i > 0 and i % 2 == 0:
                 homes = swap(homes)
@@ -188,6 +197,8 @@ def main(argv=None):
                 file=sys.stderr,
             )
     print(f"{args.workload} seed {args.seed}{' tiny' if args.tiny else ''}: {args.pairs} pairs, CPU {cpu}")
+    if args.aa:
+        print("A/A: the change is a copy of the parent; each ratio is a null ratio, each IQR the null spread")
     print("\n".join(summarize(results["parent"], results["change"])))
     print(f"CSVs byte-identical in {identical} of {args.pairs} pairs")
     for line in change_lines(changes):
