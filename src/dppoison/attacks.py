@@ -196,8 +196,9 @@ def _lane_gradients(victim, cost, lanes, draws):
     per-row data; any other lane is trained alone. A SolverError names
     the failed lanes in its rows."""
     if len(lanes) > 1 and victim.mechanism is Mechanism.OBJECTIVE and victim.base is BaseLearner.LOGISTIC:
-        warm = [lane.model for lane in lanes]
-        models = train_mechanism(victim, [lane.data for lane in lanes], np.array(draws), warm_start=warm)
+        warm = ModelParams([lane.model.theta for lane in lanes])
+        stack = train_mechanism(victim, [lane.data for lane in lanes], np.array(draws), warm_start=warm)
+        models = [ModelParams(theta) for theta in stack.theta]
     else:
         models = []
         for i, (lane, b) in enumerate(zip(lanes, draws)):

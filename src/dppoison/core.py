@@ -111,7 +111,7 @@ class _Range(typing.NamedTuple):
 Positive = Annotated[float, _Range("positive", lambda v: v > 0)]
 Count = Annotated[int, _Range("nonnegative", lambda v: v >= 0)]
 Fraction = Annotated[float, _Range("in [0, 1)", lambda v: 0 <= v < 1)]
-# rng folds a seed mod 2**128, so one outside would replay another's streams
+# the range rng takes seeds in, checked here so a config fails before any output
 Seed = Annotated[int, _Range("in [0, 2**128)", lambda v: 0 <= v < _ENTROPY_MOD)]
 
 
@@ -251,20 +251,24 @@ class Dataset:
 @dataclass(frozen=True)
 class ModelParams:
     """A trained model: parameter vector theta and the dual mu of the norm
-    constraint (zero when the constraint is absent or inactive)."""
+    constraint (zero when the constraint is absent or inactive). A stack of
+    m models is one: theta is (m, d), mu one float or an (m,) array."""
 
     theta: np.ndarray
     mu: float = 0.0
 
     def __post_init__(self):
+        rows = isinstance(self.mu, np.ndarray) and self.mu.ndim > 0
         object.__setattr__(self, "theta", _readonly(np.atleast_1d(self.theta)))
-        object.__setattr__(self, "mu", float(self.mu))
-        if self.mu < 0:
+        object.__setattr__(self, "mu", _readonly(self.mu) if rows else float(self.mu))
+        if self.theta.ndim > 2 or rows and self.mu.shape != self.theta.shape[:-1]:
+            raise ValueError("theta must be (d,) or (m, d), and mu one float or (m,)")
+        if (self.mu < 0).any() if rows else self.mu < 0:
             raise ValueError("mu must be nonnegative")
 
     @property
     def dim(self):
-        return self.theta.shape[0]
+        return self.theta.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -355,12 +359,12 @@ def eval_cost(cost, model):
     model. Label targeting returns the mean loss on the evaluation set;
     label aversion returns its negation.
 
-    model is one ModelParams, which returns a float, or a list of m of
-    them, which returns an (m,) array: the stack is evaluated by one
-    matrix product over the evaluation set.
+    model is one model, which returns a float, or a stack of m, which
+    returns an (m,) array: the stack is evaluated by one matrix product
+    over the evaluation set.
     """
-    single = isinstance(model, ModelParams)
-    theta = np.atleast_2d(model.theta) if single else np.array([m.theta for m in model])
+    single = model.theta.ndim == 1
+    theta = np.atleast_2d(model.theta)
     if theta.shape[1] != cost.dim:
         raise ValueError(f"dimension mismatch: cost is {cost.dim}d, model is {theta.shape[1]}d")
     if cost.goal is Goal.PARAMETER_TARGETING:

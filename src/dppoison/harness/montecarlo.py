@@ -15,8 +15,8 @@ from ..rng import substream  # noqa: F401
 __all__ = ["CostEstimate", "estimate_attack_cost"]
 
 # Draws per train_mechanism and eval_cost call. A block's batched solve
-# holds (rows, n) work arrays and one model per row, so the block size, not
-# T_e, sets the peak memory of an estimate.
+# holds (rows, n) work arrays and a stack of rows models, so the block size,
+# not T_e, sets the peak memory of an estimate.
 _BLOCK = 32
 
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import BaseLearner, Dataset, Mechanism, ModelParams, sigmoid, softplus
+from .core import BaseLearner, Dataset, Mechanism, ModelParams, Positive, _checked, sigmoid, softplus
 
 __all__ = [
     "SolverError",
@@ -234,14 +234,13 @@ def train_base_logistic(data, lam, b=None, *, warm_start=None):
 
     within GRAD_TOL.
 
-    b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
-    of draws, which returns a list of m, one per row. data is one Dataset,
-    or a sequence of m datasets of one shape, one per row of a stack.
-    warm_start is a ModelParams, or one per row. A stack is solved by one
-    batched damped Newton; a single draw uses the scalar solver, which is
-    faster for one row."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    b is one (d,) draw, which returns one model, or an (m, d) stack of
+    draws, which returns a stack of m (one ModelParams). data is one
+    Dataset, or a sequence of m datasets of one shape, one per row of a
+    stack. warm_start is one model, or a stack of one per row. A stack is
+    solved by one batched damped Newton; a single draw uses the scalar
+    solver, which is faster for one row."""
+    _checked("lam", lam, Positive)
     if isinstance(data, Dataset):
         X, y = data.X, data.y
     else:
@@ -250,15 +249,9 @@ def train_base_logistic(data, lam, b=None, *, warm_start=None):
     b = _as_noise(b, X.shape[-1])
     if X.ndim == 3 and b.shape != X.shape[::2]:
         raise ValueError("a sequence of m datasets needs an (m, d) noise stack")
-    warm = warm_start
-    if isinstance(warm, ModelParams):
-        warm = warm.theta
-    elif warm is not None:
-        warm = np.array([model.theta for model in warm])
-    if b.ndim == 1:
-        return ModelParams(_solve_logistic(X, y, lam, b, warm), 0.0)
-    thetas = _solve_logistic_rows(X, y, lam, b, warm)
-    return [ModelParams(theta, 0.0) for theta in thetas]
+    warm = None if warm_start is None else warm_start.theta
+    solve = _solve_logistic if b.ndim == 1 else _solve_logistic_rows
+    return ModelParams(solve(X, y, lam, b, warm), 0.0)
 
 
 def _ridge_dual(evals, Q, rhs, lam, rho):
@@ -299,27 +292,27 @@ def train_base_ridge_constrained(data, lam, rho, b=None):
     complementary slackness. The unconstrained solution is used whenever
     it is feasible (mu = 0 exactly); otherwise mu is found by bisection.
 
-    b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
-    of draws, which returns a list of m, one per row. X'X and X'y are the
-    dataset's cached ones (Dataset.gram). A stack decomposes X'X once if
-    any row's constraint is active; each row keeps its own solve and
+    b is one (d,) draw, which returns one model, or an (m, d) stack of
+    draws, which returns a stack of m with one mu per row. X'X and X'y are
+    the dataset's cached ones (Dataset.gram). A stack decomposes X'X once
+    if any row's constraint is active; each row keeps its own solve and
     bisection, so row i is bit for bit the single-draw solve of b[i].
     """
-    if lam <= 0 or rho <= 0:
-        raise ValueError("lam and rho must be positive")
+    _checked("lam", lam, Positive)
+    _checked("rho", rho, Positive)
     b = _as_noise(b, data.dim)
     A, Xty = data.gram
     regularized = A + lam * np.eye(data.dim)
     eig = None
-    models = []
-    for row in b.reshape(-1, data.dim):
+    rows = b.reshape(-1, data.dim)
+    theta, mu = np.empty(rows.shape), np.zeros(len(rows))
+    for i, row in enumerate(rows):
         rhs = Xty - row
-        theta, mu = np.linalg.solve(regularized, rhs), 0.0
-        if np.linalg.norm(theta) > rho:
+        theta[i] = np.linalg.solve(regularized, rhs)
+        if np.linalg.norm(theta[i]) > rho:
             eig = np.linalg.eigh(A) if eig is None else eig
-            theta, mu = _ridge_dual(*eig, rhs, lam, rho)
-        models.append(ModelParams(theta, mu))
-    return models[0] if b.ndim == 1 else models
+            theta[i], mu[i] = _ridge_dual(*eig, rhs, lam, rho)
+    return ModelParams(theta[0], mu[0]) if b.ndim == 1 else ModelParams(theta, mu)
 
 
 def train_mechanism(victim, data, b, *, warm_start=None):
@@ -330,13 +323,13 @@ def train_mechanism(victim, data, b, *, warm_start=None):
     norm constraint of a ridge victim applies to theta - b). Deterministic
     given (data, b).
 
-    b is one (d,) draw, which returns one ModelParams, or an (m, d) stack
-    of draws, which returns a list of m, one per row. data is one Dataset,
-    or, for an objective-perturbation logistic victim, a sequence of m
-    datasets, one per row of a stack; warm_start is a ModelParams, or one
-    per dataset of a sequence. Output perturbation solves the noiseless
-    base learner of one dataset from a cold start once (Dataset.cached),
-    so the blocks of a Monte-Carlo estimate share it."""
+    b is one (d,) draw, which returns one model, or an (m, d) stack of
+    draws, which returns a stack of m (one ModelParams). data is one
+    Dataset, or, for an objective-perturbation logistic victim, a sequence
+    of m datasets, one per row of a stack, with a stack of warm starts.
+    Output perturbation solves the noiseless base learner of one dataset
+    from a cold start once (Dataset.cached), so the blocks of a
+    Monte-Carlo estimate share it."""
     if isinstance(data, Dataset):
         b = _as_noise(b, data.dim)
     elif victim.mechanism is not Mechanism.OBJECTIVE or victim.base is not BaseLearner.LOGISTIC:
@@ -348,9 +341,7 @@ def train_mechanism(victim, data, b, *, warm_start=None):
         model = data.cached(key, lambda: _train_base(victim, data, None, None))
     else:
         model = _train_base(victim, data, None, warm_start)
-    if b.ndim == 1:
-        return ModelParams(model.theta + b, model.mu)
-    return [ModelParams(theta, model.mu) for theta in model.theta + b]
+    return ModelParams(model.theta + b, model.mu)
 
 
 def _train_base(victim, data, b, warm_start):

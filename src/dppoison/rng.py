@@ -47,8 +47,10 @@ _CHUNK = 256
 
 
 def _entropy(seed):
-    # SeedSequence wants a nonnegative integer; fold negatives in a fixed way.
-    return int(seed) % _ENTROPY_MOD
+    # folding a seed into [0, 2**128), or truncating it, would replay another's streams
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < _ENTROPY_MOD:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed!r}")
+    return int(seed)
 
 
 def substream(seed, *key):

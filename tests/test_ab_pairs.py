@@ -1,5 +1,6 @@
 """tools/ab_pairs.py runs a checkout against itself end to end."""
 
+import ast
 import os
 import re
 import subprocess
@@ -53,6 +54,19 @@ def test_worse_verdict_holds_the_benchmark_bound(parent_run_s, change_run_s, wor
     assert run_line.split()[-2] == worse
     (setup_line,) = [line for line in lines if line.startswith("setup_s ")]
     assert setup_line.split()[-2] == "no"
+
+
+def test_workers_pin_the_thread_variables_of_the_benchmark():
+    # read from perfbench/run.py's source, not run: loading it would put
+    # perfbench/ on sys.path and import its check and worker modules
+    with open(os.path.join(ROOT, "perfbench", "run.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (pinned,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["THREAD_VARS"]
+    ]
+    assert ab_pairs.THREAD_VARS == pinned
 
 
 def test_unknown_workload_fails():

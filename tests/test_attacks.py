@@ -1,6 +1,7 @@
 """Item selection and the poisoning loops."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,23 @@ class TestAttackConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             AttackConfig(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128 + 1, 1.5])
+@pytest.mark.parametrize("entry", ["run_attack", "select_items", "selection_scores"])
+def test_entry_point_refuses_a_seed_that_would_alias_another(entry, seed):
+    # -1 would replay the streams of 2**128 - 1, and 2**128 + 1 and 1.5
+    # those of 1; run_attack is given its items, so its own SGD stream is
+    # the one that refuses
+    victim, data, cost = small_logistic_setup(2)
+    config = AttackConfig(k=3, T=2, selection=SelectionMethod.SHALLOW, mode=AttackMode.SV)
+    calls = {
+        "run_attack": lambda: run_attack(victim, data, cost, config, seed, selected=[0, 1, 2]),
+        "select_items": lambda: attacks.select_items(victim, data, cost, config, seed),
+        "selection_scores": lambda: attacks.selection_scores(victim, data, cost, config, seed),
+    }
+    with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**128), got {seed!r}")):
+        calls[entry]()
 
 
 class TestRunAttack:

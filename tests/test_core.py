@@ -1,5 +1,7 @@
 """Domain types, cost evaluation, projection, and modification distance."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,32 @@ class TestDataset:
     def test_empty_dataset_is_allowed(self):
         d = Dataset(np.empty((0, 3)), np.empty(0))
         assert d.n == 0 and d.dim == 3
+
+
+class TestModelParams:
+    def test_one_model(self):
+        model = ModelParams([0.5, -1.0], np.float64(0.25))
+        assert model.dim == 2 and type(model.mu) is float and not model.theta.flags.writeable
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            ModelParams([0.5, -1.0], -1e-300)
+
+    def test_stack_of_models(self):
+        stack = ModelParams(np.ones((4, 3)), np.array([0.0, 0.5, 0.0, 2.0]))
+        assert stack.dim == 3 and stack.theta.shape == (4, 3)
+        assert not (stack.theta.flags.writeable or stack.mu.flags.writeable)
+        assert ModelParams(np.ones((4, 3)), 0.5).mu == 0.5  # one mu shared by every row
+
+    def test_stack_rejects_a_negative_mu_row(self):
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            ModelParams(np.ones((3, 2)), np.array([0.0, -0.5, 1.0]))
+
+    @pytest.mark.parametrize(
+        "theta, mu",
+        [(np.ones((3, 2)), np.zeros(2)), (np.ones(2), np.zeros(1)), (np.ones((2, 3, 2)), 0.0)],
+    )
+    def test_shapes_that_are_no_model_or_stack(self, theta, mu):
+        with pytest.raises(ValueError, match=re.escape("theta must be (d,) or (m, d), and mu one float or (m,)")):
+            ModelParams(theta, mu)
 
 
 class TestVictimSpec:
@@ -270,18 +298,38 @@ class TestStackedEvalCost:
     def test_stack_matches_single_models(self, goal, loss):
         rng = np.random.default_rng(4)
         cost = cost_for(goal, loss, rng)
-        models = [ModelParams(theta) for theta in 3.0 * rng.standard_normal((7, 3))]
-        values = eval_cost(cost, models)
+        thetas = 3.0 * rng.standard_normal((7, 3))
+        values = eval_cost(cost, ModelParams(thetas))
         assert isinstance(values, np.ndarray) and values.shape == (7,)
-        singles = [eval_cost(cost, model) for model in models]
+        singles = [eval_cost(cost, ModelParams(theta)) for theta in thetas]
         assert all(isinstance(v, float) for v in singles)
         np.testing.assert_allclose(values, singles, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 32])
+    @pytest.mark.parametrize("goal, loss", GOALS_AND_LOSSES)
+    def test_stack_is_bit_for_bit_m_single_calls(self, goal, loss, m):
+        # Row i of a stack is its own model's value: the same distance, or
+        # the same losses averaged in the same order. The label goals take
+        # features, labels and thetas in eighths, so every margin is exact:
+        # the BLAS kernel for one row (matrix-vector) and for m rows (matrix,
+        # whose tail handling depends on m) round general floats apart by
+        # an ulp or two, which the test above allows.
+        rng = np.random.default_rng(6)
+        if goal is Goal.PARAMETER_TARGETING:
+            cost, thetas = cost_for(goal, loss, rng), 3.0 * rng.standard_normal((m, 3))
+        else:
+            X = rng.integers(-4, 5, (40, 3)) / 8.0
+            y = rng.choice([-1.0, 1.0], 40) if loss == "logistic" else rng.integers(-8, 9, 40) / 8.0
+            cost = CostSpec(goal=goal, eval_set=Dataset(X, y), loss=loss)
+            thetas = rng.integers(-24, 25, (m, 3)) / 8.0
+        values = eval_cost(cost, ModelParams(thetas))
+        np.testing.assert_array_equal(values, [eval_cost(cost, ModelParams(theta)) for theta in thetas])
 
     @pytest.mark.parametrize("goal, loss", GOALS_AND_LOSSES)
     def test_stack_dimension_mismatch(self, goal, loss):
         cost = cost_for(goal, loss, np.random.default_rng(5))
         with pytest.raises(ValueError, match="dimension mismatch: cost is 3d, model is 2d"):
-            eval_cost(cost, [ModelParams(vec(1.0, 2.0)), ModelParams(vec(0.5, 0.5))])
+            eval_cost(cost, ModelParams(np.array([vec(1.0, 2.0), vec(0.5, 0.5)])))
 
 
 def project(features, label):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import textwrap
 
 import numpy as np
@@ -380,13 +381,20 @@ class TestEstimateAttackCost:
             short = estimate_attack_cost(victim, data, cost, T_e, seed=3)
             np.testing.assert_array_equal(long.values[:T_e], short.values)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128 + 1, 1.5])
+    def test_seed_that_would_alias_another_is_refused(self, seed):
+        # -1 would replay the draws of 2**128 - 1, 2**128 + 1 and 1.5 those of 1
+        victim, data, cost = small_estimation_setup()
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**128), got {seed!r}")):
+            estimate_attack_cost(victim, data, cost, 10, seed)
+
     def test_one_eval_cost_call_per_block(self, monkeypatch):
         import dppoison.harness.montecarlo as montecarlo
 
         stacks = []
 
         def counted(cost, models):
-            stacks.append(len(models))
+            stacks.append(len(models.theta))
             return eval_cost(cost, models)
 
         monkeypatch.setattr(montecarlo, "eval_cost", counted)

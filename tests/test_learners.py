@@ -1,5 +1,7 @@
 """Solvers, noise sampling, and mechanism dispatch against independent oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,17 @@ class TestSampleNoise:
             sample_noise(2, -1.0, rng)
 
 
+# a regularizer or radius that is no finite positive number, and how it is refused
+NOT_FINITE_POSITIVE = [
+    (np.nan, "finite, got nan"),
+    (np.inf, "finite, got inf"),
+    (-1.0, "positive, got -1.0"),
+    (0.0, "positive, got 0.0"),
+    (None, "a number, got None"),
+    (True, "a number, got True"),
+]
+
+
 class TestLogisticSolver:
     def test_symmetric_data_gives_zero_model(self):
         X = np.array([[0.3, -0.1], [0.7, 0.2], [0.3, -0.1], [0.7, 0.2]])
@@ -110,6 +123,12 @@ class TestLogisticSolver:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             train_base_logistic(Dataset([[0.5]], [0.0]), lam=1.0)
+
+    @pytest.mark.parametrize("value, complaint", NOT_FINITE_POSITIVE)
+    def test_lam_that_is_no_finite_positive_number(self, value, complaint):
+        data = Dataset([[0.5, 0.1], [0.2, -0.3]], [1.0, -1.0])
+        with pytest.raises(ValueError, match=f"^lam must be {re.escape(complaint)}$"):
+            train_base_logistic(data, value)
 
     def test_noise_dimension_checked(self):
         data = Dataset([[0.5, 0.1]], [1.0])
@@ -255,6 +274,16 @@ class TestRidgeSolver:
             with pytest.raises(ValueError):
                 train_base_ridge_constrained(data, 1.0, 1.0, b)
 
+    @pytest.mark.parametrize("name", ["lam", "rho"])
+    @pytest.mark.parametrize("value, complaint", NOT_FINITE_POSITIVE)
+    def test_parameter_that_is_no_finite_positive_number(self, name, value, complaint):
+        # lam=nan gave theta = [nan, nan] and rho=nan an unconstrained
+        # solve, both silently; rho=None raised a bare TypeError
+        data = Dataset([[0.5, 0.1], [0.2, -0.3]], [0.2, -0.4])
+        params = {"lam": 1.0, "rho": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be {re.escape(complaint)}$"):
+            train_base_ridge_constrained(data, **params)
+
     def test_stack_decomposes_once(self, monkeypatch):
         # rows whose constraint is active share one eigendecomposition
         rng = np.random.default_rng(16)
@@ -268,8 +297,8 @@ class TestRidgeSolver:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         victim = VictimSpec("objective", "ridge", lam=1.0, epsilon=1.0, rho=0.05)
-        models = train_mechanism(victim, data, rng.standard_normal((6, 3)))
-        assert all(model.mu > 0.0 for model in models)
+        stack = train_mechanism(victim, data, rng.standard_normal((6, 3)))
+        assert stack.mu.shape == (6,) and np.all(stack.mu > 0.0)
         assert len(calls) == 1
         train_base_ridge_constrained(data, 1.0, 100.0, rng.standard_normal((6, 3)) * 1e-3)
         assert len(calls) == 1
@@ -326,7 +355,7 @@ class TestTrainMechanism:
         assert len(calls) == 1
         fresh = train_mechanism(victim, Dataset(data.X, data.y), b[0])
         assert len(calls) == 2
-        assert np.array_equal(stacked[0].theta, fresh.theta) and stacked[0].mu == fresh.mu
+        assert np.array_equal(stacked.theta[0], fresh.theta) and stacked.mu == fresh.mu
         assert np.array_equal(single.theta, fresh.theta)
         train_mechanism(victim, data, b[0], warm_start=ModelParams(np.ones(3)))
         assert len(calls) == 3
@@ -359,16 +388,18 @@ def test_stacked_rows_match_single_draws(mechanism, base, seed, m, warm):
     b = rng.standard_normal((m, data.dim)) * rng.uniform(0.1, 3.0)
     start = ModelParams(rng.standard_normal(data.dim)) if warm else None
     stacked = train_mechanism(victim, data, b, warm_start=start)
-    assert len(stacked) == m
-    for row, model in zip(b, stacked):
+    assert stacked.theta.shape == (m, data.dim)
+    # one mu per row for a ridge objective stack, else one for every row
+    assert np.shape(stacked.mu) == ((m,) if (mechanism, base) == ("objective", "ridge") else ())
+    for row, theta, mu in zip(b, stacked.theta, np.broadcast_to(stacked.mu, m)):
         single = train_mechanism(victim, data, row, warm_start=start)
         if (mechanism, base) != ("objective", "logistic"):
-            assert np.array_equal(model.theta, single.theta)
-            assert model.mu == single.mu
+            assert np.array_equal(theta, single.theta)
+            assert mu == single.mu
             continue
         scale = max(1.0, float(np.max(np.abs(single.theta))))
-        assert np.max(np.abs(model.theta - single.theta)) <= 1e-12 * scale
-        assert model.mu == single.mu == 0.0
+        assert np.max(np.abs(theta - single.theta)) <= 1e-12 * scale
+        assert mu == single.mu == 0.0
 
 
 def near_separable_data(rng, n, d, flips):
@@ -414,7 +445,7 @@ def test_logistic_kkt_property(seed, n, d, flips, log_lam, log_scale, m):
     except SolverError:
         pass
     try:
-        thetas = np.array([model.theta for model in train_base_logistic(data, lam, B)])
+        thetas = train_base_logistic(data, lam, B).theta
         p = sigmoid(-(thetas @ X.T) * y)
         residuals = np.linalg.norm(lam * thetas - (p * y) @ X + B, axis=1)
         assert residuals.max() <= tol
@@ -431,10 +462,9 @@ def test_ridge_kkt_property(seed, n, d, flips, log_lam, log_scale, m, log_rho):
     draws = rng.standard_normal((m, d)) * 10.0**log_scale
     dual_tol = learners.DUAL_TOL
     A, Xty = data.X.T @ data.X, data.X.T @ data.y
-    models = [train_base_ridge_constrained(data, lam, rho, draws[0])]
-    models += train_base_ridge_constrained(data, lam, rho, draws)
-    for b, model in zip([draws[0], *draws], models):
-        theta, mu = model.theta, model.mu
+    single = train_base_ridge_constrained(data, lam, rho, draws[0])
+    stack = train_base_ridge_constrained(data, lam, rho, draws)
+    for b, theta, mu in zip([draws[0], *draws], [single.theta, *stack.theta], [single.mu, *stack.mu]):
         # (X'X + (lam+mu)I) theta = X'y - b. Both the direct solve and the
         # eigenbasis solve are backward stable for this d x d SPD system, so
         # the residual is a small multiple of d * eps against the sizes of
@@ -534,13 +564,13 @@ def test_dataset_sequence_rows_match_single_solves(mechanism):
     datas = [random_classification_data(rng, n=11, d=3) for _ in range(4)]
     victim = VictimSpec(mechanism, "logistic", lam=1.5, epsilon=1.0)
     B = rng.standard_normal((4, 3))
-    starts = [ModelParams(rng.standard_normal(3)) for _ in range(4)]
+    starts = ModelParams(rng.standard_normal((4, 3)))
     for warm in (None, starts):
-        models = train_mechanism(victim, datas, B, warm_start=warm)
-        assert len(models) == 4
-        for i, (ds, b, model) in enumerate(zip(datas, B, models)):
-            single = train_mechanism(victim, ds, b, warm_start=None if warm is None else warm[i])
-            np.testing.assert_allclose(model.theta, single.theta, rtol=0, atol=1e-12)
+        stack = train_mechanism(victim, datas, B, warm_start=warm)
+        assert stack.theta.shape == (4, 3) and stack.mu == 0.0
+        for i, (ds, b, theta) in enumerate(zip(datas, B, stack.theta)):
+            single = train_mechanism(victim, ds, b, warm_start=None if warm is None else ModelParams(warm.theta[i]))
+            np.testing.assert_allclose(theta, single.theta, rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="noise stack"):
         train_mechanism(victim, datas, B[0])
 

@@ -1,9 +1,11 @@
 """rng.substreams derives the streams of rng.substream, bit for bit."""
 
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dppoison.rng import STAGE_CURVE, STAGE_MC_CLEAN, STAGE_SWEEP, _CHUNK, subseed, substream, substreams
@@ -34,6 +36,22 @@ def test_count_outside_one_key_word_is_refused_at_the_call(count):
     # the check runs before any stream is derived, not on the first draw
     with pytest.raises(ValueError, match=r"^count must be in \[0, 2\*\*32\)"):
         substreams(0, count)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 1, 1.5, np.float64(1.0), True, "1"])
+@pytest.mark.parametrize("derive", [substream, subseed, substreams])
+def test_seed_that_is_no_integer_in_range_is_refused(derive, seed):
+    # folding it in would replay another seed's streams: -1 those of
+    # 2**128 - 1, 2**128 + 1 and 1.5 (truncated) those of 1
+    with pytest.raises(ValueError, match=f"^{re.escape(f'seed must be in [0, 2**128), got {seed!r}')}$"):
+        derive(seed, 3)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1), np.uint8(0)])
+def test_numpy_integer_seed_gives_the_streams_of_its_value(seed):
+    assert substream(seed, 3).random() == substream(int(seed), 3).random()
+    assert subseed(seed, 3) == subseed(int(seed), 3)
+    assert next(substreams(seed, 4)).random() == substream(int(seed), 0).random()
 
 
 def test_importing_the_package_leaves_numpy_random_unloaded():

@@ -48,7 +48,14 @@ import tempfile
 import csvdiff
 
 BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the thread variables perfbench/run.py pins, so a worker runs as in the benchmark
+THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
 MIN_GATE_PAIRS = 10
 COPIED = ("src", "perfbench", "data")  # what a worker run reads of a checkout
 
