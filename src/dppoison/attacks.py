@@ -22,7 +22,7 @@ from .core import BaseLearner, Dataset, ModelParams, eval_cost, modification_dis
 from .core import AtLeast, Count, Mechanism, Positive, _check_fields
 from .gradients import batch_item_gradients, cost_gradient
 from .learners import SolverError, sample_noise, train_mechanism
-from .rng import STAGE_SELECT, STAGE_SGD, substream
+from .rng import STAGE_SELECT, STAGE_SGD, _entropy, substream
 
 __all__ = [
     "SelectionMethod",
@@ -289,6 +289,7 @@ def select_items(victim, data, cost, config, seed):
     n = data.n
     if config.k > n:
         raise ValueError(f"budget k={config.k} exceeds dataset size n={n}")
+    _entropy(seed)  # refuse a seed that would alias another, even if no stream is drawn
     if config.k == 0:
         return np.arange(0)
     if config.k == n:

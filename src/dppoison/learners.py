@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import BaseLearner, Dataset, Mechanism, ModelParams, Positive, _checked, sigmoid, softplus
+from .core import BaseLearner, Dataset, Mechanism, ModelParams, Positive, _checked, sigmoid
 
 __all__ = [
     "SolverError",
@@ -64,23 +64,6 @@ def sample_noise(dim, scale, rng):
     return (r / nrm) * g
 
 
-def _logistic_objective(theta, X, y, lam, b):
-    """The objective at theta and the margins t = y * (X theta) it used,
-    which the solver's next iteration reads."""
-    t = y * (X @ theta)
-    return float(np.sum(softplus(-t)) + 0.5 * lam * (theta @ theta) + b @ theta), t
-
-
-def _logistic_objective_rows(theta, t, lam, B):
-    """_logistic_objective of each row of theta with its row of B, given
-    the (m, n) margins t of the rows: the (m,) objectives."""
-    return (
-        np.sum(softplus(-t), axis=1)
-        + 0.5 * lam * np.einsum("ij,ij->i", theta, theta)
-        + np.einsum("ij,ij->i", B, theta)
-    )
-
-
 def _row_products(X, y, m):
     """The three data products of the batched Newton, as functions: the
     (m, n) margins y * (X theta) of an (m, d) theta, the (m, d) data term
@@ -109,45 +92,36 @@ def _row_products(X, y, m):
 def _solve_logistic(X, y, lam, b, warm_start=None):
     """Damped Newton on the perturbed logistic objective.
 
-    Newton directions are backtracked against the objective; if a direction
-    stalls, a scaled gradient step is tried before giving up. The objective
-    is lam-strongly convex, so this converges for any starting point.
+    Each Newton step d = H^-1 g is backtracked on the merit function
+    ||g||^2 of the stationarity equations (Nocedal & Wright 2006, sec.
+    11.2): theta - s d is accepted once its ||g||^2 is at most
+    (1 - 2e-4 s) ||g(theta)||^2, halving s up to 60 times. H >= lam I, so
+    d descends that merit function from any start, and the test reads only
+    the gradient the next iteration needs anyway.
     """
-    n, d = X.shape
-    if warm_start is not None:
-        theta = np.array(warm_start, dtype=float)
-    else:
-        theta = np.zeros(d)
-    eye = np.eye(d)
-    f0, t = _logistic_objective(theta, X, y, lam, b)
+    theta = np.zeros(X.shape[1]) if warm_start is None else np.array(warm_start, dtype=float)
+    eye = np.eye(X.shape[1])
+
+    def gradient(theta):
+        p = sigmoid(-y * (X @ theta))  # 1 / (1 + exp(y_j theta.x_j))
+        g = lam * theta - X.T @ (y * p) + b
+        return p, g, g @ g
+
+    p, g, gg = gradient(theta)
     for _ in range(MAX_ITERS):
-        p = sigmoid(-t)  # 1 / (1 + exp(t_j))
-        grad = lam * theta - X.T @ (y * p) + b
-        if np.linalg.norm(grad) <= GRAD_TOL:
+        if math.sqrt(gg) <= GRAD_TOL:  # np.linalg.norm(g), with less dispatch
             return theta
-        w = p * (1.0 - p)
-        H = lam * eye + X.T @ (X * w[:, None])
-        step = np.linalg.solve(H, grad)
-        # Near the optimum the predicted decrease drops below the rounding
-        # resolution of the objective; without this slack the line search
-        # rejects steps on floating-point noise and the iteration stalls.
-        f_slack = 1e-12 * max(1.0, abs(f0))
-        accepted = False
-        for direction in (step, grad / (lam + n)):
-            slope = float(grad @ direction)
-            size = 1.0
-            for _ in range(60):
-                cand = theta - size * direction
-                f_cand, t_cand = _logistic_objective(cand, X, y, lam, b)
-                if f_cand <= f0 - 1e-4 * size * slope + f_slack:
-                    theta, f0, t = cand, f_cand, t_cand
-                    accepted = True
-                    break
-                size *= 0.5
-            if accepted:
+        step = np.linalg.solve(lam * eye + X.T @ (X * (p * (1.0 - p))[:, None]), g)
+        size = 1.0
+        for _ in range(60):
+            cand = theta - size * step
+            p_cand, g_cand, gg_cand = gradient(cand)
+            if gg_cand <= (1.0 - 2e-4 * size) * gg:
                 break
-        if not accepted:
+            size *= 0.5
+        else:
             raise SolverError("logistic solver stalled: no descent step found")
+        theta, p, g, gg = cand, p_cand, g_cand, gg_cand
     raise SolverError(f"logistic solver did not converge within {MAX_ITERS} iterations")
 
 
@@ -158,54 +132,46 @@ def _solve_logistic_rows(X, y, lam, B, warm_start=None):
     X is (n, d) with y (n,), the data of every row, or (m, n, d) with y
     (m, n), each row's own data. warm_start is None (zero), one (d,) start
     for every row or an (m, d) stack, one per row. Each row follows the
-    scalar rules: its own gradient test, the Armijo test with the same
-    slack, the gradient-step fallback, and a SolverError naming the failed
-    rows if some stall or are unconverged after MAX_ITERS. Shapes stay
-    (m, ...) throughout; a converged row is frozen by a mask, and each row
-    carries its accepted objective value and margins forward.
+    scalar rules: its own gradient test, its own backtracking on ||g||^2,
+    and a SolverError naming the failed rows if some stall or are
+    unconverged after MAX_ITERS. Shapes stay (m, ...) throughout; a
+    converged row is frozen by a mask, and each row carries its accepted
+    point's gradient forward.
     """
     m, d = B.shape
-    n = X.shape[-2]
     theta = np.zeros((m, d))
     if warm_start is not None:
         theta += np.asarray(warm_start, dtype=float)
     margins, data_grad, hessian = _row_products(X, y, m)
     eye = np.eye(d)
-    t = margins(theta)
-    f = _logistic_objective_rows(theta, t, lam, B)
+
+    def gradient(theta):
+        p = sigmoid(-margins(theta))
+        g = lam * theta - data_grad(p * y) + B
+        return p, g, np.sum(g * g, axis=1)  # the squares np.linalg.norm sums
+
+    p, g, gg = gradient(theta)
     active = np.ones(m, dtype=bool)
     for _ in range(MAX_ITERS):
-        p = sigmoid(-t)
-        grad = lam * theta - data_grad(p * y) + B
         # written as a negation so that a row with a nan gradient stays
         # active and stalls, as the scalar solver does
-        active &= ~(np.linalg.norm(grad, axis=1) <= GRAD_TOL)
+        active &= ~(np.sqrt(gg) <= GRAD_TOL)
         if not active.any():
             return theta
-        H = lam * eye + hessian(p * (1.0 - p))
-        step = np.linalg.solve(H, grad[:, :, None])[:, :, 0]
-        f_slack = 1e-12 * np.maximum(1.0, np.abs(f))
+        step = np.linalg.solve(lam * eye + hessian(p * (1.0 - p)), g[:, :, None])[:, :, 0]
         pending = active.copy()
-        for direction in (step, grad / (lam + n)):
-            slope = np.einsum("ij,ij->i", grad, direction)
-            size = 1.0
-            for _ in range(60):
-                cand = theta - size * direction
-                t_cand = margins(cand)
-                f_cand = _logistic_objective_rows(cand, t_cand, lam, B)
-                ok = pending & (f_cand <= f - 1e-4 * size * slope + f_slack)
-                theta[ok] = cand[ok]
-                f[ok] = f_cand[ok]
-                t[ok] = t_cand[ok]
-                pending &= ~ok
-                if not pending.any():
-                    break
-                size *= 0.5
+        size = 1.0
+        for _ in range(60):
+            cand = theta - size * step
+            p_cand, g_cand, gg_cand = gradient(cand)
+            ok = pending & (gg_cand <= (1.0 - 2e-4 * size) * gg)
+            theta[ok], p[ok], g[ok], gg[ok] = cand[ok], p_cand[ok], g_cand[ok], gg_cand[ok]
+            pending &= ~ok
             if not pending.any():
                 break
-        if pending.any():
-            stalled = np.flatnonzero(pending)
-            raise SolverError("logistic solver stalled: no descent step found", stalled)
+            size *= 0.5
+        else:
+            raise SolverError("logistic solver stalled: no descent step found", np.flatnonzero(pending))
     raise SolverError(
         f"logistic solver did not converge within {MAX_ITERS} iterations", np.flatnonzero(active)
     )
@@ -239,7 +205,13 @@ def train_base_logistic(data, lam, b=None, *, warm_start=None):
     Dataset, or a sequence of m datasets of one shape, one per row of a
     stack. warm_start is one model, or a stack of one per row. A stack is
     solved by one batched damped Newton; a single draw uses the scalar
-    solver, which is faster for one row."""
+    solver, which is faster for one row.
+
+    Without a warm start, a solve on one Dataset starts at the linear
+    response theta0 - H0^-1 b of the noiseless model theta0, solved from
+    zero, with H0 its Hessian; both are cached per (dataset, lam), so a
+    noiseless solve returns theta0 itself. A sequence of datasets without
+    a warm start starts at zero."""
     _checked("lam", lam, Positive)
     if isinstance(data, Dataset):
         X, y = data.X, data.y
@@ -250,8 +222,19 @@ def train_base_logistic(data, lam, b=None, *, warm_start=None):
     if X.ndim == 3 and b.shape != X.shape[::2]:
         raise ValueError("a sequence of m datasets needs an (m, d) noise stack")
     warm = None if warm_start is None else warm_start.theta
+    if warm is None and X.ndim == 2:
+        theta0, H0 = data.cached(("logistic", lam), lambda: _noiseless_logistic(X, y, lam))
+        warm = theta0 - np.linalg.solve(H0, b.T).T
     solve = _solve_logistic if b.ndim == 1 else _solve_logistic_rows
     return ModelParams(solve(X, y, lam, b, warm), 0.0)
+
+
+def _noiseless_logistic(X, y, lam):
+    """theta0, the noiseless logistic solve from zero, and the Hessian H0
+    of the objective at theta0."""
+    theta = _solve_logistic(X, y, lam, np.zeros(X.shape[1]))
+    p = sigmoid(-y * (X @ theta))
+    return theta, lam * np.eye(len(theta)) + X.T @ (X * (p * (1.0 - p))[:, None])
 
 
 def _ridge_dual(evals, Q, rhs, lam, rho):

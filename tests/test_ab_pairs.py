@@ -8,6 +8,7 @@ import sys
 
 import ab_pairs
 import pytest
+import yaml
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -67,6 +68,12 @@ def test_workers_pin_the_thread_variables_of_the_benchmark():
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["THREAD_VARS"]
     ]
     assert ab_pairs.THREAD_VARS == pinned
+
+
+def test_ci_pins_the_thread_variables_of_the_benchmark():
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml"), encoding="utf-8") as fh:
+        env = yaml.safe_load(fh)["jobs"]["tests"]["env"]
+    assert env == {var: "1" for var in ab_pairs.THREAD_VARS}
 
 
 def test_unknown_workload_fails():

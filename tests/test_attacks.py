@@ -214,6 +214,16 @@ def test_entry_point_refuses_a_seed_that_would_alias_another(entry, seed):
         calls[entry]()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128 + 1, 1.5])
+@pytest.mark.parametrize("k", [0, 15], ids=["k=0", "k=n"])
+def test_select_items_refuses_such_a_seed_when_no_stream_is_drawn(k, seed):
+    # at k = 0 and k = n selection draws nothing, yet the seed is refused
+    victim, data, cost = small_logistic_setup(2)
+    config = AttackConfig(k=k, T=2, selection=SelectionMethod.SHALLOW, mode=AttackMode.SV)
+    with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**128), got {seed!r}")):
+        attacks.select_items(victim, data, cost, config, seed)
+
+
 class TestRunAttack:
     def test_zero_budget_is_a_no_op(self, monkeypatch):
         victim, data, cost = small_logistic_setup(9)

@@ -29,9 +29,13 @@ import pytest
 # log1p form of softplus moved wine_output's stderr by at most 5.8e-14,
 # since that stderr is 2e-5 of its mean; stepping a sweep's rows in
 # lockstep through per-row batched solves moved sweep cells by at most
-# 1.7e-16 here and 2.4e-15 at full scale. The attack feeds each of its
-# 50 SGD steps into the next, so such rounding can grow, and 1e-9 leaves
-# it six orders of magnitude of room. A change in what is computed moves
+# 1.7e-16 here and 2.4e-15 at full scale; backtracking the logistic
+# Newton on the gradient norm from a linear-response cold start moved
+# costs by at most 4.7e-13 and a trace cell by 1.2e-12 here, and by
+# 7.6e-13 and 1.4e-10 at full scale, since the solves stop anywhere
+# within GRAD_TOL. The attack feeds each of its 50 SGD steps into the
+# next, so such moves can grow, and 1e-9 leaves the largest one here
+# almost three orders of magnitude of room. A change in what is computed moves
 # cells by more: loosening the logistic stopping tolerance from 1e-10 to
 # 1e-4 alone moves costs by about 1e-6.
 REL_TOL = 1e-9

@@ -22,9 +22,13 @@ from dppoison import learners
 from dppoison.learners import sample_noise
 
 
-def logistic_kkt_residual(data, lam, b, theta):
+def logistic_gradient(data, lam, b, theta):
     t = data.y * (data.X @ theta)
-    return np.linalg.norm(lam * theta - data.X.T @ (data.y * sigmoid(-t)) + b)
+    return lam * theta - data.X.T @ (data.y * sigmoid(-t)) + b
+
+
+def logistic_kkt_residual(data, lam, b, theta):
+    return np.linalg.norm(logistic_gradient(data, lam, b, theta))
 
 
 class TestSampleNoise:
@@ -170,6 +174,62 @@ class TestLogisticSolver:
         far = ModelParams(np.full(3, 5.0))
         warm = train_base_logistic(data, lam=1.0, warm_start=far)
         assert np.linalg.norm(cold.theta - warm.theta) <= 1e-8
+
+    def test_far_start_whose_newton_step_raises_the_gradient_is_backtracked(self, monkeypatch):
+        # from this start the full Newton step raises ||g||, so the line
+        # search must shorten it; both solvers still land on the cold solution
+        monkeypatch.setattr(learners, "GRAD_TOL", 1e-12)
+        rng = np.random.default_rng(7)
+        data = random_classification_data(rng, n=15, d=3)
+        X, y, lam, b = data.X, data.y, 0.3, np.zeros(3)
+        start = np.array([5.0, -5.0, 5.0])
+        p = sigmoid(-y * (X @ start))
+        hessian = lam * np.eye(3) + X.T @ (X * (p * (1.0 - p))[:, None])
+        full_step = start - np.linalg.solve(hessian, logistic_gradient(data, lam, b, start))
+        assert logistic_kkt_residual(data, lam, b, full_step) > logistic_kkt_residual(data, lam, b, start)
+        cold = train_base_logistic(data, lam).theta
+        scale = max(1.0, float(np.max(np.abs(cold))))
+        single = learners._solve_logistic(X, y, lam, b, start)
+        rows = learners._solve_logistic_rows(X, y, lam, b[None, :], start)
+        for warm in (single, rows[0]):
+            assert np.max(np.abs(warm - cold)) <= 1e-12 * scale
+
+    def test_noiseless_start_is_solved_once_per_dataset_and_lam(self, monkeypatch):
+        # the noiseless solve from zero (the one solve without a start) runs
+        # once per (dataset, lam); warm-started calls never run it
+        rng = np.random.default_rng(8)
+        data = random_classification_data(rng, n=12, d=3)
+        solver = learners._solve_logistic
+        cold = []
+
+        def counted(X, y, lam, b, warm_start=None):
+            cold.append(warm_start is None)
+            return solver(X, y, lam, b, warm_start)
+
+        monkeypatch.setattr(learners, "_solve_logistic", counted)
+        B = rng.standard_normal((5, 3))
+        train_base_logistic(data, 1.0, B)
+        train_base_logistic(data, 1.0, B[0])
+        train_base_logistic(data, 1.0)
+        assert sum(cold) == 1
+        train_base_logistic(data, 2.0, B)
+        assert sum(cold) == 2
+        train_base_logistic(Dataset(data.X, data.y), 1.0, B)
+        assert sum(cold) == 3
+        train_base_logistic(Dataset(data.X, data.y), 1.0, B[0], warm_start=ModelParams(np.ones(3)))
+        train_base_logistic(Dataset(data.X, data.y), 1.0, B, warm_start=ModelParams(np.ones(3)))
+        assert sum(cold) == 3
+
+    def test_noiseless_cold_solve_is_the_solve_from_zero(self):
+        # a cold solve starts at theta0 - H0^-1 b, which is theta0 itself
+        # when b = 0, so it returns theta0 bit for bit, alone or in a stack
+        rng = np.random.default_rng(9)
+        data = random_classification_data(rng, n=20, d=4)
+        theta0 = learners._solve_logistic(data.X, data.y, 0.7, np.zeros(4))
+        assert np.array_equal(train_base_logistic(data, 0.7).theta, theta0)
+        assert np.array_equal(train_base_logistic(data, 0.7, np.zeros(4)).theta, theta0)
+        stack = train_base_logistic(data, 0.7, np.zeros((3, 4))).theta
+        assert all(np.array_equal(row, theta0) for row in stack)
 
     def test_clean_2d_experiment_fit(self):
         # disk data labeled by theta* = (1, 1) at lam = 10 fits a model
