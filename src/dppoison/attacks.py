@@ -159,7 +159,8 @@ class _Lane:
     """One attack of a lockstep descent: its items (sorted, distinct, each in
     [0, n)) and their moved coordinates, its noise stream and radial scale, its
     current dataset and model (the next warm start, set by the caller), the
-    steps it completed, and the SolverError that stopped it, if one did."""
+    steps it completed, and the SolverError that stopped it, if one did. Each
+    step's dataset is made from the clean one, so none keeps an earlier alive."""
 
     def __init__(self, data, items, rng, scale):
         items = np.sort(np.asarray(items, dtype=int))
@@ -171,7 +172,9 @@ class _Lane:
         self.X0, self.y0 = data.X[items], data.y[items]
         self.Xs, self.ys = self.X0.copy(), self.y0.copy()
         self.rng, self.scale = rng, scale
-        self.data, self.model = data, None
+        self.clean = self.data = data
+        self.rows = slice(None) if len(items) == data.n else items
+        self.model = None
         self.steps = 0
         self.error = None
 
@@ -186,7 +189,7 @@ class _Lane:
         self.Xs -= eta * feat
         self.ys -= eta * lab
         project_rows_inplace(self.Xs, self.ys)
-        self.data = self.data.with_modified(self.items, self.Xs, self.ys)
+        self.data = self.clean.with_modified(self.rows, self.Xs, self.ys)
         self.steps += 1
 
 

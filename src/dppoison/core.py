@@ -167,6 +167,10 @@ def _check_fields(obj):
         object.__setattr__(obj, f.name, _checked(f.name, getattr(obj, f.name), f.type))
 
 
+def _gram(X, y):
+    return X.T @ X, X.T @ y
+
+
 def _check_finite(*arrays):
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("features and labels must be finite")
@@ -179,7 +183,7 @@ class Dataset:
     their position in the original dataset.
     """
 
-    __slots__ = ("_X", "_y", "_cache")
+    __slots__ = ("_X", "_y", "_cache", "_source", "__weakref__")
 
     def __init__(self, features, labels):
         X = np.array(features, dtype=float)
@@ -191,12 +195,13 @@ class Dataset:
         _check_finite(X, y)
         self._freeze(X, y)
 
-    def _freeze(self, X, y):
+    def _freeze(self, X, y, source=None):
         X.setflags(write=False)
         y.setflags(write=False)
         self._X = X
         self._y = y
         self._cache = {}
+        self._source = source  # (dataset, replaced rows) until gram is formed
 
     @property
     def X(self):
@@ -230,21 +235,38 @@ class Dataset:
     @property
     def gram(self):
         """(X'X, X'y), the ridge sufficient statistics: formed on first
-        use, then cached for the life of the dataset; read-only."""
-        X, y = self._X, self._y
-        return self.cached("gram", lambda: (_readonly(X.T @ X), _readonly(X.T @ y)))
+        use, then cached for the life of the dataset; read-only. A dataset
+        made by with_modified adds its replaced rows' products to its
+        source's Gram of the other rows, which the source caches per index
+        set, so a step that moves k rows costs O(k d^2)."""
+        return self.cached("gram", self._form_gram)
+
+    @property
+    def gram_eigh(self):
+        """(evals, Q), np.linalg.eigh of X'X, cached as gram is."""
+        return self.cached("gram eigh", lambda: tuple(map(_readonly, np.linalg.eigh(self.gram[0]))))
+
+    def _form_gram(self):
+        if self._source is None:
+            return tuple(map(_readonly, _gram(self._X, self._y)))
+        (source, rows), self._source = self._source, None
+        if not isinstance(rows, slice):
+            rows = np.unique(rows)  # a repeated index replaced one row
+        key = ("unreplaced gram", repr(rows) if isinstance(rows, slice) else rows.tobytes())
+        kept = source.cached(key, lambda: _gram(np.delete(source.X, rows, 0), np.delete(source.y, rows)))
+        return tuple(_readonly(a + b) for a, b in zip(kept, _gram(self._X[rows], self._y[rows])))
 
     def with_modified(self, indices, features, labels):
-        """Return a copy with the given items' coordinates replaced. Only
-        the replaced values are checked; the kept ones already were."""
+        """Return a copy with the items at indices (an index array, or slice(None)
+        for all) replaced. Only the replaced values are checked; the kept ones were."""
         X = self._X.copy()
         y = self._y.copy()
-        idx = np.asarray(indices, dtype=int)
+        idx = indices if isinstance(indices, slice) else np.asarray(indices, dtype=int)
         X[idx] = features
         y[idx] = labels
         _check_finite(features, labels)
         modified = Dataset.__new__(Dataset)
-        modified._freeze(X, y)
+        modified._freeze(X, y, (self, idx))
         return modified
 
 
@@ -399,7 +421,8 @@ def project_rows_inplace(X, y):
 
     Used by the attack loops after each step.
     """
-    norms = np.linalg.norm(X, axis=1)
+    # np.linalg.norm at a third of the cost: the same bits at d <= 2, the last bit above
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     over = norms > 1.0 + _NORM_SLACK
     if np.any(over):
         X[over] /= norms[over, None]

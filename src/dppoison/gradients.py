@@ -63,16 +63,15 @@ def _logistic_grads(X, y, theta_eff, lam, cost_grad, idx):
 
 
 def _ridge_grads(data, theta_eff, lam, mu, cost_grad, idx):
-    """Feature and label gradients for ridge victims, from the dataset's
-    cached X'X. Returns ((len(idx), d), (len(idx),)) arrays."""
-    v = np.linalg.solve(data.gram[0] + (lam + mu) * np.eye(data.dim), cost_grad)
-    X, y = data.X[idx], data.y[idx]
+    """Feature and label gradients for ridge victims, in the dataset's
+    cached eigenbasis of X'X. Returns ((len(idx), d), (len(idx),)) arrays."""
+    evals, Q = data.gram_eigh
+    v = Q @ ((Q.T @ cost_grad) / (evals + lam + mu))
+    X, y = data.X.take(idx, axis=0), data.y.take(idx)  # the rows X[idx] copies, faster
     xv = X @ v
     resid = X @ theta_eff - y
-    # -(xv theta' + resid v') in one array; negation is exact
-    d_feat = np.multiply.outer(-xv, theta_eff)
-    d_feat -= np.multiply.outer(resid, v)
-    return d_feat, xv
+    # -(xv theta' + resid v') as one rank-two product: several times faster than two outer products
+    return np.column_stack([xv, resid]) @ -np.vstack([theta_eff, v]), xv
 
 
 def batch_item_gradients(victim, data, model, b, cost_grad, indices):
@@ -106,9 +105,13 @@ def finite_difference_oracle(victim, data, i, b, cost, h=1e-5):
     if not 1e-6 <= h <= 1e-4:
         raise ValueError("h must lie in [1e-6, 1e-4]")
 
+    # every retrain starts at the unperturbed data's model; output
+    # perturbation retrains its base learner, the model of a zero draw
+    start = train_mechanism(victim, data, b if victim.mechanism is Mechanism.OBJECTIVE else np.zeros(data.dim))
+
     def cost_at(features, label):
         shifted = data.with_modified([i], features[None, :], np.array([label]))
-        return eval_cost(cost, train_mechanism(victim, shifted, b))
+        return eval_cost(cost, train_mechanism(victim, shifted, b, warm_start=start))
 
     x0 = data.X[i].copy()
     y0 = float(data.y[i])

@@ -62,6 +62,7 @@ from ..rng import (
     substream,
 )
 from .datasets import (
+    _FLOAT_FMT,
     build_nn_eval_set,
     gen_1d_dataset,
     gen_2d_dataset,
@@ -384,13 +385,16 @@ def curve_iterations(T, points):
 
 
 def _write_trace(path, trace, iterations):
+    """trace.csv in write_csv's bytes, formatted a row at a time."""
     header = ["iteration", "item"] + [f"x{j}" for j in range(trace.clean_data.dim)] + ["y"]
-    rows = []
-    for t in iterations:
-        pos = int(np.searchsorted(trace.iterations, t))
-        for j, item in enumerate(trace.selected):
-            rows.append([t, item, *trace.features[pos, j], trace.labels[pos, j]])
-    write_csv(path, header, rows)
+    row = ",".join(["%d", "%d"] + [_FLOAT_FMT] * (len(header) - 2)) + "\r\n"
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t in iterations:
+            pos = int(np.searchsorted(trace.iterations, t))
+            rows = zip(trace.selected.tolist(), trace.features[pos].tolist(), trace.labels[pos].tolist())
+            fh.writelines(row % (t, item, *x, y) for item, x, y in rows)
 
 
 def _finite_json(value):

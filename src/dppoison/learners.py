@@ -36,8 +36,8 @@ class SolverError(RuntimeError):
         self.rows = rows
 
 
-# Solver tolerances, read at call time: the logistic stationarity norm,
-# the Newton iteration cap and the relative width of the ridge dual bracket.
+# Solver tolerances, read at call time: the logistic stationarity norm, the
+# Newton iteration cap and the relative size of the ridge dual's last step.
 GRAD_TOL = 1e-10
 MAX_ITERS = 10_000
 DUAL_TOL = 1e-12
@@ -237,33 +237,32 @@ def _noiseless_logistic(X, y, lam):
     return theta, lam * np.eye(len(theta)) + X.T @ (X * (p * (1.0 - p))[:, None])
 
 
-def _ridge_dual(evals, Q, rhs, lam, rho):
-    """theta and the dual mu of the active constraint ||theta|| <= rho, by
-    bisection on the strictly decreasing map mu -> ||theta(mu)||, O(d) per
-    evaluation in the eigenbasis (evals, Q) of X'X."""
-    c = Q.T @ rhs
-
-    def norm_at(mu):
-        z = c / (evals + lam + mu)
-        return math.sqrt(z @ z)  # what np.linalg.norm computes for a vector
-
+def _ridge_dual(evals, c, lam, rho):
+    """The dual mu of the active constraint ||theta|| <= rho, where theta =
+    Q z(mu), z(mu) = c / (evals + lam + mu), in the eigenbasis (evals, Q) of
+    X'X: Newton on 1/||z(mu)|| = 1/rho (More & Sorensen 1983), O(d) a step,
+    bisecting the bracket [lo, hi] of mu instead of any step that leaves it,
+    until a step moves mu by at most DUAL_TOL * max(1, mu)."""
     lo, hi = 0.0, max(1.0, lam)
     for _ in range(500):
-        if norm_at(hi) <= rho:
+        z = c / (evals + lam + hi)
+        if math.sqrt(z @ z) <= rho:  # what np.linalg.norm computes for a vector
             break
         hi *= 2.0
     else:
         raise SolverError("could not bracket the constraint dual")
+    mu = 0.0
     for _ in range(300):
-        if hi - lo <= DUAL_TOL * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if norm_at(mid) > rho:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
-    return Q @ (c / (evals + lam + mu)), mu
+        s = evals + lam + mu
+        z = c / s
+        norm = math.sqrt(z @ z)
+        lo, hi = (mu, hi) if norm > rho else (lo, mu)
+        # Newton on 1/||z|| - 1/rho: d(1/||z||)/dmu = (z @ (z / s)) / ||z||^3
+        step = norm * norm * (norm - rho) / (rho * (z @ (z / s)))
+        if abs(step) <= DUAL_TOL * max(1.0, mu):
+            return min(max(mu + step, lo), hi)
+        mu = mu + step if lo < mu + step < hi else 0.5 * (lo + hi)
+    raise SolverError("the constraint dual did not converge")
 
 
 def train_base_ridge_constrained(data, lam, rho, b=None):
@@ -273,28 +272,26 @@ def train_base_ridge_constrained(data, lam, rho, b=None):
     Returns theta and the dual mu of the constraint ||theta|| <= rho,
     satisfying (X'X + (lam+mu)I) theta = X'y - b with mu >= 0 and
     complementary slackness. The unconstrained solution is used whenever
-    it is feasible (mu = 0 exactly); otherwise mu is found by bisection.
+    it is feasible (mu = 0 exactly); otherwise mu is found by Newton steps.
 
     b is one (d,) draw, which returns one model, or an (m, d) stack of
-    draws, which returns a stack of m with one mu per row. X'X and X'y are
-    the dataset's cached ones (Dataset.gram). A stack decomposes X'X once
-    if any row's constraint is active; each row keeps its own solve and
-    bisection, so row i is bit for bit the single-draw solve of b[i].
+    draws, which returns a stack of m with one mu per row. Each row is
+    solved on its own in the dataset's cached eigenbasis of X'X
+    (Dataset.gram_eigh), so row i is bit for bit the single-draw solve of b[i].
     """
     _checked("lam", lam, Positive)
     _checked("rho", rho, Positive)
     b = _as_noise(b, data.dim)
-    A, Xty = data.gram
-    regularized = A + lam * np.eye(data.dim)
-    eig = None
+    Xty = data.gram[1]
+    evals, Q = data.gram_eigh
     rows = b.reshape(-1, data.dim)
     theta, mu = np.empty(rows.shape), np.zeros(len(rows))
     for i, row in enumerate(rows):
-        rhs = Xty - row
-        theta[i] = np.linalg.solve(regularized, rhs)
-        if np.linalg.norm(theta[i]) > rho:
-            eig = np.linalg.eigh(A) if eig is None else eig
-            theta[i], mu[i] = _ridge_dual(*eig, rhs, lam, rho)
+        c = Q.T @ (Xty - row)
+        theta[i] = Q @ (c / (evals + lam))
+        if math.sqrt(theta[i] @ theta[i]) > rho:  # what np.linalg.norm computes
+            mu[i] = _ridge_dual(evals, c, lam, rho)
+            theta[i] = Q @ (c / (evals + lam + mu[i]))
     return ModelParams(theta[0], mu[0]) if b.ndim == 1 else ModelParams(theta, mu)
 
 

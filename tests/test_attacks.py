@@ -1,7 +1,9 @@
 """Item selection and the poisoning loops."""
 
 import dataclasses
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from dppoison import (
 )
 from dppoison import attacks
 from dppoison.harness import gen_1d_dataset, gen_2d_dataset, gen_eval_grid_1d, gen_eval_grid_2d
-from dppoison.rng import STAGE_DATA, substream
+from dppoison.rng import STAGE_DATA, STAGE_SGD, substream
 
 
 def small_logistic_setup(seed=0, n=15, mechanism="objective"):
@@ -399,6 +401,27 @@ class TestRunAttack:
         np.testing.assert_array_equal(trace.dataset_at(12).X, trace.final_data.X)
         with pytest.raises(ValueError):
             trace.dataset_at(13)
+
+
+@pytest.mark.parametrize("base", ["ridge", "logistic"])
+@pytest.mark.parametrize("items", [[2, 7, 9], list(range(12))], ids=["some-items", "every-item"])
+def test_step_datasets_keep_no_earlier_one_alive(base, items):
+    # each step's dataset is made from the clean one, so nothing holds a
+    # step's dataset once the lane has moved on: no chain of datasets grows
+    # with T, whether or not a solve formed the dataset's Gram matrix
+    rng = np.random.default_rng(5)
+    make_data = random_regression_data if base == "ridge" else random_classification_data
+    data = make_data(rng, n=12, d=3)
+    victim = VictimSpec("objective", base, lam=1.0, epsilon=1.0, rho=0.5)
+    cost = random_cost(rng, data, base)
+    lane = attacks._Lane(data, items, substream(0, STAGE_SGD), 0.1)
+    lane.model = train_mechanism(victim, data, np.zeros(3))
+    steps = []
+    for _ in attacks._descend(victim, cost, [lane], 0.5, 1e-4, 6, AttackMode.DPV):
+        steps.append(weakref.ref(lane.data))
+    gc.collect()
+    assert [step() is None for step in steps] == [True] * 5 + [False]
+    assert lane.clean is data
 
 
 class TestSweepAttacks:

@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_classification_data
+from conftest import random_classification_data, random_regression_data
 from dppoison import (
     AttackConfig,
     CostSpec,
@@ -24,9 +24,11 @@ from dppoison import (
     VictimSpec,
     batch_item_gradients,
     cost_gradient,
+    relaxed_attack,
     run_attack,
     train_mechanism,
 )
+from dppoison import attacks
 from dppoison.harness import estimate_attack_cost
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -121,3 +123,29 @@ def test_counter_hooks_read_library_results():
 
     estimate = estimate_attack_cost(victim, data, cost, 5, seed=0)
     assert TRACER._mc_draws((), {}, estimate, 0.0) == {"montecarlo.draws": 5}
+
+
+@pytest.mark.parametrize("mechanism", ["objective", "output"])
+def test_attack_loops_pass_index_arrays(monkeypatch, mechanism):
+    # the tracer takes len() of the indices of every batch_item_gradients
+    # call and compares it with the data's n; a lane that moves every item
+    # (the relaxed attack) passes slice(None) to with_modified, but must
+    # still pass its items to the gradients as an integer index array
+    rng = np.random.default_rng(3)
+    data = random_regression_data(rng, n=9, d=2)
+    victim = VictimSpec(mechanism, "ridge", lam=1.0, epsilon=1.0, rho=0.5)
+    cost = CostSpec(goal=Goal.PARAMETER_TARGETING, target_model=ModelParams([0.3, -0.2]))
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(TRACER._batch_items(args, kwargs, None, 0.5))
+        indices = args[5] if len(args) > 5 else kwargs["indices"]
+        assert isinstance(indices, np.ndarray) and indices.dtype.kind == "i"
+        return batch_item_gradients(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "batch_item_gradients", recorded)
+    relaxed_attack(victim, data, cost, 1e-4, 0.5, 4, "dpv", np.random.default_rng(0))
+    run_attack(victim, data, cost, AttackConfig(k=3, T=4, selection="deep", relax_T=4), seed=2)
+    assert len(seen) == 12
+    assert all(counts["gradients.all_items.calls"] == 1 for counts in seen[:8])
+    assert all(counts["gradients.batch_item_gradients.items"] == 3 for counts in seen[8:])

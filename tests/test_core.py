@@ -100,11 +100,54 @@ class TestDataset:
             XtX[0, 0] = 9.0
         with pytest.raises(ValueError):
             Xty[0] = 9.0
-        # a modified dataset forms its own
+        # a modified dataset forms its own: its source's Gram of the
+        # unreplaced rows plus the replaced rows' products, exactly, which
+        # is X'X to rounding
         d2 = d.with_modified([2], [[0.1, 0.2, 0.3]], [0.5])
-        assert np.array_equal(d2.gram[0], d2.X.T @ d2.X)
-        assert np.array_equal(d2.gram[1], d2.X.T @ d2.y)
+        keep = np.arange(7) != 2
+        Xk, yk, Xr, yr = d2.X[keep], d2.y[keep], d2.X[[2]], d2.y[[2]]
+        assert np.array_equal(d2.gram[0], Xk.T @ Xk + Xr.T @ Xr)
+        assert np.array_equal(d2.gram[1], Xk.T @ yk + Xr.T @ yr)
+        np.testing.assert_allclose(d2.gram[0], d2.X.T @ d2.X, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(d2.gram[1], d2.X.T @ d2.y, rtol=1e-14, atol=1e-15)
+        assert not (d2.gram[0].flags.writeable or d2.gram[1].flags.writeable)
         assert np.array_equal(d.gram[0], d.X.T @ d.X)
+
+    @pytest.mark.parametrize(
+        "indices, replaced",
+        [([4, 1, 4], [1, 4]), ([], []), (np.arange(9), np.arange(9)), (slice(None), np.arange(9))],
+        ids=["repeated", "empty", "all-rows", "slice"],
+    )
+    def test_modified_gram_counts_each_replaced_row_once(self, indices, replaced):
+        rng = np.random.default_rng(2)
+        d = Dataset(rng.uniform(-0.5, 0.5, (9, 4)), rng.uniform(-1, 1, 9))
+        k = len(np.arange(9)[indices])
+        d2 = d.with_modified(indices, rng.uniform(-0.5, 0.5, (k, 4)), rng.uniform(-1, 1, k))
+        keep = np.ones(9, dtype=bool)
+        keep[replaced] = False
+        Xk, yk, Xr, yr = d2.X[keep], d2.y[keep], d2.X[replaced], d2.y[replaced]
+        assert np.array_equal(d2.gram[0], Xk.T @ Xk + Xr.T @ Xr)
+        assert np.array_equal(d2.gram[1], Xk.T @ yk + Xr.T @ yr)
+        np.testing.assert_allclose(d2.gram[0], d2.X.T @ d2.X, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(d2.gram[1], d2.X.T @ d2.y, rtol=1e-14, atol=1e-15)
+
+    def test_unreplaced_gram_is_formed_once_per_index_set(self):
+        rng = np.random.default_rng(3)
+        d = Dataset(rng.uniform(-0.5, 0.5, (8, 3)), rng.uniform(-1, 1, 8))
+        for indices in ([1, 5], [5, 1], [1, 5, 5], [2], [1, 5], [2]):
+            k = len(indices)
+            d.with_modified(indices, rng.uniform(-0.5, 0.5, (k, 3)), rng.uniform(-1, 1, k)).gram
+        # the source's cache holds nothing else: its own Gram was never read
+        assert len(d._cache) == 2
+
+    def test_gram_eigh_is_cached_and_readonly(self):
+        rng = np.random.default_rng(4)
+        d = Dataset(rng.uniform(-0.5, 0.5, (10, 3)), rng.uniform(-1, 1, 10))
+        evals, Q = d.gram_eigh
+        want_evals, want_Q = np.linalg.eigh(d.gram[0])
+        assert np.array_equal(evals, want_evals) and np.array_equal(Q, want_Q)
+        assert d.gram_eigh[0] is evals and d.gram_eigh[1] is Q
+        assert not (evals.flags.writeable or Q.flags.writeable)
 
     def test_cached_value_is_computed_once_per_dataset(self):
         d = Dataset([[0.1], [0.2]], [1.0, -1.0])

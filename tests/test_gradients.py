@@ -227,23 +227,46 @@ class TestFiniteDifferenceOracle:
         assert errs[0] <= 1e-7
         assert errs[1] <= 1e-7
 
+    def test_each_quotient_solves_once(self, monkeypatch):
+        # every retrain starts warm at the unperturbed model, which each
+        # call trains once; only that model's noiseless start, cached on the
+        # unperturbed data, is solved from zero. 20 items at d = 3 take 6
+        # quotient solves each, 20 unperturbed solves and 1 from zero
+        rng = np.random.default_rng(11)
+        data = random_classification_data(rng, n=40, d=3)
+        victim = random_victim(rng, "logistic", "objective", lam=1.0)
+        cost = random_cost(rng, data, "logistic")
+        b = rng.standard_normal(3)
+        solver = learners._solve_logistic
+        cold = []
+
+        def counted(X, y, lam, b, warm_start=None):
+            cold.append(warm_start is None)
+            return solver(X, y, lam, b, warm_start)
+
+        monkeypatch.setattr(learners, "_solve_logistic", counted)
+        for i in range(20):
+            finite_difference_oracle(victim, data, i, b, cost)
+        assert len(cold) == 20 * 6 + 20 + 1 and sum(cold) == 1
+
 
 class TestRidgeSharedGram:
-    """The ridge trainer and _ridge_grads read X'X from the dataset's cache,
-    and all-item gradients skip the row copies; neither changes a bit."""
+    """The ridge trainer and _ridge_grads read X'X and its eigendecomposition
+    from the dataset's cache, which forms each once per dataset."""
 
     @staticmethod
     def reference(victim, data, model, b, cost_grad, idx):
-        """The ridge item gradients as written before the Gram matrix was
-        cached: X'X formed here, rows copied by fancy indexing, and the
-        feature gradient built from two outer products and a negation."""
+        """The ridge item gradients written out: X'X and its eigenbasis
+        formed here, v = (X'X + (lam+mu)I)^-1 cost_grad solved in that
+        basis, rows copied by fancy indexing, and the feature gradient
+        -(xv theta' + resid v') as one rank-two product."""
         theta_eff = model.theta - b if victim.mechanism is Mechanism.OUTPUT else model.theta
-        H = data.X.T @ data.X + (victim.lam + model.mu) * np.eye(data.dim)
-        v = np.linalg.solve(H, cost_grad)
+        evals, Q = np.linalg.eigh(data.X.T @ data.X)
+        v = Q @ ((Q.T @ cost_grad) / (evals + victim.lam + model.mu))
         X, y = data.X[idx], data.y[idx]
         xv = X @ v
         resid = X @ theta_eff - y
-        return -(xv[:, None] * theta_eff[None, :] + resid[:, None] * v[None, :]), xv
+        return np.column_stack([xv, resid]) @ -np.vstack([theta_eff, v]), xv
 
     @pytest.mark.parametrize("mechanism", ["objective", "output"])
     def test_all_items_and_subsets_match_reference(self, mechanism):
@@ -279,16 +302,27 @@ class TestRidgeSharedGram:
         return reads
 
     @pytest.mark.parametrize("mechanism", ["objective", "output"])
-    def test_estimate_forms_gram_once(self, gram_reads, mechanism):
+    def test_estimate_forms_gram_once(self, gram_reads, monkeypatch, mechanism):
         rng = np.random.default_rng(9)
         data = random_regression_data(rng, n=30, d=3)
         victim = VictimSpec(mechanism, "ridge", lam=1.0, epsilon=1.0, rho=0.5)
         cost = random_cost(rng, data, "ridge")
+        eighs = []
+        eigh = np.linalg.eigh
+
+        def counted(A):
+            eighs.append(A)
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         estimate_attack_cost(victim, data, cost, 100, seed=0)  # 4 blocks of 32
-        # an objective victim solves each block; an output victim solves
-        # its noiseless base once per dataset
-        assert len(gram_reads) == (4 if mechanism == "objective" else 1)
+        # an objective victim solves each of the 4 blocks and an output
+        # victim its noiseless base once, and the eigendecomposition reads
+        # X'X once more; but X'X and its eigendecomposition are formed once:
+        # every read returns the same pair, and eigh ran once, on that X'X
+        assert len(gram_reads) == (5 if mechanism == "objective" else 2)
         assert all(d is data and pair[0] is gram_reads[0][1][0] for d, pair in gram_reads)
+        assert len(eighs) == 1 and eighs[0] is gram_reads[0][1][0]
 
     @pytest.mark.parametrize("mechanism", ["objective", "output"])
     def test_sgd_step_forms_gram_once(self, gram_reads, mechanism):
@@ -299,7 +333,8 @@ class TestRidgeSharedGram:
         b = learners.sample_noise(data.dim, 0.1, rng)
         model = train_mechanism(victim, data, b)
         batch_item_gradients(victim, data, model, b, cost_gradient(cost, model), np.arange(5))
-        # one read by the trainer, one by the gradient, the same pair
+        # one read by the trainer, one by the eigendecomposition that the
+        # trainer and the gradient share, the same pair
         assert len(gram_reads) == 2
         (d1, p1), (d2, p2) = gram_reads
         assert d1 is d2 is data and p1[0] is p2[0] and p1[1] is p2[1]

@@ -23,7 +23,7 @@ from dppoison import (
     shallow_scores,
     train_mechanism,
 )
-from dppoison.attacks import sweep_attacks
+from dppoison.attacks import AttackTrace, sweep_attacks
 from dppoison.harness import (
     CostEstimate,
     build_cost,
@@ -44,8 +44,10 @@ from dppoison.harness import (
     run_evaluation,
     run_experiment,
     save_csv_dataset,
+    write_csv,
     write_dataset_files,
 )
+from dppoison.harness import experiment
 from dppoison.harness.cli import load_config, main
 from dppoison.rng import STAGE_DATA, STAGE_MC_POISONED, subseed, substream
 
@@ -167,6 +169,29 @@ class TestCsvRoundTrip:
         )
         assert (data.n, data.dim) == (1598, 11)
         assert data.y.min() >= 3.0 and data.y.max() <= 8.0
+
+    def test_trace_rows_are_the_bytes_write_csv_writes(self, tmp_path):
+        # trace.csv is formatted a row at a time; its bytes are those of
+        # write_csv on the same rows, for a signed zero, a tiny value, an
+        # integral float and a large one
+        values = np.array([-0.0, 1e-300, 1.0, 123456789.0])
+        features = np.stack([np.roll(values, s).reshape(2, 2) for s in range(3)])
+        trace = AttackTrace(
+            selected=np.array([4, 9]),
+            iterations=np.arange(3),
+            features=features,
+            labels=-features[:, :, 0],
+            surrogate_costs=np.array([]),
+            clean_data=Dataset(np.zeros((10, 2)), np.zeros(10)),
+            final_data=Dataset(np.zeros((10, 2)), np.zeros(10)),
+        )
+        iterations = np.array([0, 2])
+        experiment._write_trace(str(tmp_path / "out" / "trace.csv"), trace, iterations)
+        rows = [[t, item, *features[t, j], -features[t, j, 0]] for t in iterations for j, item in enumerate([4, 9])]
+        write_csv(str(tmp_path / "trace.csv"), ["iteration", "item", "x0", "x1", "y"], rows)
+        want = (tmp_path / "trace.csv").read_bytes()
+        assert (tmp_path / "out" / "trace.csv").read_bytes() == want
+        assert want.count(b"\r\n") == 5 and b",-0," in want and b",1e-300," in want and b",123456789," in want
 
 
 class TestNormalize:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_classification_data, random_regression_data
@@ -548,9 +548,10 @@ def test_ridge_kkt_property(seed, n, d, flips, log_lam, log_scale, m, log_rho):
         assert abs(norm - rho) <= rho * slack
 
 
-def ridge_dual_reference(evals, Q, rhs, lam, rho):
-    """learners._ridge_dual with its norm taken by np.linalg.norm."""
-    c = Q.T @ rhs
+def ridge_dual_reference(evals, c, lam, rho):
+    """The constraint dual by bisection on mu -> ||z(mu)||, z(mu) = c /
+    (evals + lam + mu), to a bracket DUAL_TOL * max(1, hi) wide: the
+    iteration learners._ridge_dual replaced by Newton steps."""
 
     def norm_at(mu):
         return float(np.linalg.norm(c / (evals + lam + mu)))
@@ -564,23 +565,24 @@ def ridge_dual_reference(evals, Q, rhs, lam, rho):
             lo = mid
         else:
             hi = mid
-    mu = 0.5 * (lo + hi)
-    return Q @ (c / (evals + lam + mu)), mu
+    return 0.5 * (lo + hi)
 
 
 @settings(max_examples=100, deadline=None)
-@given(log_rho=st.floats(-2.0, 1.0), **{k: v for k, v in kkt_instances.items() if k != "m"})
-def test_ridge_dual_matches_norm_reference(seed, n, d, flips, log_lam, log_scale, log_rho):
-    # the bisection's norm is math.sqrt(z @ z), which must pick every
-    # branch, and so the same mu, as np.linalg.norm would
+@given(shrink=st.floats(1e-3, 0.999), **{k: v for k, v in kkt_instances.items() if k != "m"})
+def test_ridge_dual_matches_norm_reference(seed, n, d, flips, log_lam, log_scale, shrink):
+    # Newton's dual is the bisection's: each stops within DUAL_TOL * max(1,
+    # mu) of the root (1e-12), so 1e-10 of that scale leaves room for both.
+    # rho is a fraction of the unconstrained norm, so the constraint is active
     rng = np.random.default_rng(seed)
     data = near_separable_data(rng, n, d, flips)
-    lam, rho = 10.0**log_lam, 10.0**log_rho
+    lam = 10.0**log_lam
     evals, Q = np.linalg.eigh(data.X.T @ data.X)
-    rhs = data.X.T @ data.y - rng.standard_normal(d) * 10.0**log_scale
-    theta, mu = learners._ridge_dual(evals, Q, rhs, lam, rho)
-    ref_theta, ref_mu = ridge_dual_reference(evals, Q, rhs, lam, rho)
-    assert mu == ref_mu and np.array_equal(theta, ref_theta)
+    c = Q.T @ (data.X.T @ data.y - rng.standard_normal(d) * 10.0**log_scale)
+    rho = shrink * float(np.linalg.norm(c / (evals + lam)))
+    assume(rho > 0.0)
+    mu, ref = learners._ridge_dual(evals, c, lam, rho), ridge_dual_reference(evals, c, lam, rho)
+    assert mu > 0.0 and abs(mu - ref) <= 1e-10 * max(1.0, ref)
 
 
 @settings(max_examples=60, deadline=None)
