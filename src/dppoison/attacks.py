@@ -146,7 +146,8 @@ def shallow_scores(victim, data, cost, mode, m_select, rng):
     model = None
     for _ in range(draws):
         b = _noise(data.dim, dpv, scale, rng)
-        model = train_mechanism(victim, data, b, warm_start=model)
+        # an output draw without a warm start takes the base model data caches
+        model = train_mechanism(victim, data, b, warm_start=model if victim.mechanism is Mechanism.OBJECTIVE else None)
         feat, lab = batch_item_gradients(victim, data, model, b, cost_gradient(cost, model), idx)
         acc_f += feat
         acc_l += lab
@@ -221,7 +222,8 @@ def _descend(victim, cost, lanes, eta, alpha, T, mode):
 
     Each step trains the victim on each lane's data (a fresh draw from
     the lane's stream in DPV mode, zero noise in SV mode), warm-started
-    from the lane's previous model, and moves the lane's items (_Lane.move).
+    from the lane's previous model (its base model, the released one minus
+    the draw, under output perturbation), and moves its items (_Lane.move).
     A logistic victim's label gradient is zero, so its labels never move.
     A lane with no items neither draws noise nor trains. When a solve
     fails, the first failed lane keeps the error and stops, as do the
@@ -244,7 +246,9 @@ def _descend(victim, cost, lanes, eta, alpha, T, mode):
                     del moving[j:], draws[j:]
                     if not moving:
                         return
-            for lane, (model, feat, lab) in zip(moving, results):
+            for lane, b, (model, feat, lab) in zip(moving, draws, results):
+                if victim.mechanism is Mechanism.OUTPUT:
+                    model = ModelParams(model.theta - b, model.mu)
                 lane.move(model, feat, lab, eta, alpha)
         yield
 

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import AtLeast, Count, Fraction, Positive, Sign, _check_fields
 
 __all__ = ["BoundQuery", "lower_bound", "min_items"]
@@ -78,12 +80,6 @@ def _delta_slack(q, m):
     if q.epsilon > _EXP_LIMIT:
         return q.cbar * q.delta * m * math.exp(-q.epsilon)
     return q.cbar * q.delta * (m / math.expm1(q.epsilon))
-
-
-def _logaddexp(x, y):
-    """log(e^x + e^y) without overflow."""
-    hi, lo = max(x, y), min(x, y)
-    return hi + math.log1p(math.exp(lo - hi))
 
 
 def lower_bound(q):
@@ -149,13 +145,13 @@ def min_items(q):
     lc = math.log(q.cbar) + math.log(q.delta)
     if q.sign is Sign.NON_NEGATIVE:
         if math.isinf(tau):
-            log_ratio = _logaddexp(lj, lc) - lc
+            log_ratio = np.logaddexp(lj, lc) - lc
         else:
             lt = math.log(tau)
-            log_ratio = lt + _logaddexp(lj, lc) - _logaddexp(lj, lc + lt)
+            log_ratio = lt + np.logaddexp(lj, lc) - np.logaddexp(lj, lc + lt)
     else:
         tau_max = -q.cbar / j
         if tau > tau_max * (1.0 + 1e-12):
             raise ValueError(f"tau must lie in [1, {tau_max}] for this nonpositive cost")
-        log_ratio = _logaddexp(lj + math.log(tau), lc) - _logaddexp(lj, lc)
+        log_ratio = np.logaddexp(lj + math.log(tau), lc) - np.logaddexp(lj, lc)
     return _ceil_with_slack(log_ratio / q.epsilon)

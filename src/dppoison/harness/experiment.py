@@ -17,7 +17,6 @@ bit for bit (the summary differs only in its runtime entry).
 """
 
 import dataclasses
-import enum
 import json
 import math
 import os
@@ -119,6 +118,8 @@ class DataSource:
             raise ValueError("gen-2d needs a 2-vector theta_star")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv data source needs a path")
+        if self.normalize_labels and not self.normalize:
+            raise ValueError("normalize_labels needs normalize: true")
 
 
 @dataclass(frozen=True)
@@ -269,18 +270,9 @@ def config_from_dict(raw, base_dir=None):
 
 
 def config_to_dict(config):
-    """Inverse of config_from_dict: a plain tree suitable for JSON/YAML."""
-    out = {}
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if dataclasses.is_dataclass(value):
-            value = config_to_dict(value)
-        elif isinstance(value, enum.Enum):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
+    """Inverse of config_from_dict: a plain tree suitable for JSON/YAML.
+    The config enums are str enums, which JSON writes as their values."""
+    return json.loads(json.dumps(dataclasses.asdict(config)))
 
 
 def _load_csv(src):
@@ -300,10 +292,15 @@ def build_dataset(config):
         data = gen_2d_dataset(src.n, np.asarray(src.theta_star, dtype=float), substream(config.seed, STAGE_DATA))
     else:
         data = _load_csv(src)
+    label_fix = "; set normalize: true and normalize_labels: true"
+    if src.normalize_labels:
+        lo, hi = src.label_range
+        label_fix = f"; label_range [{lo}, {hi}] must cover the labels' range [{data.y.min()}, {data.y.max()}]"
+    elif src.normalize:
+        label_fix = "; set normalize_labels: true"
     if src.normalize:
         data = normalize_dataset(data, src.normalize_labels, src.label_range)
-    fixes = ("; set normalize: true", "; set normalize and normalize_labels")
-    _require_feasible(data, config.victim, "data", fixes)
+    _require_feasible(data, config.victim, "data", ("; set normalize: true", label_fix))
     return data
 
 

@@ -9,9 +9,9 @@ A Monte-Carlo estimate's draw s uses substream(seed, s). substreams
 derives those streams bit for bit without a SeedSequence per draw: numpy's
 SeedSequence hash (numpy/random/bit_generator.pyx, fixed under numpy's
 stream-compatibility policy) mixes the seed's four entropy words before
-the spawn key s, so that part is computed once with Python ints, and each
-chunk of keys is mixed in, and its PCG64 seed words derived, in one pass
-of uint32 array arithmetic.
+the spawn key s, so that part is numpy's own SeedSequence(seed).pool, and
+each chunk of keys is mixed in, and its PCG64 seed words derived, in one
+pass of uint32 array arithmetic.
 """
 
 import functools
@@ -40,6 +40,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
+# The hash constant a spawn key meets, after the entropy phase's 4 + 12 hashes.
+_KEY_CONST = _INIT_A * _MULT_A ** (_POOL * _POOL) & _MASK32
 # Spawn keys hashed per array pass. A pass costs about 160 us whatever its
 # length (some 90 small array operations), so 256 keys bring that under
 # 1 us a key, while a chunk's arrays stay at a few kilobytes.
@@ -79,28 +81,12 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _seed_pool(seed):
-    """The pool of SeedSequence(seed, spawn_key=(s,)) after its entropy words
-    are mixed, which is the same for every s, and the hash constant that
-    the spawn key meets next."""
-    entropy = _entropy(seed)
-    pool, const = [], _INIT_A
-    for i in range(_POOL):
-        word, const = _hashmix(entropy >> 32 * i & _MASK32, const, _MULT_A)
-        pool.append(word)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                word, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], word)
-    return pool, const
-
-
-def _pcg64_words(pool, const, keys):
+def _pcg64_words(pool, keys):
     """generate_state(4, np.uint64) of SeedSequence(seed, spawn_key=(s,)) for
-    each s of the uint32 array keys, as a (len(keys), 4) array, from the
-    _seed_pool of seed."""
-    mixed = []
+    each s of the uint32 array keys, as a (len(keys), 4) array, from
+    SeedSequence(seed).pool: the pool after the entropy phase, the same for
+    every s."""
+    mixed, const = [], _KEY_CONST
     for word in pool:
         hashed, const = _hashmix(keys, const, _MULT_A)
         mixed.append(_mix(word, hashed))
@@ -132,13 +118,13 @@ def substreams(seed, count):
     one at a time and a chunk of keys per array pass."""
     if not 0 <= count < 1 << 32:  # a larger key is two SeedSequence words
         raise ValueError(f"count must be in [0, 2**32), got {count!r}")
-    pool, const = _seed_pool(seed)
+    pool = np.random.SeedSequence(_entropy(seed)).pool.tolist()
     seed_words = _seed_words_class()
 
     def streams():
         for lo in range(0, count, _CHUNK):
             keys = np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint32)
-            for words in _pcg64_words(pool, const, keys):
+            for words in _pcg64_words(pool, keys):
                 yield np.random.Generator(np.random.PCG64(seed_words(words)))
 
     return streams()

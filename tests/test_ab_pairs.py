@@ -1,6 +1,7 @@
 """tools/ab_pairs.py runs a checkout against itself end to end."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -109,25 +110,28 @@ def test_csv_changes_reports_the_largest_cell_change_per_file(tmp_path):
 
 def stand_in_checkouts(tmp_path, monkeypatch, runs):
     """A parent and a change checkout, told apart by a marker in their
-    copied src/, and a stand-in worker that records (marker, path) in runs.
-    The change writes one cell that moved by 0.2, and a run from the copy
-    staged at tmp/b reads 20% slower than one from tmp/a."""
+    copied src/, and a stand-in for the worker process that records
+    (marker, path, environment) in runs. The change writes one cell that
+    moved by 0.2, and a run from the copy staged at tmp/b reads 20% slower
+    than one from tmp/a."""
 
-    def fake_worker(checkout, workload, seed, out_dir, tiny, cpu):
+    def fake_run(command, env, **kwargs):
+        checkout = os.path.dirname(os.path.dirname(command[1]))
         with open(os.path.join(checkout, "src", "side"), encoding="utf-8") as fh:
             side = fh.read()
-        runs.append((side, checkout))
+        runs.append((side, checkout, env))
         value = "2.0" if side == "parent" else "2.5"
-        write_csv(out_dir, "costs.csv", [["iteration", "mean"], ["0", value]])
+        write_csv(command[command.index("--out") + 1], "costs.csv", [["iteration", "mean"], ["0", value]])
         run_s = 1.2 if os.path.basename(checkout) == "b" else 1.0
-        return {"setup_s": 0.1, "run_s": run_s, "peak_rss_mb": 40.0, "error": None}
+        result = {"setup_s": 0.1, "run_s": run_s, "peak_rss_mb": 40.0, "error": None}
+        return subprocess.CompletedProcess(command, 0, stdout=json.dumps(result) + "\n", stderr="")
 
     checkouts = {side: tmp_path / f"checkout-of-the-{side}" for side in ("parent", "change")}
     for side, checkout in checkouts.items():
         for part in ab_pairs.COPIED:
             (checkout / part).mkdir(parents=True)
         (checkout / "src" / "side").write_text(side)
-    monkeypatch.setattr(ab_pairs, "run_worker", fake_worker)
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
     return checkouts
 
 
@@ -141,11 +145,15 @@ def test_report_names_moved_cells_and_exit_status_is_unchanged(tmp_path, monkeyp
     assert "costs.csv: largest relative change 0.2 at row 1, column 1" in lines
     # both sides ran from copies, never from a checkout, on two paths of one
     # length, and each side from each path in two of the four pairs
-    paths = {path for _, path in runs}
+    paths = {path for _, path, _ in runs}
     assert len(paths) == 2 and len({len(path) for path in paths}) == 1
     assert not paths & {str(checkout) for checkout in checkouts.values()}
     for side in checkouts:
-        assert sorted(path for s, path in runs if s == side) == sorted([*paths, *paths])
+        assert sorted(path for s, path, _ in runs if s == side) == sorted([*paths, *paths])
+    # every run got one environment but for the padding, whose length varies
+    pads = [env.pop(ab_pairs.PAD_VAR) for _, _, env in runs]
+    assert len(set(pads)) > 1
+    assert all(env == runs[0][2] for _, _, env in runs)
 
 
 def test_aa_runs_two_copies_of_the_parent_and_reads_a_null_ratio(tmp_path, monkeypatch, capsys):
@@ -159,11 +167,11 @@ def test_aa_runs_two_copies_of_the_parent_and_reads_a_null_ratio(tmp_path, monke
     # only the parent ran, from two copies on paths of one length, each in
     # four runs; the slower path is shared by both sides, so the null
     # ratio is 1 although the run times spread by 20%
-    assert {side for side, _ in runs} == {"parent"}
-    paths = {path for _, path in runs}
+    assert {side for side, _, _ in runs} == {"parent"}
+    paths = {path for _, path, _ in runs}
     assert len(paths) == 2 and len({len(path) for path in paths}) == 1
     assert str(checkouts["parent"]) not in paths
-    assert sorted(path for _, path in runs) == sorted([*paths] * 4)
+    assert sorted(path for _, path, _ in runs) == sorted([*paths] * 4)
     (run_line,) = [line for line in lines if line.startswith("run_s ")]
     assert re.fullmatch(r"run_s +1\.1000 \[ *0\.2000\] +1\.1000 \[ *0\.2000\] +1\.000 +2/4 +no n/a", run_line)
 

@@ -30,7 +30,7 @@ from dppoison import (
     top_k_indices,
     train_mechanism,
 )
-from dppoison import attacks
+from dppoison import attacks, learners
 from dppoison.harness import gen_1d_dataset, gen_2d_dataset, gen_eval_grid_1d, gen_eval_grid_2d
 from dppoison.rng import STAGE_DATA, STAGE_SGD, substream
 
@@ -104,6 +104,20 @@ class TestShallowSelection:
         sv = shallow_scores(victim, data, cost, AttackMode.SV, 1, np.random.default_rng(0))
         dpv = shallow_scores(quiet, data, cost, AttackMode.DPV, 20, np.random.default_rng(0))
         np.testing.assert_allclose(dpv, sv, atol=1e-6)
+
+    def test_output_draws_share_one_base_solve(self, monkeypatch):
+        # the base model is solved once for the dataset's cache (the noiseless
+        # solve from zero, then the draw-free solve from it), not once a draw
+        victim, data, cost = small_logistic_setup(4, mechanism="output")
+        solver, solves = learners._solve_logistic, []
+
+        def counted(*args):
+            solves.append(None)
+            return solver(*args)
+
+        monkeypatch.setattr(learners, "_solve_logistic", counted)
+        shallow_scores(victim, data, cost, AttackMode.DPV, 50, np.random.default_rng(0))
+        assert len(solves) == 2
 
 
 class TestRelaxedAttack:
@@ -392,6 +406,25 @@ class TestRunAttack:
         np.testing.assert_array_equal(noiseless[1].X, trace.final_data.X)
         assert len(trace.surrogate_costs) == 2
         assert eval_cost(cost, trace.final_model) == trace.surrogate_costs[-1]
+
+    def test_output_steps_warm_start_at_the_base_model(self, monkeypatch):
+        # each step's base solve starts at the previous step's base model,
+        # not at the model that step released (the base plus its draw)
+        victim, data, cost = small_logistic_setup(21, mechanism="output")
+        calls = []
+
+        def recording(victim, data, b, warm_start=None):
+            calls.append((data, warm_start))
+            return train_mechanism(victim, data, b, warm_start=warm_start)
+
+        monkeypatch.setattr(attacks, "train_mechanism", recording)
+        config = AttackConfig(k=4, T=6, mode=AttackMode.DPV)
+        assert run_attack(victim, data, cost, config, selected=[0, 2, 5, 7]).error is None
+        steps = calls[:-1]  # the clean solve and the T steps; the last call is the final surrogate
+        assert len(steps) == config.T + 1
+        for (previous, _), (_, warm) in zip(steps, steps[1:]):
+            base = learners.train_base_logistic(previous, victim.lam)
+            np.testing.assert_allclose(warm.theta, base.theta, rtol=0, atol=1e-9)
 
     def test_dataset_at_reconstruction(self):
         victim, data, cost = small_logistic_setup(18)

@@ -255,6 +255,29 @@ class TestBuildDatasetFeasibility:
         )
         assert np.abs(data.y).max() <= 1.0
 
+    @pytest.mark.parametrize(
+        "flags, hint",
+        [
+            ({}, "set normalize: true and normalize_labels: true"),
+            ({"normalize": True}, "set normalize_labels: true"),
+            (
+                {"normalize": True, "normalize_labels": True, "label_range": [0, 5]},
+                "label_range [0, 5] must cover the labels' range [-0.5, 9.0]",
+            ),
+        ],
+        ids=["neither", "normalize", "both"],
+    )
+    def test_label_hint_names_the_field_to_change(self, tmp_path, flags, hint):
+        body = "x0,y\n0.5,9.0\n-0.5,-0.5\n"
+        message = f"data: ridge labels must lie in [-1, 1]; {hint}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_dataset(self.csv_config(tmp_path, body, base="ridge", **flags))
+
+    def test_normalize_labels_needs_normalize(self, tmp_path):
+        # normalize_dataset maps the labels only when it runs
+        with pytest.raises(ValueError, match=r"^normalize_labels needs normalize: true$"):
+            self.csv_config(tmp_path, "x0,y\n0.5,1\n", normalize_labels=True)
+
     @staticmethod
     def eval_csv_config(tmp_path, body, base="logistic"):
         path = tmp_path / "eval.csv"

@@ -12,8 +12,8 @@ from dppoison.rng import STAGE_CURVE, STAGE_MC_CLEAN, STAGE_SWEEP, _CHUNK, subse
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# the four entropy words at their edges, and seeds as the harness makes them
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**127 + 5, 2**128 - 1]
+# seeds of one to four entropy words at their edges, and seeds as the harness makes them
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**127 + 5, 2**128 - 1]
 SEEDS += [subseed(7, STAGE_MC_CLEAN), subseed(7, STAGE_CURVE, 20), subseed(2**128 - 1, STAGE_SWEEP, 3)]
 # no stream, one, around a block of 32 draws and around one chunk of keys
 COUNTS = [0, 1, 31, 32, 33, _CHUNK - 1, _CHUNK, _CHUNK + 1, 1000]

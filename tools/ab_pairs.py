@@ -8,11 +8,13 @@ two temporary directories whose paths have the same length, so the
 checkout's own path cannot read as a speed difference. Each pair runs
 ``perfbench/worker.py`` once from each copy, in a fresh process with one
 BLAS/OpenMP thread, both pinned to the same CPU, writing under the
-temporary directory. The first pair runs the parent first, the next the
-change first, and so on; after every second pair the two copies swap
-paths, so in each four pairs each side runs first and second from each
-path once. The end-to-end metrics, the direction in which each is better
-and the bound by which it may worsen are read from ``BENCHMARK.json``. For each metric the script prints both
+temporary directory. Both sides get the same environment, plus a padding
+variable whose length is drawn afresh for every run. The first pair runs
+the parent first, the next the change first, and so on; after every
+second pair the two copies swap paths, so in each four pairs each side
+runs first and second from each path once. The end-to-end metrics, the
+direction in which each is better and the bound by which it may worsen
+are read from ``BENCHMARK.json``. For each metric the script prints both
 sides' median and interquartile range (IQR), the pairs the change won
 (ties count for neither side), whether the change is worse, and whether
 the gain gate holds. The change is worse when its median is worse than
@@ -39,6 +41,7 @@ import filecmp
 import json
 import math
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -56,6 +59,10 @@ THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
+# The padding variable, 0 to PAD_MAX - 1 characters long: the environment's
+# size shifts where a process's stack starts, which can make one side read
+# faster (Mytkowicz et al. 2009), so it is drawn afresh for every run.
+PAD_VAR, PAD_MAX = "AB_PAIRS_PAD", 4096
 MIN_GATE_PAIRS = 10
 COPIED = ("src", "perfbench", "data")  # what a worker run reads of a checkout
 
@@ -66,7 +73,7 @@ def run_worker(checkout, workload, seed, out_dir, tiny, cpu):
     command += ["--workload", workload, "--seed", str(seed), "--out", out_dir]
     if tiny:
         command.append("--tiny")
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS}, **{PAD_VAR: "x" * random.randrange(PAD_MAX)})
     proc = subprocess.run(
         command,
         env=env,
