@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BaseLearner, Dataset, ModelParams, eval_cost, modification_distances, project_rows_inplace
-from .core import AtLeast, Count, Mechanism, Positive, _check_fields
+from .core import AtLeast, Count, Mechanism, Positive, _check_fields, _checked
 from .gradients import batch_item_gradients, cost_gradient
 from .learners import SolverError, sample_noise, train_mechanism
 from .rng import STAGE_SELECT, STAGE_SGD, _entropy, substream
@@ -261,8 +261,7 @@ def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):
     The penalty term alone is stable only for eta * alpha < 2; large-alpha
     runs need a correspondingly small step size.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _checked("alpha", alpha, Positive)
     lane = _Lane(data, np.arange(data.n), rng, victim.noise_scale_for(data.n))
     for _ in _descend(victim, cost, [lane], eta, alpha, T, mode):
         pass

@@ -90,16 +90,6 @@ class Sign(str, enum.Enum):
     NON_POSITIVE = "non-positive"
 
 
-def _is_integer(value):
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    """A real number (numpy's included), and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 class _Range(typing.NamedTuple):
     """A field's range, checked after its type: <field> must be <text>."""
 
@@ -113,6 +103,8 @@ Count = Annotated[int, _Range("nonnegative", lambda v: v >= 0)]
 Fraction = Annotated[float, _Range("in [0, 1)", lambda v: 0 <= v < 1)]
 # the range rng takes seeds in, checked here so a config fails before any output
 Seed = Annotated[int, _Range("in [0, 2**128)", lambda v: 0 <= v < _ENTROPY_MOD)]
+# the labels' range that normalize_dataset maps onto [-1, 1]
+LabelRange = Annotated[tuple[float, float], _Range("increasing", lambda v: v[0] < v[1])]
 
 
 def AtLeast(m, tp=int):
@@ -123,10 +115,12 @@ def AtLeast(m, tp=int):
 def _checked(name, value, tp):
     """value as a field annotated tp stores it, else ValueError. Optional:
     may be None; numpy scalar: stored as a Python one; enum: stored as the
-    member; Literal: one of the choices; int: an integer; float: a number,
-    not a bool, finite unless its range allows inf; dict[K, V]: keys pass K,
-    values V; tuple: a tuple or list, stored as a tuple; other class: an
-    instance; Annotated[tp, range]: tp, then the range."""
+    member; Literal: one of the choices; int: an integer, not a bool;
+    float: a real number, not a bool, finite unless its range allows inf;
+    dict[K, V]: keys pass K, values V; tuple[T, ...] or tuple[T1, T2]: a
+    tuple or list (of that length) whose entry i passes its type as
+    <name>[i], stored as a tuple; other class: an instance; Annotated[tp,
+    range]: tp, then the range."""
     if typing.get_origin(tp) is typing.Union:  # Optional[tp]
         if value is None:
             return None
@@ -142,18 +136,22 @@ def _checked(name, value, tp):
             raise ValueError(f"{name} must be a dict, got {value!r}")
         kt, vt = typing.get_args(tp)
         value = {_checked(f"{name} key", k, kt): _checked(f"{name}[{k!r}]", v, vt) for k, v in value.items()}
+    elif typing.get_origin(tp) is tuple:
+        types = typing.get_args(tp)
+        fixed = types[-1] is not ...
+        if not isinstance(value, (tuple, list)) or fixed and len(value) != len(types):
+            raise ValueError(f"{name} must be a list{f' of {len(types)} entries' if fixed else ''}, got {value!r}")
+        value = tuple(_checked(f"{name}[{i}]", v, types[i if fixed else 0]) for i, v in enumerate(value))
     elif issubclass(tp, enum.Enum):
         value = tp(value)
     elif tp is int:
-        if not _is_integer(value):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     elif tp is float:
-        if not _is_number(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a number, got {value!r}")
         if not math.isfinite(value) and not (rule and rule.allows_inf):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    elif tp is tuple and isinstance(value, list):
-        value = tuple(value)
     elif not isinstance(value, tp):
         raise ValueError(f"{name} must be a {tp.__name__}, got {value!r}")
     if rule is not None and not rule.holds(value):
@@ -309,14 +307,13 @@ class VictimSpec:
     lam: Positive
     epsilon: Positive
     delta: Fraction = 0.0
-    rho: Optional[float] = None
+    rho: Optional[Positive] = None
     noise_scale: Optional[Positive] = None
 
     def __post_init__(self):
         _check_fields(self)
-        if self.base is BaseLearner.RIDGE:
-            if self.rho is None or self.rho <= 0:
-                raise ValueError("ridge victims require a positive model-space radius rho")
+        if self.base is BaseLearner.RIDGE and self.rho is None:
+            raise ValueError("ridge victims require a positive model-space radius rho")
         if self.noise_scale is None:
             self.noise_scale_for(1)  # fail at config load where n cannot help
 

@@ -9,10 +9,11 @@ time via a label map.
 import csv
 import math
 import os
+from typing import Literal
 
 import numpy as np
 
-from ..core import Dataset
+from ..core import AtLeast, Dataset, LabelRange, _checked
 
 __all__ = [
     "gen_1d_dataset",
@@ -37,16 +38,14 @@ def _indicator_labels(mask):
 
 def gen_1d_dataset(n, rng):
     """n scalar features uniform on [-1, 1], labeled +1 iff x >= 0."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _checked("n", n, AtLeast(1))
     x = rng.uniform(-1.0, 1.0, size=n)
     return Dataset(x[:, None], _indicator_labels(x >= 0.0))
 
 
 def gen_2d_dataset(n, theta_star, rng):
     """n points uniform in the unit disk, labeled +1 iff x.theta_star >= 0."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _checked("n", n, AtLeast(1))
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_star.shape != (2,):
         raise ValueError("theta_star must be a 2-vector")
@@ -58,8 +57,7 @@ def gen_2d_dataset(n, theta_star, rng):
 
 def gen_eval_grid_1d(m=21):
     """m evenly spaced points on [-1, 1] labeled +1 iff x >= 0."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _checked("m", m, AtLeast(1))
     x = np.linspace(-1.0, 1.0, m)
     return Dataset(x[:, None], _indicator_labels(x >= 0.0))
 
@@ -70,8 +68,7 @@ def gen_eval_grid_2d(side=21):
 
     The default side of 21 yields 317 points.
     """
-    if side < 1:
-        raise ValueError("side must be at least 1")
+    _checked("side", side, AtLeast(1))
     g = np.linspace(-1.0, 1.0, side)
     a, b = np.meshgrid(g, g, indexing="ij")
     X = np.column_stack([a.ravel(), b.ravel()])
@@ -164,9 +161,7 @@ def normalize_dataset(data, normalize_labels=False, label_range=(0.0, 10.0)):
         raise ValueError("cannot normalize: all feature vectors are zero")
     y = data.y
     if normalize_labels:
-        lo, hi = label_range
-        if hi <= lo:
-            raise ValueError("label_range must be increasing")
+        lo, hi = _checked("label_range", label_range, LabelRange)
         y = 2.0 * (y - lo) / (hi - lo) - 1.0
     return Dataset(data.X / top, y)
 
@@ -200,7 +195,6 @@ def pick_extreme_eval_item(data, extreme="min", target_label=1.0):
     """Single-item evaluation set: the item with the smallest (or largest)
     label, re-labeled with target_label. Used to force a prediction flip
     on an extreme example."""
-    if extreme not in ("min", "max"):
-        raise ValueError("extreme must be 'min' or 'max'")
+    _checked("extreme", extreme, Literal["min", "max"])
     i = int(np.argmin(data.y) if extreme == "min" else np.argmax(data.y))
     return Dataset(data.X[i][None, :], np.array([float(target_label)]))

@@ -23,7 +23,7 @@ import os
 import time
 import typing
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Annotated, Literal, Optional
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from ..attacks import (
 )
 from ..bounds import BoundQuery, lower_bound
 from ..core import _NORM_SLACK, BaseLearner, CostSpec, Goal, ModelParams, Sign, VictimSpec
-from ..core import AtLeast, Positive, Seed, _check_fields, _checked, _is_integer, _is_number
+from ..core import AtLeast, Count, LabelRange, Positive, Seed, _Range, _check_fields, _checked
 from ..learners import (
     SolverError,
     train_base_logistic,
@@ -101,21 +101,19 @@ class DataSource:
 
     kind: Literal["gen-1d", "gen-2d", "csv"]
     n: int = 0
-    theta_star: tuple = (1.0, 1.0)
+    theta_star: tuple[float, float] = (1.0, 1.0)
     path: Optional[str] = None
-    feature_columns: Optional[tuple] = None
+    feature_columns: Optional[tuple[str, ...]] = None
     label_column: str = "y"
     label_map: Optional[dict[str, float]] = None
     normalize: bool = False
     normalize_labels: bool = False
-    label_range: tuple = (0.0, 10.0)
+    label_range: LabelRange = (0.0, 10.0)
 
     def __post_init__(self):
         _check_fields(self)
         if self.kind.startswith("gen") and self.n < 1:
             raise ValueError("generated data sources need n >= 1")
-        if self.kind == "gen-2d" and len(self.theta_star) != 2:
-            raise ValueError("gen-2d needs a 2-vector theta_star")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv data source needs a path")
         if self.normalize_labels and not self.normalize:
@@ -128,14 +126,14 @@ class EvalSource:
     parameter targeting with an explicit target)."""
 
     kind: Literal["grid-1d", "grid-2d", "nn-flip", "extreme-item", "csv", "none"] = "none"
-    m: int = 21
-    count: int = 10
+    m: AtLeast(1) = 21
+    count: Count = 10
     class_label: float = 1.0
     include_seed: bool = False
     extreme: Literal["min", "max"] = "min"
     target_label: float = 1.0
     path: Optional[str] = None
-    feature_columns: Optional[tuple] = None
+    feature_columns: Optional[tuple[str, ...]] = None
     label_column: str = "y"
     label_map: Optional[dict[str, float]] = None
 
@@ -143,10 +141,6 @@ class EvalSource:
         _check_fields(self)
         if self.kind == "csv" and not self.path:
             raise ValueError("csv eval source needs a path")
-        if self.kind.startswith("grid") and self.m < 1:
-            raise ValueError("grid eval sources need m >= 1")
-        if self.kind == "nn-flip" and self.count < 0:
-            raise ValueError("nn-flip count must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -173,26 +167,24 @@ class CostDescriptor:
         elif not (isinstance(target, str) and target == "fit-eval"):
             if not isinstance(target, (list, tuple)) or len(target) == 0:
                 raise ValueError(f"target must be 'fit-eval' or a nonempty list of numbers, got {target!r}")
-            object.__setattr__(self, "target", tuple(_checked(f"target[{i}]", v, float) for i, v in enumerate(target)))
+            object.__setattr__(self, "target", _checked("target", target, tuple[float, ...]))
+
+
+_SWEPT = _Range("two or more increasing numbers", lambda v: len(v) > 1 and all(a < b for a, b in zip(v, v[1:])))
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep over k, whose values are budgets (counts), or over epsilon,
+    whose values are positive and stored as floats."""
+
     kind: Literal["k", "epsilon"]
-    values: tuple
+    values: Annotated[tuple[float, ...], _SWEPT]
 
     def __post_init__(self):
         _check_fields(self)
-        if self.kind == "k" and not all(_is_integer(v) and v >= 0 for v in self.values):
-            raise ValueError("k sweep values must be nonnegative integers")
-        if self.kind == "epsilon" and not all(_is_number(v) and math.isfinite(v) and v > 0 for v in self.values):
-            raise ValueError("epsilon sweep values must be finite and positive")
-        vals = tuple(map(int if self.kind == "k" else float, self.values))
-        if len(vals) < 2:
-            raise ValueError("a sweep needs at least two values")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("sweep values must be strictly increasing")
-        object.__setattr__(self, "values", vals)
+        values = _checked("values", self.values, tuple[Count if self.kind == "k" else Positive, ...])
+        object.__setattr__(self, "values", values if self.kind == "k" else tuple(map(float, values)))
 
 
 @dataclass(frozen=True)

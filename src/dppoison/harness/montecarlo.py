@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import eval_cost
+from ..core import AtLeast, _checked, eval_cost
 from ..learners import sample_noise, train_mechanism
 from ..rng import substreams
 
@@ -51,8 +51,7 @@ def estimate_attack_cost(victim, data, cost, T_e, seed):
     only on (seed, s): the first m values of a larger estimate equal those
     of a T_e=m one bit for bit.
     """
-    if T_e < 2:
-        raise ValueError("T_e must be at least 2 for a standard error")
+    _checked("T_e", T_e, AtLeast(2))  # for a standard error
     scale = victim.noise_scale_for(data.n)
     samples = np.empty(T_e)
     streams = substreams(seed, T_e)

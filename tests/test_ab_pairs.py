@@ -1,6 +1,8 @@
 """tools/ab_pairs.py runs a checkout against itself end to end."""
 
 import ast
+import glob
+import importlib.util
 import json
 import os
 import re
@@ -111,12 +113,16 @@ def test_csv_changes_reports_the_largest_cell_change_per_file(tmp_path):
 def stand_in_checkouts(tmp_path, monkeypatch, runs):
     """A parent and a change checkout, told apart by a marker in their
     copied src/, and a stand-in for the worker process that records
-    (marker, path, environment) in runs. The change writes one cell that
-    moved by 0.2, and a run from the copy staged at tmp/b reads 20% slower
-    than one from tmp/a."""
+    (marker, path, environment) in runs and checks that every src/ module
+    of both staged copies has bytecode, from the first run on. The change
+    writes one cell that moved by 0.2, and a run from the copy staged at
+    tmp/b reads 20% slower than one from tmp/a."""
 
     def fake_run(command, env, **kwargs):
         checkout = os.path.dirname(os.path.dirname(command[1]))
+        staged = os.path.join(os.path.dirname(checkout), "[ab]", "src", "**", "*.py")
+        modules = glob.glob(staged, recursive=True)
+        assert len(modules) == 4 and all(os.path.exists(importlib.util.cache_from_source(m)) for m in modules)
         with open(os.path.join(checkout, "src", "side"), encoding="utf-8") as fh:
             side = fh.read()
         runs.append((side, checkout, env))
@@ -131,6 +137,9 @@ def stand_in_checkouts(tmp_path, monkeypatch, runs):
         for part in ab_pairs.COPIED:
             (checkout / part).mkdir(parents=True)
         (checkout / "src" / "side").write_text(side)
+        (checkout / "src" / "pkg").mkdir()
+        (checkout / "src" / "pkg" / "__init__.py").write_text("")
+        (checkout / "src" / "pkg" / "mod.py").write_text(f"SIDE = {side!r}\n")
     monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
     return checkouts
 
@@ -148,6 +157,7 @@ def test_report_names_moved_cells_and_exit_status_is_unchanged(tmp_path, monkeyp
     paths = {path for _, path, _ in runs}
     assert len(paths) == 2 and len({len(path) for path in paths}) == 1
     assert not paths & {str(checkout) for checkout in checkouts.values()}
+    assert not [path for checkout in checkouts.values() for path in checkout.rglob("__pycache__")]
     for side in checkouts:
         assert sorted(path for s, path, _ in runs if s == side) == sorted([*paths, *paths])
     # every run got one environment but for the padding, whose length varies

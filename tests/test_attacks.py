@@ -151,8 +151,18 @@ class TestRelaxedAttack:
 
     def test_invalid_alpha(self):
         victim, data, cost = small_logistic_setup(6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^alpha must be positive, got 0\.0$"):
             relaxed_attack(victim, data, cost, 0.0, 1.0, 5, AttackMode.SV, np.random.default_rng(0))
+
+    def test_solver_failure_is_raised(self, monkeypatch):
+        victim, data, cost = small_logistic_setup(6)
+
+        def fails(*args, **kwargs):
+            raise SolverError("instrumented failure")
+
+        monkeypatch.setattr(attacks, "train_mechanism", fails)
+        with pytest.raises(SolverError, match="^instrumented failure$"):
+            relaxed_attack(victim, data, cost, 1e-4, 1.0, 5, AttackMode.SV, np.random.default_rng(0))
 
 
 class TestDeepSelection:
@@ -257,6 +267,7 @@ class TestRunAttack:
         assert len(trace.selected) == 0
         np.testing.assert_array_equal(trace.iterations, np.arange(config.T + 1))
         np.testing.assert_array_equal(trace.final_data.X, data.X)
+        assert trace.dataset_at(config.T) is data
         assert np.all(trace.surrogate_costs == trace.surrogate_costs[0])
         assert noisy == []
 

@@ -205,6 +205,26 @@ class TestAttack:
         summary = json.load(open(os.path.join(out_dir, "summary.json")))
         assert summary["error"] is None
 
+    def test_solver_failure_is_reported_with_status_1(self, config_path, tmp_path, capsys, monkeypatch):
+        import dppoison.harness.experiment as experiment
+        from dppoison import SolverError
+
+        def fails(*args, **kwargs):
+            raise SolverError("instrumented failure")
+
+        monkeypatch.setattr(experiment, "run_attack", fails)
+        code, out = run_cli(capsys, "attack", "--config", config_path, "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert json.loads(out)["error"] == "solver failure after 1 cost rows: instrumented failure"
+
+    @pytest.mark.parametrize("text", ["", "- 1\n- 2\n", "5\n"], ids=["empty", "list", "number"])
+    def test_config_that_is_not_a_mapping_is_refused(self, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: config must be a mapping$"):
+            main(["attack", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert not (tmp_path / "run").exists()
+
     def test_infinite_bound_is_valid_json(self, tmp_path, capsys):
         # k * epsilon = 900 overflows the pure bound of a nonpositive cost
         path = tmp_path / "eps100.yaml"

@@ -47,6 +47,7 @@ from dppoison.harness import (
     write_csv,
     write_dataset_files,
 )
+from dppoison import learners
 from dppoison.harness import experiment
 from dppoison.harness.cli import load_config, main
 from dppoison.rng import STAGE_DATA, STAGE_MC_POISONED, subseed, substream
@@ -153,6 +154,23 @@ class TestCsvRoundTrip:
         path.write_text("x0,y\n")
         with pytest.raises(ValueError):
             load_csv_dataset(path)
+
+    @pytest.mark.parametrize(
+        "body, columns, message",
+        [
+            ("", None, "d.csv: empty file"),
+            ("x0,label\n0.5,1\n", None, "d.csv: missing label column 'y'"),
+            ("x0,y\n0.5,1\n", ["x0", "x1"], "d.csv: missing feature columns ['x1']"),
+            ("y\n1\n", None, "d.csv: no feature columns"),
+            ("x0,y\n0.5,1\n0.25,high\n", None, "d.csv:3: bad label value 'high'"),
+        ],
+        ids=["no-header", "no-label-column", "no-such-feature-column", "no-feature-column", "bad-label"],
+    )
+    def test_malformed_file_names_its_fault(self, tmp_path, body, columns, message):
+        path = tmp_path / "d.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{tmp_path}{os.sep}{message}')}$"):
+            load_csv_dataset(path, feature_columns=columns)
 
     def test_vertebral_fixture_shape(self):
         data = load_csv_dataset(
@@ -790,6 +808,37 @@ class TestRunExperiment:
         assert echoed == cfg
         run_experiment(echoed, str(b))
         assert (a / "costs.csv").read_bytes() == (b / "costs.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "victim, eval_kind, target",
+        [({}, "none", [0.5]), ({"base": "ridge", "rho": 1.0}, "grid-1d", "fit-eval")],
+        ids=["explicit-target-without-eval-set", "ridge-fit-eval"],
+    )
+    def test_parameter_targeting_runs(self, tmp_path, victim, eval_kind, target):
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["victim"].update(victim)
+        raw["eval"] = {"kind": eval_kind, "m": 11}
+        raw["cost"] = {"goal": "parameter-targeting", "loss": "squared", "target": target}
+        raw["attack"].update(T=3, T_eval=8)
+        cfg = config_from_dict(raw)
+        data = build_dataset(cfg)
+        eval_set = build_eval_set(cfg, data)
+        if target == "fit-eval":
+            want = learners.train_base_ridge_constrained(eval_set, cfg.victim.lam, cfg.victim.rho).theta
+        else:
+            assert eval_set is None
+            want = target
+        np.testing.assert_array_equal(build_cost(cfg, data, eval_set).target_model.theta, want)
+        summary = run_experiment(cfg, str(tmp_path / "run"))
+        assert summary["error"] is None and summary["final_cost"]["iteration"] == 3
+
+    def test_label_goal_without_eval_set_is_refused_before_output(self, tmp_path):
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["eval"] = {"kind": "none"}
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=r"^label-aversion needs an evaluation set \(eval kind is 'none'\)$"):
+            run_experiment(config_from_dict(raw), str(out))
+        assert not out.exists()
 
     def test_attack_error_recorded_not_raised(self, one_d_config_path, tmp_path, monkeypatch):
         import dppoison.harness.experiment as experiment

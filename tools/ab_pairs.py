@@ -5,7 +5,11 @@
 
 Each checkout's ``src/``, ``perfbench/`` and ``data/`` are first copied into
 two temporary directories whose paths have the same length, so the
-checkout's own path cannot read as a speed difference. Each pair runs
+checkout's own path cannot read as a speed difference. Each copy's
+``src/`` is then compiled to bytecode once, so a worker's ``setup_s`` does
+not include compiling it, which would move with the change's line count
+rather than its speed; ``perfbench/`` itself is still compiled on every
+run, the same on both sides. Each pair runs
 ``perfbench/worker.py`` once from each copy, in a fresh process with one
 BLAS/OpenMP thread, both pinned to the same CPU, writing under the
 temporary directory. Both sides get the same environment, plus a padding
@@ -37,6 +41,7 @@ than it is noise.
 """
 
 import argparse
+import compileall
 import filecmp
 import json
 import math
@@ -89,13 +94,15 @@ def run_worker(checkout, workload, seed, out_dir, tiny, cpu):
 
 def stage(checkouts, tmp):
     """Copy what a worker run reads of each side's checkout into tmp/a and
-    tmp/b, paths of the same length; returns {side: path}."""
+    tmp/b, paths of the same length, and compile each copy's src/; returns
+    {side: path}."""
     homes = {}
     ignore = shutil.ignore_patterns("__pycache__")
     for (side, checkout), name in zip(checkouts.items(), "ab"):
         homes[side] = os.path.join(tmp, name)
         for part in COPIED:
             shutil.copytree(os.path.join(checkout, part), os.path.join(homes[side], part), ignore=ignore)
+        compileall.compile_dir(os.path.join(homes[side], "src"), quiet=1)
     return homes
 
 
