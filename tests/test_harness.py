@@ -23,6 +23,7 @@ from dppoison import (
     shallow_scores,
     train_mechanism,
 )
+from dppoison import learners
 from dppoison.attacks import AttackTrace, sweep_attacks
 from dppoison.harness import (
     CostEstimate,
@@ -47,7 +48,6 @@ from dppoison.harness import (
     write_csv,
     write_dataset_files,
 )
-from dppoison import learners
 from dppoison.harness import experiment
 from dppoison.harness.cli import load_config, main
 from dppoison.rng import STAGE_DATA, STAGE_MC_POISONED, subseed, substream
