@@ -116,11 +116,11 @@ def _checked(name, value, tp):
     """value as a field annotated tp stores it, else ValueError. Optional:
     may be None; numpy scalar: stored as a Python one; enum: stored as the
     member; Literal: one of the choices; int: an integer, not a bool;
-    float: a real number, not a bool, finite unless its range allows inf;
-    dict[K, V]: keys pass K, values V; tuple[T, ...] or tuple[T1, T2]: a
-    tuple or list (of that length) whose entry i passes its type as
-    <name>[i], stored as a tuple; other class: an instance; Annotated[tp,
-    range]: tp, then the range."""
+    float: a real number, not a bool, finite (as every int is) unless its
+    range allows inf; dict[K, V]: keys pass K, values V; tuple[T, ...] or
+    tuple[T1, T2]: a tuple or list (of that length) whose entry i passes
+    its type as <name>[i], stored as a tuple; other class: an instance;
+    Annotated[tp, range]: tp, then the range."""
     if typing.get_origin(tp) is typing.Union:  # Optional[tp]
         if value is None:
             return None
@@ -150,7 +150,7 @@ def _checked(name, value, tp):
     elif tp is float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(value) and not (rule and rule.allows_inf):
+        if isinstance(value, float) and not math.isfinite(value) and not (rule and rule.allows_inf):
             raise ValueError(f"{name} must be finite, got {value!r}")
     elif not isinstance(value, tp):
         raise ValueError(f"{name} must be a {tp.__name__}, got {value!r}")

@@ -182,9 +182,10 @@ class SweepSpec:
     values: Annotated[tuple[float, ...], _SWEPT]
 
     def __post_init__(self):
-        _check_fields(self)
+        # entries first, so that a k sweep's are refused as counts
         values = _checked("values", self.values, tuple[Count if self.kind == "k" else Positive, ...])
         object.__setattr__(self, "values", values if self.kind == "k" else tuple(map(float, values)))
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
