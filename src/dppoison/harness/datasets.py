@@ -126,26 +126,24 @@ def load_csv_dataset(path, feature_columns=None, label_column="y", label_map=Non
     return Dataset(np.array(rows), np.array(labels))
 
 
-def _cell(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _FLOAT_FMT % v
-
-
 def write_csv(path, header, rows):
-    """Write a CSV with a header row, making its directory. Integers are
-    written as integers and every other cell as a float at full precision."""
+    """Write a CSV with a header row, making its directory; every CSV the
+    package writes goes through here. Each row holds one number per header
+    column. Every cell is written as _FLOAT_FMT and every line ends in
+    CRLF, so a float is written at full precision and an integer or a bool
+    exactly when its magnitude is at most 2**53 (every iteration, item
+    index and k is far below that)."""
     os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    line = ",".join([_FLOAT_FMT] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def save_csv_dataset(data, path):
     """Write a dataset in the x0..x{d-1},y format with full precision."""
     header = [f"x{j}" for j in range(data.dim)] + ["y"]
-    write_csv(path, header, ([*x, y] for x, y in zip(data.X, data.y)))
+    write_csv(path, header, ((*x, y) for x, y in zip(data.X.tolist(), data.y.tolist())))
 
 
 def normalize_dataset(data, normalize_labels=False, label_range=(0.0, 10.0)):

@@ -61,7 +61,6 @@ from ..rng import (
     substream,
 )
 from .datasets import (
-    _FLOAT_FMT,
     build_nn_eval_set,
     gen_1d_dataset,
     gen_2d_dataset,
@@ -312,8 +311,8 @@ def _require_feasible(data, victim, source, fixes=("", "")):
 
 
 def build_eval_set(config, data):
-    """Materialize the evaluation set, or None for kind 'none'. A csv set
-    must lie in the feasible set, as build_dataset's data must."""
+    """Materialize the evaluation set, or None for kind 'none'. A csv set,
+    never normalized, must lie in the feasible set, as build_dataset's must."""
     ev = config.eval
     if ev.kind == "none":
         return None
@@ -327,7 +326,8 @@ def build_eval_set(config, data):
     if ev.kind == "extreme-item":
         return pick_extreme_eval_item(data, ev.extreme, ev.target_label)
     eval_set = _load_csv(ev)
-    _require_feasible(eval_set, config.victim, "eval")
+    fix = "; an eval CSV is not normalized, so its {} must already be on the training data's scale"
+    _require_feasible(eval_set, config.victim, "eval", (fix.format("features"), fix.format("labels")))
     return eval_set
 
 
@@ -372,19 +372,6 @@ def bound_for(victim, cost, k, j_clean):
 def curve_iterations(T, points):
     """Evenly spaced iteration indices from 0 to T inclusive."""
     return np.unique(np.round(np.linspace(0.0, T, points)).astype(int))
-
-
-def _write_trace(path, trace, iterations):
-    """trace.csv in write_csv's bytes, formatted a row at a time."""
-    header = ["iteration", "item"] + [f"x{j}" for j in range(trace.clean_data.dim)] + ["y"]
-    row = ",".join(["%d", "%d"] + [_FLOAT_FMT] * (len(header) - 2)) + "\r\n"
-    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for t in iterations:
-            pos = int(np.searchsorted(trace.iterations, t))
-            rows = zip(trace.selected.tolist(), trace.features[pos].tolist(), trace.labels[pos].tolist())
-            fh.writelines(row % (t, item, *x, y) for item, x, y in rows)
 
 
 def _finite_json(value):
@@ -479,7 +466,14 @@ def _curve_rows(config, data, cost, out_dir, summary):
     else:
         summary["error"] = trace.error
     iters = curve_iterations(int(trace.iterations[-1]), config.curve_points)
-    _write_trace(os.path.join(out_dir, "trace.csv"), trace, iters)
+    items = trace.selected.tolist()
+    rows = (
+        (t, item, *x, y)
+        for t, pos in zip(iters.tolist(), np.searchsorted(trace.iterations, iters).tolist())
+        for item, x, y in zip(items, trace.features[pos].tolist(), trace.labels[pos].tolist())
+    )
+    header = ["iteration", "item"] + [f"x{j}" for j in range(data.dim)] + ["y"]
+    write_csv(os.path.join(out_dir, "trace.csv"), header, rows)
     for t in iters[1:]:
         seed = subseed(config.seed, STAGE_CURVE, int(t))
         est = estimate_attack_cost(victim, trace.dataset_at(t), cost, atk.T_eval, seed)

@@ -47,6 +47,10 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset([[0.1], [0.2]], [1.0])
 
+    def test_features_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match=r"^features must be a 2d array \(n items by d features\)$"):
+            Dataset([0.1, 0.2], [1.0, -1.0])
+
     def test_with_modified_leaves_original_untouched(self):
         d = Dataset([[0.1], [0.2], [0.3]], [1.0, 1.0, -1.0])
         d2 = d.with_modified([1], vec(0.9)[None, :], vec(-1.0))

@@ -9,6 +9,9 @@ import textwrap
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dppoison import (
     CostSpec,
@@ -24,7 +27,7 @@ from dppoison import (
     train_mechanism,
 )
 from dppoison import learners
-from dppoison.attacks import AttackTrace, sweep_attacks
+from dppoison.attacks import sweep_attacks
 from dppoison.harness import (
     CostEstimate,
     build_cost,
@@ -54,6 +57,11 @@ from dppoison.rng import STAGE_DATA, STAGE_MC_POISONED, subseed, substream
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
 
+# subnormals, the largest floats, values that need all 17 significant
+# digits and a signed zero
+EDGE_FLOATS = [5e-324, -2.225e-310, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.30000000000000004, 1.0000000000000002, -(2.0**53 + 2), -0.0]
+
 
 class TestGenerators:
     def test_1d_shapes_and_labels(self):
@@ -74,6 +82,10 @@ class TestGenerators:
         np.testing.assert_array_equal(
             data.y, np.where(data.X @ theta_star >= 0, 1.0, -1.0)
         )
+
+    def test_2d_theta_star_must_be_a_2_vector(self):
+        with pytest.raises(ValueError, match="^theta_star must be a 2-vector$"):
+            gen_2d_dataset(5, (1.0, 0.0, 0.0), np.random.default_rng(2))
 
     def test_2d_radius_distribution_is_uniform_in_area(self):
         data = gen_2d_dataset(100_000, (1.0, 0.0), np.random.default_rng(3))
@@ -188,28 +200,37 @@ class TestCsvRoundTrip:
         assert (data.n, data.dim) == (1598, 11)
         assert data.y.min() >= 3.0 and data.y.max() <= 8.0
 
-    def test_trace_rows_are_the_bytes_write_csv_writes(self, tmp_path):
-        # trace.csv is formatted a row at a time; its bytes are those of
-        # write_csv on the same rows, for a signed zero, a tiny value, an
-        # integral float and a large one
-        values = np.array([-0.0, 1e-300, 1.0, 123456789.0])
-        features = np.stack([np.roll(values, s).reshape(2, 2) for s in range(3)])
-        trace = AttackTrace(
-            selected=np.array([4, 9]),
-            iterations=np.arange(3),
-            features=features,
-            labels=-features[:, :, 0],
-            surrogate_costs=np.array([]),
-            clean_data=Dataset(np.zeros((10, 2)), np.zeros(10)),
-            final_data=Dataset(np.zeros((10, 2)), np.zeros(10)),
+    def test_write_csv_bytes(self, tmp_path):
+        # every cell of every output CSV is %.17g, lines end in CRLF: a
+        # signed zero, a tiny value, integral floats, Python and numpy
+        # integers (exact up to 2**53) and a bool; tests/test_golden.py
+        # holds trace.csv, written by run_experiment, to the golden files
+        path = tmp_path / "out" / "trace.csv"
+        rows = [(0, np.int64(4), -0.0, 1e-300, True), [np.int32(2), 2**53, 1.0, 123456789.0, 0.1]]
+        write_csv(str(path), ["iteration", "item", "x0", "x1", "y"], iter(rows))
+        assert path.read_bytes() == (
+            b"iteration,item,x0,x1,y\r\n"
+            b"0,4,-0,1e-300,1\r\n"
+            b"2,9007199254740992,1,123456789,0.10000000000000001\r\n"
         )
-        iterations = np.array([0, 2])
-        experiment._write_trace(str(tmp_path / "out" / "trace.csv"), trace, iterations)
-        rows = [[t, item, *features[t, j], -features[t, j, 0]] for t in iterations for j, item in enumerate([4, 9])]
-        write_csv(str(tmp_path / "trace.csv"), ["iteration", "item", "x0", "x1", "y"], rows)
-        want = (tmp_path / "trace.csv").read_bytes()
-        assert (tmp_path / "out" / "trace.csv").read_bytes() == want
-        assert want.count(b"\r\n") == 5 and b",-0," in want and b",1e-300," in want and b",123456789," in want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(2, 5)),
+            elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS),
+        )
+    )
+    @example(table=np.array([EDGE_FLOATS[:4], EDGE_FLOATS[4:]]))
+    def test_save_load_is_bit_exact(self, tmp_path_factory, table):
+        # the round trip _FLOAT_FMT promises, signed zeros included
+        data = Dataset(table[:, :-1], table[:, -1])
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        save_csv_dataset(data, path)
+        back = load_csv_dataset(path)
+        assert back.X.shape == data.X.shape
+        assert back.X.tobytes() == data.X.tobytes() and back.y.tobytes() == data.y.tobytes()
 
 
 class TestNormalize:
@@ -230,6 +251,9 @@ class TestNormalize:
     def test_zero_features_rejected(self):
         with pytest.raises(ValueError):
             normalize_dataset(Dataset([[0.0, 0.0]], [1.0]))
+
+
+NOT_NORMALIZED = "an eval CSV is not normalized, so its {} must already be on the training data's scale"
 
 
 class TestBuildDatasetFeasibility:
@@ -316,10 +340,21 @@ class TestBuildDatasetFeasibility:
 
     def test_eval_ridge_label_outside_unit_interval_rejected(self, tmp_path):
         body = "x0,y\n0.5,2.0\n-0.5,-1.0\n"
-        with pytest.raises(ValueError, match=r"^eval: ridge labels must lie in \[-1, 1\]"):
+        message = "eval: ridge labels must lie in [-1, 1]; " + NOT_NORMALIZED.format("labels")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_eval_set(self.eval_csv_config(tmp_path, body, base="ridge"), None)
         with pytest.raises(ValueError, match=r"^eval: logistic labels must be -1 or \+1"):
             build_eval_set(self.eval_csv_config(tmp_path, body), None)
+
+    def test_eval_csv_is_not_normalized(self, configs_dir):
+        # the training data's own file, normalized as data but not as eval
+        with open(os.path.join(configs_dir, "vertebral_objective.yaml"), encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+        raw["eval"] = {"kind": "csv", **{key: raw["data"][key] for key in ("path", "label_column", "label_map")}}
+        config = config_from_dict(raw, base_dir=configs_dir)
+        message = "eval: a feature norm exceeds 1; " + NOT_NORMALIZED.format("features")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_eval_set(config, build_dataset(config))
 
     def test_zero_one_logistic_labels_rejected_before_any_output(self, tmp_path):
         # 0/1 labels would stop the first solve; the run rejects them before
@@ -644,6 +679,18 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=key):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (None, "config section 'top level' needs 'victim'"),
+            ({"victim": 5}, "config section 'victim' must be a mapping"),
+        ],
+        ids=["null-config", "scalar-section"],
+    )
+    def test_config_that_is_no_tree_of_mappings(self, raw, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(raw)
+
     def test_section_keys(self):
         # every key each section accepts: adding one is a new config option
         raw = config_to_dict(config_from_dict(yaml.safe_load(ONE_D_CONFIG)))
@@ -832,6 +879,15 @@ class TestRunExperiment:
         summary = run_experiment(cfg, str(tmp_path / "run"))
         assert summary["error"] is None and summary["final_cost"]["iteration"] == 3
 
+    def test_fit_eval_needs_a_nonempty_evaluation_set(self, tmp_path):
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["eval"] = {"kind": "nn-flip", "count": 0}
+        raw["cost"] = {"goal": "parameter-targeting", "loss": "squared", "target": "fit-eval"}
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="^target 'fit-eval' needs a nonempty evaluation set$"):
+            run_experiment(config_from_dict(raw), str(out))
+        assert not out.exists()
+
     def test_label_goal_without_eval_set_is_refused_before_output(self, tmp_path):
         raw = yaml.safe_load(ONE_D_CONFIG)
         raw["eval"] = {"kind": "none"}
@@ -882,6 +938,27 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"^\|j_clean\| = \S+ cannot exceed cbar = 0.001, which bounds \|C\|$"):
             run(config_from_dict(raw), str(out))
         assert not out.exists()
+
+    def test_solver_failure_message_reaches_the_summary(self, tmp_path, monkeypatch):
+        # the attack completes, then each solve is cut to one Newton step, so
+        # the first curve estimate fails with the solver's own message
+        config = config_from_dict(yaml.safe_load(ONE_D_CONFIG))
+        run_experiment(config, str(tmp_path / "whole"))
+
+        def attack_then_cut(*args, **kwargs):
+            trace = run_attack(*args, **kwargs)
+            monkeypatch.setattr(learners, "MAX_ITERS", 1)
+            return trace
+
+        monkeypatch.setattr(experiment, "run_attack", attack_then_cut)
+        out = tmp_path / "run"
+        summary = run_experiment(config, str(out))
+        error = "solver failure after 1 cost rows: logistic solver did not converge within 1 iterations"
+        assert summary["error"] == error
+        assert json.loads((out / "summary.json").read_text())["error"] == error
+        whole = (tmp_path / "whole" / "costs.csv").read_bytes().split(b"\r\n")
+        assert (out / "costs.csv").read_bytes() == b"\r\n".join(whole[:2] + [b""])
+        assert (out / "trace.csv").read_bytes() == (tmp_path / "whole" / "trace.csv").read_bytes()
 
     def test_failed_selection_keeps_the_clean_row(self, tmp_path, monkeypatch):
         import dppoison.attacks as attacks

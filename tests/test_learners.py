@@ -61,6 +61,21 @@ class TestSampleNoise:
         with pytest.raises(ValueError):
             sample_noise(2, -1.0, rng)
 
+    def test_zero_direction_is_drawn_again(self):
+        # an all-zero normal draw has no direction; the sampler draws again
+        class Stub:
+            normals = [np.zeros(3), np.array([0.0, 3.0, 4.0])]
+
+            def gamma(self, shape, scale):
+                return 5.0
+
+            def standard_normal(self, dim):
+                return self.normals.pop(0)
+
+        stub = Stub()
+        np.testing.assert_array_equal(sample_noise(3, 1.0, stub), [0.0, 3.0, 4.0])
+        assert stub.normals == []
+
 
 # a regularizer or radius that is no finite positive number, and how it is refused
 NOT_FINITE_POSITIVE = [
@@ -71,6 +86,11 @@ NOT_FINITE_POSITIVE = [
     (None, "a number, got None"),
     (True, "a number, got True"),
 ]
+
+
+# what a failed logistic Newton says
+STALLED = "logistic solver stalled: no descent step found"
+NOT_CONVERGED = "logistic solver did not converge within 1 iterations"
 
 
 class TestLogisticSolver:
@@ -143,16 +163,20 @@ class TestLogisticSolver:
         monkeypatch.setattr(learners, "MAX_ITERS", 1)
         rng = np.random.default_rng(6)
         data = random_classification_data(rng, n=10, d=2)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match=f"^{NOT_CONVERGED}$") as raised:
             train_base_logistic(data, lam=1.0)
+        assert raised.value.rows is None
 
     def test_stacked_nonconvergence_raises(self, monkeypatch):
+        # a warm start skips the scalar noiseless solve, so the batched
+        # Newton itself runs out of iterations and names every row
         monkeypatch.setattr(learners, "MAX_ITERS", 1)
         rng = np.random.default_rng(6)
         data = random_classification_data(rng, n=10, d=2)
         victim = VictimSpec("objective", "logistic", lam=1.0, epsilon=1.0)
-        with pytest.raises(SolverError):
-            train_mechanism(victim, data, rng.standard_normal((4, 2)))
+        with pytest.raises(SolverError, match=f"^{NOT_CONVERGED}$") as raised:
+            train_mechanism(victim, data, rng.standard_normal((4, 2)), warm_start=ModelParams(np.zeros(2)))
+        assert list(raised.value.rows) == [0, 1, 2, 3]
 
     def test_stacked_non_finite_row_raises(self):
         # a nan draw leaves its row's gradient nan; the batched Newton must
@@ -161,10 +185,12 @@ class TestLogisticSolver:
         data = random_classification_data(rng, n=10, d=2)
         victim = VictimSpec("objective", "logistic", lam=1.0, epsilon=1.0)
         with np.errstate(invalid="ignore"):
-            with pytest.raises(SolverError, match="stalled"):
+            with pytest.raises(SolverError, match=f"^{STALLED}$") as raised:
                 train_mechanism(victim, data, np.array([np.nan, 0.1]))
-            with pytest.raises(SolverError, match="stalled"):
+            assert raised.value.rows is None
+            with pytest.raises(SolverError, match=f"^{STALLED}$") as raised:
                 train_mechanism(victim, data, np.array([[np.nan, 0.1], [0.1, 0.2]]))
+            assert list(raised.value.rows) == [0]
 
     def test_warm_start_agrees_with_cold(self, monkeypatch):
         monkeypatch.setattr(learners, "GRAD_TOL", 1e-12)
@@ -297,6 +323,19 @@ class TestRidgeSolver:
             assert model.mu > 0.0
             assert abs(np.linalg.norm(model.theta) - rho) <= 1e-8
             assert abs(model.mu * (model.theta @ model.theta - rho**2)) <= 1e-8
+
+    def test_infinite_draw_cannot_bracket_the_dual(self):
+        data = Dataset([[0.5], [-0.3]], [0.2, -0.1])
+        with pytest.raises(SolverError, match="^could not bracket the constraint dual$") as raised:
+            train_base_ridge_constrained(data, 1.0, 1.0, np.array([np.inf]))
+        assert raised.value.rows is None
+
+    def test_dual_short_of_its_tolerance_raises(self, monkeypatch):
+        # no step is within a negative tolerance, so Newton runs out of steps
+        monkeypatch.setattr(learners, "DUAL_TOL", -1.0)
+        data = Dataset([[0.5], [-0.3]], [0.2, -0.1])
+        with pytest.raises(SolverError, match="^the constraint dual did not converge$"):
+            train_base_ridge_constrained(data, 1.0, 0.01)
 
     def test_active_constraint_matches_pgd_objective(self):
         rng = np.random.default_rng(10)
