@@ -83,11 +83,11 @@ class AttackConfig:
 
 @dataclass
 class AttackTrace:
-    """Full record of one attack run.
+    """Record of one attack run.
 
-    Snapshot s holds the selected items' coordinates after
-    ``iterations[s]`` SGD steps. Snapshot 0, the untouched data, is always
-    recorded, and ``final_data`` is always ``dataset_at(iterations[-1])``.
+    Snapshot s holds the selected items' coordinates after ``iterations[s]``
+    SGD steps: at 0, at each step run_attack recorded and at the last one
+    completed, so ``final_data`` is always ``dataset_at(iterations[-1])``.
     ``surrogate_costs`` is [C(M(D, 0)), C(M(D_T, 0))], the noiseless
     surrogate's cost on the clean and the final data, and ``final_model``
     is that surrogate on the final data. On a solver failure ``error`` is
@@ -159,11 +159,11 @@ def shallow_scores(victim, data, cost, mode, m_select, rng):
 class _Lane:
     """One attack of a lockstep descent: its items (sorted, distinct, each in
     [0, n)) and their moved coordinates, its noise stream and radial scale, its
-    current dataset and model (the next warm start, set by the caller), the
-    steps it completed, and the SolverError that stopped it, if one did. Each
-    step's dataset is made from the clean one, so none keeps an earlier alive."""
+    current dataset and model (the next warm start), the steps it completed,
+    the SolverError that stopped it, if one did, and the (features, labels)
+    it keeps, by iteration: 0 and the steps in record."""
 
-    def __init__(self, data, items, rng, scale):
+    def __init__(self, data, items, rng, scale, record=frozenset()):
         items = np.sort(np.asarray(items, dtype=int))
         if len(items) > 0 and (items[0] < 0 or items[-1] >= data.n):
             raise ValueError("selected indices out of range")
@@ -175,23 +175,8 @@ class _Lane:
         self.rng, self.scale = rng, scale
         self.clean = self.data = data
         self.rows = slice(None) if len(items) == data.n else items
-        self.model = None
-        self.steps = 0
-        self.error = None
-
-    def move(self, model, feat, lab, eta, alpha):
-        """Step the items along their gradients (feat and lab are fresh
-        arrays), plus alpha times their displacement when alpha is
-        nonzero, and project them back to the feasible set."""
-        self.model = model
-        if alpha:
-            feat += alpha * (self.Xs - self.X0)
-            lab += alpha * (self.ys - self.y0)
-        self.Xs -= eta * feat
-        self.ys -= eta * lab
-        project_rows_inplace(self.Xs, self.ys)
-        self.data = self.clean.with_modified(self.rows, self.Xs, self.ys)
-        self.steps += 1
+        self.model = self.error = None
+        self.steps, self.record, self.kept = 0, record, {0: (self.X0, self.y0)}
 
 
 def _lane_gradients(victim, cost, lanes, draws):
@@ -217,40 +202,53 @@ def _lane_gradients(victim, cost, lanes, draws):
 
 
 def _descend(victim, cost, lanes, eta, alpha, T, mode):
-    """Projected gradient descent of the lanes in lockstep; yields after
-    each of T steps, when every lane's ``data`` is current.
+    """Projected gradient descent of the lanes in lockstep, T steps.
 
     Each step trains the victim on each lane's data (a fresh draw from
     the lane's stream in DPV mode, zero noise in SV mode), warm-started
     from the lane's previous model (its base model, the released one minus
-    the draw, under output perturbation), and moves its items (_Lane.move).
-    A logistic victim's label gradient is zero, so its labels never move.
-    A lane with no items neither draws noise nor trains. When a solve
-    fails, the first failed lane keeps the error and stops, as do the
-    lanes after it (a sweep ends at its first failed row); the lanes
-    before it solve the step again with the same draws. The descent ends
-    early once every lane that moves has stopped.
+    the draw, under output perturbation), moves its items along their
+    gradients plus alpha times their displacement, projects them back to
+    the feasible set, and keeps their snapshot if the step is in the
+    lane's record. Each step's dataset is made from the clean one, so none
+    keeps an earlier alive. A logistic victim's label gradient is zero, so
+    its labels never move. A lane with no items neither draws noise nor
+    trains. When a solve fails, the first failed lane keeps the error and
+    stops, as do the lanes after it (a sweep ends at its first failed row);
+    the lanes before it solve the step again with the same draws. The
+    descent ends early once every lane that moves has stopped.
     """
+    for lane in lanes:
+        if len(lane.items) == 0:  # it takes every step in place
+            lane.steps, lane.kept = T, {t: (lane.X0, lane.y0) for t in sorted({0, T} | lane.record)}
     dpv = AttackMode(mode) is AttackMode.DPV
     moving = [lane for lane in lanes if len(lane.items) > 0]
-    for _ in range(T):
-        if moving:
-            draws = [_noise(lane.data.dim, dpv, lane.scale, lane.rng) for lane in moving]
-            while True:
-                try:
-                    results = _lane_gradients(victim, cost, moving, draws)
-                    break
-                except SolverError as exc:
-                    j = int(min(exc.rows))
-                    moving[j].error = exc
-                    del moving[j:], draws[j:]
-                    if not moving:
-                        return
-            for lane, b, (model, feat, lab) in zip(moving, draws, results):
-                if victim.mechanism is Mechanism.OUTPUT:
-                    model = ModelParams(model.theta - b, model.mu)
-                lane.move(model, feat, lab, eta, alpha)
-        yield
+    for _ in range(T if moving else 0):
+        draws = [_noise(lane.data.dim, dpv, lane.scale, lane.rng) for lane in moving]
+        while True:
+            try:
+                results = _lane_gradients(victim, cost, moving, draws)
+                break
+            except SolverError as exc:
+                j = int(min(exc.rows))
+                moving[j].error = exc
+                del moving[j:], draws[j:]
+                if not moving:
+                    return
+        for lane, b, (model, feat, lab) in zip(moving, draws, results):
+            if victim.mechanism is Mechanism.OUTPUT:
+                model = ModelParams(model.theta - b, model.mu)
+            lane.model = model
+            if alpha:  # feat and lab are fresh arrays
+                feat += alpha * (lane.Xs - lane.X0)
+                lab += alpha * (lane.ys - lane.y0)
+            lane.Xs -= eta * feat
+            lane.ys -= eta * lab
+            project_rows_inplace(lane.Xs, lane.ys)
+            lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
+            lane.steps += 1
+            if lane.steps in lane.record:
+                lane.kept[lane.steps] = (lane.Xs.copy(), lane.ys.copy())
 
 
 def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):
@@ -263,8 +261,7 @@ def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):
     """
     _checked("alpha", alpha, Positive)
     lane = _Lane(data, np.arange(data.n), rng, victim.noise_scale_for(data.n))
-    for _ in _descend(victim, cost, [lane], eta, alpha, T, mode):
-        pass
+    _descend(victim, cost, [lane], eta, alpha, T, mode)
     if lane.error is not None:
         raise lane.error
     return lane.data
@@ -304,7 +301,7 @@ def select_items(victim, data, cost, config, seed):
     return top_k_indices(selection_scores(victim, data, cost, config, seed), config.k)
 
 
-def run_attack(victim, data, cost, config, seed=0, selected=None):
+def run_attack(victim, data, cost, config, seed=0, selected=None, record=None):
     """Run the two-step attack and return its trace.
 
     Step I picks the items per config.selection (or uses ``selected`` as
@@ -314,40 +311,40 @@ def run_attack(victim, data, cost, config, seed=0, selected=None):
     items never change. The noiseless surrogate is trained on the clean
     and the final data only; the trace keeps the final one. Selection and
     the SGD noise draw from their own substreams of ``seed``, so the run
-    is deterministic given (data, config, seed, selected).
+    is deterministic given (data, config, seed, selected). The trace keeps
+    the snapshots of the iterations in ``record`` (all T + 1 if None; each
+    in [0, T], else ValueError), of iteration 0 and of the last completed
+    step, in O(len(record) * k * d) memory.
     """
-    d = data.dim
+    record = np.arange(config.T + 1) if record is None else np.asarray(record, dtype=int)
+    if np.any((record < 0) | (record > config.T)):
+        raise ValueError(f"recorded iterations must lie in [0, T={config.T}], got {record.tolist()}")
     if selected is None:
         selected = select_items(victim, data, cost, config, seed)
-    lane = _Lane(data, selected, substream(seed, STAGE_SGD), victim.noise_scale_for(data.n))
-    feats = np.empty((config.T + 1, len(lane.items), d))
-    labels = np.empty((config.T + 1, len(lane.items)))
-    feats[0], labels[0] = lane.X0, lane.y0
-    costs = []
-    steps = 0
-    final = error = None
+    lane = _Lane(data, selected, substream(seed, STAGE_SGD), victim.noise_scale_for(data.n), set(record.tolist()))
+    costs, final = [], None
     try:
-        lane.model = clean = train_mechanism(victim, data, np.zeros(d))
+        lane.model = clean = train_mechanism(victim, data, np.zeros(data.dim))
         costs.append(eval_cost(cost, clean))
-        for _ in _descend(victim, cost, [lane], config.eta, 0.0, config.T, config.mode):
-            steps += 1
-            feats[steps], labels[steps] = lane.Xs, lane.ys
+        _descend(victim, cost, [lane], config.eta, 0.0, config.T, config.mode)
         if lane.error is not None:
             raise lane.error
-        final = train_mechanism(victim, lane.data, np.zeros(d), warm_start=clean)
+        final = train_mechanism(victim, lane.data, np.zeros(data.dim), warm_start=clean)
         costs.append(eval_cost(cost, final))
     except SolverError as exc:
-        error = f"solver failure after {steps} steps: {exc}"
+        lane.error = exc
+    lane.kept.setdefault(lane.steps, (lane.Xs, lane.ys))
+    feats, labels = zip(*lane.kept.values())
     return AttackTrace(
         selected=lane.items,
-        iterations=np.arange(steps + 1),
-        features=feats[: steps + 1],
-        labels=labels[: steps + 1],
+        iterations=np.array(list(lane.kept)),
+        features=np.stack(feats),
+        labels=np.stack(labels),
         surrogate_costs=np.array(costs),
         clean_data=data,
         final_data=lane.data,
         final_model=final,
-        error=error,
+        error=None if lane.error is None else f"solver failure after {lane.steps} steps: {lane.error}",
     )
 
 
@@ -376,8 +373,7 @@ def sweep_attacks(victim, data, cost, config, selections, seeds, scales):
         return [], SolverError(f"solver failure after 0 steps: {exc}")
     for lane in lanes:
         lane.model = clean
-    for _ in _descend(victim, cost, lanes, config.eta, 0.0, config.T, config.mode):
-        pass
+    _descend(victim, cost, lanes, config.eta, 0.0, config.T, config.mode)
     for i, lane in enumerate(lanes):
         if lane.error is not None:
             error = SolverError(f"solver failure after {lane.steps} steps: {lane.error}")

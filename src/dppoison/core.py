@@ -236,7 +236,8 @@ class Dataset:
         use, then cached for the life of the dataset; read-only. A dataset
         made by with_modified adds its replaced rows' products to its
         source's Gram of the other rows, which the source caches per index
-        set, so a step that moves k rows costs O(k d^2)."""
+        array with its distinct rows, so a step that moves k rows costs
+        O(k d^2)."""
         return self.cached("gram", self._form_gram)
 
     @property
@@ -247,11 +248,11 @@ class Dataset:
     def _form_gram(self):
         if self._source is None:
             return tuple(map(_readonly, _gram(self._X, self._y)))
-        (source, rows), self._source = self._source, None
-        if not isinstance(rows, slice):
-            rows = np.unique(rows)  # a repeated index replaced one row
-        key = ("unreplaced gram", repr(rows) if isinstance(rows, slice) else rows.tobytes())
-        kept = source.cached(key, lambda: _gram(np.delete(source.X, rows, 0), np.delete(source.y, rows)))
+        (source, index), self._source = self._source, None
+        key = repr(index) if isinstance(index, slice) else index.tobytes()
+        # a repeated index replaced one row, so the Gram reads the distinct rows
+        rows = index if isinstance(index, slice) else source.cached(("rows", key), lambda: np.unique(index))
+        kept = source.cached(("kept", key), lambda: _gram(np.delete(source.X, rows, 0), np.delete(source.y, rows)))
         return tuple(_readonly(a + b) for a, b in zip(kept, _gram(self._X[rows], self._y[rows])))
 
     def with_modified(self, indices, features, labels):

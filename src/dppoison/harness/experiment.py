@@ -457,7 +457,7 @@ def _curve_rows(config, data, cost, out_dir, summary):
     victim, atk = config.victim, config.attack
     yield from _evaluation_rows(config, data, cost, out_dir, summary)
     summary["curve"] = [{"iteration": 0, **summary["clean_cost"]}]
-    trace = run_attack(victim, data, cost, atk, config.seed)
+    trace = run_attack(victim, data, cost, atk, config.seed, record=curve_iterations(atk.T, config.curve_points))
     summary["selected"] = [int(i) for i in trace.selected]
     if trace.error is None:
         model = trace.final_model
@@ -465,16 +465,14 @@ def _curve_rows(config, data, cost, out_dir, summary):
         summary["final_surrogate_model"] = {"theta": [float(v) for v in model.theta], "mu": model.mu}
     else:
         summary["error"] = trace.error
-    iters = curve_iterations(int(trace.iterations[-1]), config.curve_points)
-    items = trace.selected.tolist()
     rows = (
         (t, item, *x, y)
-        for t, pos in zip(iters.tolist(), np.searchsorted(trace.iterations, iters).tolist())
-        for item, x, y in zip(items, trace.features[pos].tolist(), trace.labels[pos].tolist())
+        for t, feats, labels in zip(trace.iterations.tolist(), trace.features, trace.labels)
+        for item, x, y in zip(trace.selected.tolist(), feats.tolist(), labels.tolist())
     )
     header = ["iteration", "item"] + [f"x{j}" for j in range(data.dim)] + ["y"]
     write_csv(os.path.join(out_dir, "trace.csv"), header, rows)
-    for t in iters[1:]:
+    for t in trace.iterations[1:]:
         seed = subseed(config.seed, STAGE_CURVE, int(t))
         est = estimate_attack_cost(victim, trace.dataset_at(t), cost, atk.T_eval, seed)
         summary["curve"].append({"iteration": int(t), **_estimate_dict(est)})

@@ -212,7 +212,10 @@ def train_base_logistic(data, lam, b=None, *, warm_start=None):
     zero, with H0 its Hessian; both are cached per (dataset, lam), so a
     noiseless solve returns theta0 itself. A sequence of datasets without
     a warm start starts at zero."""
-    _checked("lam", lam, Positive)
+    return _logistic(data, _checked("lam", lam, Positive), b, warm_start)
+
+
+def _logistic(data, lam, b, warm_start):  # train_base_logistic, with lam already checked
     if isinstance(data, Dataset):
         X, y = data.X, data.y
     else:
@@ -279,8 +282,10 @@ def train_base_ridge_constrained(data, lam, rho, b=None):
     solved on its own in the dataset's cached eigenbasis of X'X
     (Dataset.gram_eigh), so row i is bit for bit the single-draw solve of b[i].
     """
-    _checked("lam", lam, Positive)
-    _checked("rho", rho, Positive)
+    return _ridge(data, _checked("lam", lam, Positive), _checked("rho", rho, Positive), b)
+
+
+def _ridge(data, lam, rho, b):  # train_base_ridge_constrained, with lam and rho already checked
     b = _as_noise(b, data.dim)
     Xty = data.gram[1]
     evals, Q = data.gram_eigh
@@ -324,7 +329,7 @@ def train_mechanism(victim, data, b, *, warm_start=None):
     return ModelParams(model.theta + b, model.mu)
 
 
-def _train_base(victim, data, b, warm_start):
+def _train_base(victim, data, b, warm_start):  # victim's fields were checked when it was built
     if victim.base is BaseLearner.LOGISTIC:
-        return train_base_logistic(data, victim.lam, b, warm_start=warm_start)
-    return train_base_ridge_constrained(data, victim.lam, victim.rho, b)
+        return _logistic(data, victim.lam, b, warm_start)
+    return _ridge(data, victim.lam, victim.rho, b)

@@ -10,6 +10,7 @@ sample counts change).
 import dataclasses
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -460,8 +461,7 @@ def test_criterion_10_determinism(one_d_run, out_root):
     summary = run_experiment(cfg, second_out)
     _register_run("one_d_again", second_out, summary, Sign.NON_POSITIVE)
     same = all(
-        open(os.path.join(first_out, name), "rb").read()
-        == open(os.path.join(second_out, name), "rb").read()
+        pathlib.Path(first_out, name).read_bytes() == pathlib.Path(second_out, name).read_bytes()
         for name in ("costs.csv", "trace.csv")
     )
     record_criterion(

@@ -446,10 +446,80 @@ class TestRunAttack:
         with pytest.raises(ValueError):
             trace.dataset_at(13)
 
+    @pytest.mark.parametrize("mechanism", ["objective", "output"])
+    @pytest.mark.parametrize("base", ["logistic", "ridge"])
+    @pytest.mark.parametrize(
+        "record",
+        [[0, 5, 10], [7, 0, 3, 3, 10], [6, 2, 2], []],
+        ids=["sorted", "unsorted-with-duplicates", "without-ends", "empty"],
+    )
+    def test_recorded_snapshots_are_the_full_runs_rows(self, mechanism, base, record):
+        # a recorded snapshot does not depend on which others are recorded,
+        # and iteration 0 and the last step are kept whatever record holds
+        rng = np.random.default_rng(23)
+        make_data = random_classification_data if base == "logistic" else random_regression_data
+        data = make_data(rng, n=12, d=3)
+        victim = VictimSpec(mechanism, base, lam=1.0, epsilon=1.0, rho=0.5)
+        cost = random_cost(rng, data, base)
+        config = AttackConfig(k=4, T=10, mode=AttackMode.DPV)
+        full = run_attack(victim, data, cost, config, seed=6, selected=[1, 4, 6, 9])
+        kept = run_attack(victim, data, cost, config, seed=6, selected=[1, 4, 6, 9], record=record)
+        assert full.error is None and kept.error is None
+        np.testing.assert_array_equal(full.iterations, np.arange(config.T + 1))
+        want = sorted({0, config.T} | set(record))
+        np.testing.assert_array_equal(kept.iterations, want)
+        assert kept.features.tobytes() == full.features[want].tobytes()
+        assert kept.labels.tobytes() == full.labels[want].tobytes()
+        assert kept.final_data.X.tobytes() == full.final_data.X.tobytes()
+        assert kept.final_data.y.tobytes() == full.final_data.y.tobytes()
+        assert kept.surrogate_costs.tobytes() == full.surrogate_costs.tobytes()
+        for t in want:  # snapshot t is the data a t-step attack ends with
+            short = run_attack(victim, data, cost, dataclasses.replace(config, T=t), seed=6, selected=[1, 4, 6, 9])
+            assert kept.dataset_at(t).X.tobytes() == short.final_data.X.tobytes()
+            assert kept.dataset_at(t).y.tobytes() == short.final_data.y.tobytes()
+
+    @pytest.mark.parametrize("record", [[-1, 3], [0, 11], [12]])
+    def test_record_outside_the_run_is_refused_before_any_solve(self, monkeypatch, record):
+        victim, data, cost = small_logistic_setup(24)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(attacks, "train_mechanism", no_solve)
+        config = AttackConfig(k=4, T=10, selection=SelectionMethod.SHALLOW, mode=AttackMode.DPV)
+        with pytest.raises(ValueError, match=r"^recorded iterations must lie in \[0, T=10\], got "):
+            run_attack(victim, data, cost, config, record=record)
+
+    @pytest.mark.parametrize("s", [0, 1, 3, 4, 9, 10])
+    def test_failure_keeps_the_recorded_steps_before_it_and_its_own(self, monkeypatch, s):
+        # the clean solve is call 1 and step i's solve call i + 1, so call
+        # s + 2 fails after s steps (at s = T, the final surrogate's solve)
+        victim, data, cost = small_logistic_setup(19)
+        config = AttackConfig(k=4, T=10, mode=AttackMode.DPV)
+        record = [8, 0, 4, 2, 4]
+        full = run_attack(victim, data, cost, config, seed=2, selected=[1, 4, 6, 9])
+        calls = []
+
+        def fails_after_s_steps(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == s + 2:
+                raise SolverError("instrumented failure")
+            return train_mechanism(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, "train_mechanism", fails_after_s_steps)
+        trace = run_attack(victim, data, cost, config, seed=2, selected=[1, 4, 6, 9], record=record)
+        assert trace.error == f"solver failure after {s} steps: instrumented failure"
+        want = sorted({t for t in record if t < s}) + [s]
+        np.testing.assert_array_equal(trace.iterations, want)
+        assert trace.features.tobytes() == full.features[want].tobytes()
+        last = trace.dataset_at(s)
+        assert trace.final_data.X.tobytes() == last.X.tobytes() == full.dataset_at(s).X.tobytes()
+        assert trace.final_data.y.tobytes() == last.y.tobytes()
+
 
 @pytest.mark.parametrize("base", ["ridge", "logistic"])
 @pytest.mark.parametrize("items", [[2, 7, 9], list(range(12))], ids=["some-items", "every-item"])
-def test_step_datasets_keep_no_earlier_one_alive(base, items):
+def test_step_datasets_keep_no_earlier_one_alive(monkeypatch, base, items):
     # each step's dataset is made from the clean one, so nothing holds a
     # step's dataset once the lane has moved on: no chain of datasets grows
     # with T, whether or not a solve formed the dataset's Gram matrix
@@ -460,9 +530,16 @@ def test_step_datasets_keep_no_earlier_one_alive(base, items):
     cost = random_cost(rng, data, base)
     lane = attacks._Lane(data, items, substream(0, STAGE_SGD), 0.1)
     lane.model = train_mechanism(victim, data, np.zeros(3))
-    steps = []
-    for _ in attacks._descend(victim, cost, [lane], 0.5, 1e-4, 6, AttackMode.DPV):
-        steps.append(weakref.ref(lane.data))
+    steps, with_modified = [], Dataset.with_modified
+
+    def recording(self, *args):
+        modified = with_modified(self, *args)
+        steps.append(weakref.ref(modified))
+        return modified
+
+    monkeypatch.setattr(Dataset, "with_modified", recording)
+    attacks._descend(victim, cost, [lane], 0.5, 1e-4, 6, AttackMode.DPV)
+    monkeypatch.undo()
     gc.collect()
     assert [step() is None for step in steps] == [True] * 5 + [False]
     assert lane.clean is data

@@ -202,7 +202,8 @@ class TestAttack:
         line = json.loads(out)
         assert line["out"] == os.path.abspath(out_dir)
         assert "final_mean" in line and "lower_bound" in line
-        summary = json.load(open(os.path.join(out_dir, "summary.json")))
+        with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
+            summary = json.load(fh)
         assert summary["error"] is None
 
     def test_solver_failure_is_reported_with_status_1(self, config_path, tmp_path, capsys, monkeypatch):
@@ -256,7 +257,8 @@ class TestAttack:
             capsys, "attack", "--config", config_path, "--out", out_dir, "--seed", "42"
         )
         assert code == 0
-        summary = json.load(open(os.path.join(out_dir, "summary.json")))
+        with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
+            summary = json.load(fh)
         assert summary["seed"] == 42
 
     @pytest.mark.parametrize("seed", [-1, 2**128 + 1])

@@ -135,14 +135,45 @@ class TestDataset:
         np.testing.assert_allclose(d2.gram[0], d2.X.T @ d2.X, rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(d2.gram[1], d2.X.T @ d2.y, rtol=1e-14, atol=1e-15)
 
-    def test_unreplaced_gram_is_formed_once_per_index_set(self):
+    def test_unreplaced_gram_is_formed_once_per_index_array(self):
         rng = np.random.default_rng(3)
         d = Dataset(rng.uniform(-0.5, 0.5, (8, 3)), rng.uniform(-1, 1, 8))
         for indices in ([1, 5], [5, 1], [1, 5, 5], [2], [1, 5], [2]):
             k = len(indices)
             d.with_modified(indices, rng.uniform(-0.5, 0.5, (k, 3)), rng.uniform(-1, 1, k)).gram
-        # the source's cache holds nothing else: its own Gram was never read
-        assert len(d._cache) == 2
+        # keyed by the index array's bytes, so [1, 5], [5, 1], [1, 5, 5] and
+        # [2] each hold their distinct rows and their unreplaced Gram; the
+        # source's own Gram was never read
+        assert len(d._cache) == 8
+
+    @pytest.mark.parametrize("indices", [[5, 1], [1, 5, 5], [6, 2, 6, 0]], ids=["unsorted", "repeated", "both"])
+    def test_gram_of_repeated_and_unsorted_indices(self, indices):
+        # a repeated index replaced its row once, with the last of its values
+        rng = np.random.default_rng(7)
+        d = Dataset(rng.uniform(-0.5, 0.5, (8, 3)), rng.uniform(-1, 1, 8))
+        k = len(indices)
+        modified = d.with_modified(indices, rng.uniform(-0.5, 0.5, (k, 3)), rng.uniform(-1, 1, k))
+        X, y = modified.X, modified.y
+        np.testing.assert_allclose(modified.gram[0], X.T @ X, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(modified.gram[1], X.T @ y, rtol=0, atol=1e-12)
+
+    def test_distinct_rows_are_found_once_per_index_array(self, monkeypatch):
+        # an attack moves the same items every step, each step from the
+        # clean dataset, so np.unique runs on the first step only
+        rng = np.random.default_rng(8)
+        d = Dataset(rng.uniform(-0.5, 0.5, (8, 3)), rng.uniform(-1, 1, 8))
+        unique, calls = np.unique, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        items = np.array([1, 4, 6])
+        for _ in range(10):
+            modified = d.with_modified(items, rng.uniform(-0.5, 0.5, (3, 3)), rng.uniform(-1, 1, 3))
+            np.testing.assert_allclose(modified.gram[0], modified.X.T @ modified.X, rtol=0, atol=1e-12)
+        assert len(calls) == 1
 
     def test_gram_eigh_is_cached_and_readonly(self):
         rng = np.random.default_rng(4)

@@ -504,12 +504,13 @@ class TestEstimateAttackCost:
         assert stacks == [32, 32, 32]
 
     @pytest.mark.parametrize(
-        "base, name", [("logistic", "train_base_logistic"), ("ridge", "train_base_ridge_constrained")]
+        "base, name", [("logistic", "_logistic"), ("ridge", "_ridge")]
     )
     @pytest.mark.parametrize("T_e", [20, 100])
     def test_output_victim_solves_base_once_per_estimate(self, monkeypatch, base, name, T_e):
         # the base solve does not depend on the noise, so every block of an
-        # estimate shares one solve, cached on the dataset
+        # estimate shares one solve, cached on the dataset; train_mechanism
+        # calls the trainers' unchecked solvers
         import dppoison.learners as learners
 
         solver = getattr(learners, name)
@@ -823,7 +824,8 @@ class TestRunExperiment:
         assert theader == ["iteration", "item", "x0", "y"]
         assert len(trows) == 5 * 11
 
-        on_disk = json.load(open(out / "summary.json"))
+        with open(out / "summary.json", encoding="utf-8") as fh:
+            on_disk = json.load(fh)
         assert on_disk["seed"] == 3
         assert on_disk["lower_bound"] == summary["lower_bound"]
         assert len(on_disk["curve"]) == 5
@@ -1040,6 +1042,27 @@ class TestRunExperiment:
         )
         _, rows = read_csv_rows(out / "costs.csv")
         assert [r[0] for r in rows] == ["0"]
+        # the attack failed after 2 steps: trace.csv holds the curve's
+        # recorded iterations below 2 (only 0) and step 2 itself
+        _, trows = read_csv_rows(out / "trace.csv")
+        assert [r[0] for r in trows] == ["0"] * 11 + ["2"] * 11
+
+    def test_attack_records_only_the_curve_iterations(self, one_d_config_path, tmp_path, monkeypatch):
+        traces = []
+
+        def captured(*args, **kwargs):
+            traces.append(run_attack(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(experiment, "run_attack", captured)
+        cfg = load_config(one_d_config_path)
+        summary = run_experiment(cfg, str(tmp_path / "run"))
+        assert summary["error"] is None
+        [trace] = traces
+        want = curve_iterations(cfg.attack.T, cfg.curve_points)
+        assert trace.features.shape[0] == len(want) == 5
+        np.testing.assert_array_equal(trace.iterations, want)
+        assert [c["iteration"] for c in summary["curve"]] == want.tolist()
 
     def test_budget_size_still_beats_smaller_budget(self, tmp_path):
         # qualitative check: a 10-item budget leaves the attacker strictly

@@ -434,12 +434,14 @@ class TestTrainMechanism:
     @pytest.mark.parametrize("base", ["logistic", "ridge"])
     def test_output_base_solve_is_cached_per_dataset(self, monkeypatch, base):
         # cold calls on one dataset share one base solve, bit for bit the
-        # uncached one; a warm-started call solves from its own start
+        # uncached one; a warm-started call solves from its own start. The
+        # victim's fields were checked when it was built, so train_mechanism
+        # calls the trainers' unchecked solvers
         rng = np.random.default_rng(16)
         make_data = random_classification_data if base == "logistic" else random_regression_data
         data = make_data(rng, n=12, d=3)
         victim = VictimSpec("output", base, lam=1.0, epsilon=1.0, rho=0.3)
-        name = "train_base_logistic" if base == "logistic" else "train_base_ridge_constrained"
+        name = "_logistic" if base == "logistic" else "_ridge"
         solver = getattr(learners, name)
         calls = []
 
