@@ -40,13 +40,9 @@ __all__ = [
 ]
 
 
-_ALL_RANKS_NONE = "selection 'all' ranks no items: k < n needs shallow or deep selection"
-
-
 class SelectionMethod(str, enum.Enum):
     SHALLOW = "shallow"
     DEEP = "deep"
-    ALL = "all"
 
 
 class AttackMode(str, enum.Enum):
@@ -58,18 +54,18 @@ class AttackMode(str, enum.Enum):
 class AttackConfig:
     """Attack budget and loop parameters.
 
-    k is the number of items the attacker may modify; selection ALL
-    requires k = n. eta stays constant (no decay). m_select is the number
-    of noise draws averaged for shallow selection in DPV mode. alpha
-    weighs the modification penalty of the relaxed attack used by deep
-    selection; relax_T overrides its iteration count (default: T).
+    k is the number of items the attacker may modify; k = n poisons every
+    item, with no selection. eta stays constant (no decay). m_select is
+    the number of noise draws averaged for shallow selection in DPV mode.
+    alpha weighs the modification penalty of the relaxed attack used by
+    deep selection; relax_T overrides its iteration count (default: T).
     T_eval is the Monte-Carlo sample count used when estimating costs.
     The seed an attack draws from is an argument of run_attack.
     """
 
     k: Count
     T: Count
-    selection: SelectionMethod = SelectionMethod.ALL
+    selection: SelectionMethod = SelectionMethod.DEEP
     mode: AttackMode = AttackMode.DPV
     eta: Positive = 1.0
     m_select: AtLeast(1) = 1000
@@ -278,8 +274,6 @@ def selection_scores(victim, data, cost, config, seed):
     """Step I: a score for every item, by config.selection (shallow or
     deep), drawn from the selection substream of seed. The k items to
     poison are the k largest scores."""
-    if config.selection is SelectionMethod.ALL:
-        raise ValueError(_ALL_RANKS_NONE)
     rng = substream(seed, STAGE_SELECT)
     if config.selection is SelectionMethod.SHALLOW:
         return shallow_scores(victim, data, cost, config.mode, config.m_select, rng)

@@ -315,6 +315,8 @@ class VictimSpec:
         _check_fields(self)
         if self.base is BaseLearner.RIDGE and self.rho is None:
             raise ValueError("ridge victims require a positive model-space radius rho")
+        if self.base is BaseLearner.LOGISTIC and self.rho is not None:
+            raise ValueError("rho is the ridge victim's model-space radius: a logistic victim takes none")
         if self.noise_scale is None:
             self.noise_scale_for(1)  # fail at config load where n cannot help
 

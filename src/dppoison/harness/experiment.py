@@ -30,9 +30,7 @@ import numpy as np
 # Nothing here calls deep_scores, shallow_scores or train_mechanism, but
 # perfbench/tracer.py rebinds them in this module, so the names stay.
 from ..attacks import (
-    _ALL_RANKS_NONE,
     AttackConfig,
-    SelectionMethod,
     deep_scores,  # noqa: F401
     run_attack,
     select_items,
@@ -204,11 +202,10 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_fields(self)
         if self.sweep is not None and self.sweep.kind == "epsilon":
+            if self.victim.noise_scale is not None:
+                raise ValueError("an epsilon sweep needs the victim's noise_scale unset: it fixes every row's noise")
             for value in self.sweep.values:  # each swept victim must be valid
                 dataclasses.replace(self.victim, epsilon=value)
-        # a k sweep's values increase, so all but the last are below n
-        if self.sweep is not None and self.sweep.kind == "k" and self.attack.selection is SelectionMethod.ALL:
-            raise ValueError(_ALL_RANKS_NONE)
 
 
 def _section_class(tp):
@@ -413,8 +410,6 @@ def _run(config, out_dir, key, mode_rows):
         k = sweep.values[-1] if sweep is not None and sweep.kind == "k" else atk.k
         if k > data.n:
             raise ValueError(f"budget k={k} exceeds dataset size n={data.n}")
-        if atk.selection is SelectionMethod.ALL and k != data.n:
-            raise ValueError(_ALL_RANKS_NONE)
     summary = {
         "config": config_to_dict(config),
         "seed": config.seed,

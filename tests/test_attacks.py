@@ -194,11 +194,18 @@ class TestSelectionScores:
             trace = run_attack(victim, data, cost, dataclasses.replace(config, k=k), seed=5)
             np.testing.assert_array_equal(trace.selected, top_k_indices(scores, k))
 
-    def test_all_ranks_no_items(self):
+    @pytest.mark.parametrize("selection", [SelectionMethod.SHALLOW, SelectionMethod.DEEP])
+    def test_full_budget_poisons_every_item_unscored(self, monkeypatch, selection):
+        # k = n needs no ranking, so no score is computed and no selection stream drawn
         victim, data, cost = small_logistic_setup(22)
-        config = AttackConfig(k=3, T=4, selection=SelectionMethod.ALL)
-        with pytest.raises(ValueError, match="shallow or deep"):
-            attacks.selection_scores(victim, data, cost, config, seed=0)
+
+        def never(*args):
+            raise AssertionError("k = n selected by scores")
+
+        monkeypatch.setattr(attacks, "selection_scores", never)
+        monkeypatch.setattr(attacks, "substream", never)
+        config = AttackConfig(k=data.n, T=4, selection=selection)
+        np.testing.assert_array_equal(attacks.select_items(victim, data, cost, config, seed=0), np.arange(data.n))
 
 
 class TestAttackConfig:
@@ -221,6 +228,10 @@ class TestAttackConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             AttackConfig(**kwargs)
+
+    def test_selection_defaults_to_deep(self):
+        assert AttackConfig(k=3, T=4).selection is SelectionMethod.DEEP
+        assert list(SelectionMethod) == [SelectionMethod.SHALLOW, SelectionMethod.DEEP]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128 + 1, 1.5])
@@ -308,7 +319,7 @@ class TestRunAttack:
         cost = CostSpec(
             goal=Goal.PARAMETER_TARGETING, target_model=ModelParams([0.4, 0.0]), loss="squared"
         )
-        config = AttackConfig(k=10, T=40, selection=SelectionMethod.ALL)
+        config = AttackConfig(k=10, T=40)
         trace = run_attack(victim, data, cost, config, seed=2)
         assert trace.error is None
         assert np.abs(trace.labels).max() <= 1.0
@@ -327,7 +338,7 @@ class TestRunAttack:
         data = gen_2d_dataset(40, (1.0, 1.0), substream(4, STAGE_DATA))
         victim = VictimSpec("objective", "logistic", lam=10.0, epsilon=0.1)
         cost = CostSpec(goal=Goal.LABEL_TARGETING, eval_set=gen_eval_grid_2d())
-        config = AttackConfig(k=40, T=50, selection=SelectionMethod.ALL, mode=AttackMode.SV)
+        config = AttackConfig(k=40, T=50, mode=AttackMode.SV)
         trace = run_attack(victim, data, cost, config)
         assert trace.error is None
         assert trace.surrogate_costs[-1] < trace.surrogate_costs[0]
@@ -335,17 +346,11 @@ class TestRunAttack:
     def test_dpv_with_tiny_noise_tracks_sv(self):
         victim, data, cost = small_logistic_setup(13)
         quiet = VictimSpec("objective", "logistic", lam=1.0, epsilon=1.0, noise_scale=1e-12)
-        sv_cfg = AttackConfig(k=data.n, T=50, selection=SelectionMethod.ALL, mode=AttackMode.SV)
-        dpv_cfg = AttackConfig(k=data.n, T=50, selection=SelectionMethod.ALL, mode=AttackMode.DPV)
+        sv_cfg = AttackConfig(k=data.n, T=50, mode=AttackMode.SV)
+        dpv_cfg = AttackConfig(k=data.n, T=50, mode=AttackMode.DPV)
         sv = run_attack(victim, data, cost, sv_cfg)
         dpv = run_attack(quiet, data, cost, dpv_cfg)
         assert abs(sv.surrogate_costs[-1] - dpv.surrogate_costs[-1]) <= 1e-3
-
-    def test_selection_all_requires_full_budget(self):
-        victim, data, cost = small_logistic_setup(14)
-        config = AttackConfig(k=3, T=5, selection=SelectionMethod.ALL)
-        with pytest.raises(ValueError):
-            run_attack(victim, data, cost, config)
 
     def test_budget_beyond_n_rejected(self):
         victim, data, cost = small_logistic_setup(15)
@@ -363,7 +368,7 @@ class TestRunAttack:
 
     def test_solver_failure_truncates_trace(self, monkeypatch):
         victim, data, cost = small_logistic_setup(17)
-        config = AttackConfig(k=data.n, T=5, selection=SelectionMethod.ALL, mode=AttackMode.SV)
+        config = AttackConfig(k=data.n, T=5, mode=AttackMode.SV)
 
         def fails(*args, **kwargs):
             raise SolverError("instrumented failure")
@@ -459,7 +464,7 @@ class TestRunAttack:
         rng = np.random.default_rng(23)
         make_data = random_classification_data if base == "logistic" else random_regression_data
         data = make_data(rng, n=12, d=3)
-        victim = VictimSpec(mechanism, base, lam=1.0, epsilon=1.0, rho=0.5)
+        victim = VictimSpec(mechanism, base, lam=1.0, epsilon=1.0, rho=0.5 if base == "ridge" else None)
         cost = random_cost(rng, data, base)
         config = AttackConfig(k=4, T=10, mode=AttackMode.DPV)
         full = run_attack(victim, data, cost, config, seed=6, selected=[1, 4, 6, 9])
@@ -526,7 +531,7 @@ def test_step_datasets_keep_no_earlier_one_alive(monkeypatch, base, items):
     rng = np.random.default_rng(5)
     make_data = random_regression_data if base == "ridge" else random_classification_data
     data = make_data(rng, n=12, d=3)
-    victim = VictimSpec("objective", base, lam=1.0, epsilon=1.0, rho=0.5)
+    victim = VictimSpec("objective", base, lam=1.0, epsilon=1.0, rho=0.5 if base == "ridge" else None)
     cost = random_cost(rng, data, base)
     lane = attacks._Lane(data, items, substream(0, STAGE_SGD), 0.1)
     lane.model = train_mechanism(victim, data, np.zeros(3))
@@ -560,7 +565,8 @@ class TestSweepAttacks:
         rng = np.random.default_rng(21)
         make_data = random_classification_data if base == "logistic" else random_regression_data
         data = make_data(rng, n=12, d=3)
-        victims = [VictimSpec(mechanism, base, lam=1.0, epsilon=eps, rho=0.6) for eps in (1.0, 2.0, 4.0)]
+        rho = 0.6 if base == "ridge" else None
+        victims = [VictimSpec(mechanism, base, lam=1.0, epsilon=eps, rho=rho) for eps in (1.0, 2.0, 4.0)]
         cost = random_cost(rng, data, base)
         config = AttackConfig(k=4, T=6, mode=mode, eta=0.5)
         selections = [np.array([1, 4, 7, 9]), np.arange(0), np.array([0, 2, 3, 5, 11])]

@@ -30,7 +30,6 @@ TINY_CONFIG = textwrap.dedent(
     attack:
       k: 9
       T: 8
-      selection: all
       T_eval: 16
     seed: 2
     curve_points: 3

@@ -235,6 +235,12 @@ class TestVictimSpec:
         with pytest.raises(ValueError):
             VictimSpec("objective", "ridge", lam=1.0, epsilon=1.0)
 
+    @pytest.mark.parametrize("mechanism", ["objective", "output"])
+    def test_logistic_refuses_rho(self, mechanism):
+        # rho bounds only the ridge solve, so a logistic victim would run without it
+        with pytest.raises(ValueError, match="^rho is the ridge victim's model-space radius"):
+            VictimSpec(mechanism, "logistic", lam=1.0, epsilon=1.0, rho=0.5)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -112,7 +112,7 @@ class TestReductions:
         b = rng.standard_normal(3)
         for base, data in (("logistic", cdata), ("ridge", rdata)):
             for mech in ("objective", "output"):
-                victim = random_victim(rng, base, mech, lam=1.0, rho=0.5)
+                victim = random_victim(rng, base, mech, lam=1.0, rho=0.5 if base == "ridge" else None)
                 model = train_mechanism(victim, data, b)
                 feats, label = item_gradient(victim, data, 2, model, b, zero)
                 assert np.all(feats == 0.0)
@@ -126,8 +126,8 @@ class TestReductions:
             ("logistic", random_classification_data(rng, n=8, d=3)),
             ("ridge", random_regression_data(rng, n=8, d=3)),
         ):
-            obj = random_victim(rng, base, "objective", lam=1.0, rho=0.5)
-            out = random_victim(rng, base, "output", lam=1.0, rho=0.5)
+            obj = random_victim(rng, base, "objective", lam=1.0, rho=0.5 if base == "ridge" else None)
+            out = random_victim(rng, base, "output", lam=1.0, rho=0.5 if base == "ridge" else None)
             model = train_mechanism(obj, data, zero)
             a = item_gradient(obj, data, 1, model, zero, cg)
             c = item_gradient(out, data, 1, model, zero, cg)

@@ -262,7 +262,7 @@ class TestBuildDatasetFeasibility:
         path = tmp_path / "d.csv"
         path.write_text(body)
         raw = yaml.safe_load(ONE_D_CONFIG)
-        raw["victim"].update(base=base, rho=1.0)
+        raw["victim"].update(base=base, rho=1.0 if base == "ridge" else None)
         raw["data"] = {"kind": "csv", "path": str(path), **data}
         return config_from_dict(raw)
 
@@ -325,7 +325,7 @@ class TestBuildDatasetFeasibility:
         path = tmp_path / "eval.csv"
         path.write_text(body)
         raw = yaml.safe_load(ONE_D_CONFIG)
-        raw["victim"].update(base=base, rho=1.0)
+        raw["victim"].update(base=base, rho=1.0 if base == "ridge" else None)
         raw["eval"] = {"kind": "csv", "path": str(path)}
         return config_from_dict(raw)
 
@@ -522,7 +522,7 @@ class TestEstimateAttackCost:
 
         monkeypatch.setattr(learners, name, counted)
         _, data, cost = small_estimation_setup()
-        victim = VictimSpec("output", base, lam=5.0, epsilon=1.0, rho=1.0)
+        victim = VictimSpec("output", base, lam=5.0, epsilon=1.0, rho=1.0 if base == "ridge" else None)
         first = estimate_attack_cost(victim, data, cost, T_e, seed=0)
         assert len(calls) == 1
         # a second estimate on the same data reuses it, with the same draws
@@ -600,7 +600,6 @@ ONE_D_CONFIG = textwrap.dedent(
     attack:
       k: 11
       T: 20
-      selection: all
       mode: dpv
       T_eval: 40
     seed: 3
@@ -787,6 +786,17 @@ class TestConfigParsing:
         raw["sweep"] = {"kind": "epsilon", "values": [1e-309, 0.1]}
         with pytest.raises(ValueError, match="noise scale"):
             config_from_dict(raw)
+
+    def test_epsilon_sweep_with_a_fixed_noise_scale_rejected(self):
+        # the override fixes every row's noise, so no row would run its epsilon
+        raw = yaml.safe_load(ONE_D_CONFIG)
+        raw["victim"]["noise_scale"] = 5.0
+        raw["sweep"] = {"kind": "epsilon", "values": [0.1, 1.0]}
+        with pytest.raises(ValueError, match="^an epsilon sweep needs the victim's noise_scale unset"):
+            config_from_dict(raw)
+        raw["sweep"]["kind"] = "k"  # a k sweep keeps the victim's one noise scale
+        raw["sweep"]["values"] = [2, 5]
+        assert config_from_dict(raw).victim.noise_scale == 5.0
 
     def test_parameter_target_list_stored_as_tuple(self):
         raw = yaml.safe_load(ONE_D_CONFIG)
@@ -1073,7 +1083,7 @@ class TestRunExperiment:
         victim = VictimSpec("objective", "logistic", lam=10.0, epsilon=0.1)
         cost = CostSpec(goal=Goal.LABEL_TARGETING, eval_set=gen_eval_grid_2d())
         small = AttackConfig(k=10, T=150, selection="deep", mode="sv")
-        full = AttackConfig(k=60, T=150, selection="all", mode="sv")
+        full = AttackConfig(k=60, T=150, mode="sv")
         j_small = run_attack(victim, data, cost, small).surrogate_costs[-1]
         j_full = run_attack(victim, data, cost, full).surrogate_costs[-1]
         assert j_full < j_small
@@ -1310,23 +1320,11 @@ class TestSweepConfigs:
 
 
 class TestBudgetChecks:
-    def test_k_sweep_with_selection_all_rejected_at_load(self):
-        # the values of a k sweep increase, so all but the last are below n
-        raw = yaml.safe_load(ONE_D_CONFIG)
-        raw["sweep"] = {"kind": "k", "values": [5, 11]}
-        with pytest.raises(ValueError, match="^selection 'all' ranks no items"):
-            config_from_dict(raw)
-        del raw["attack"]["selection"]  # 'all' is the default
-        with pytest.raises(ValueError, match="^selection 'all' ranks no items"):
-            config_from_dict(raw)
-
     @pytest.mark.parametrize(
         "attack, sweep, match",
         [
             ({"k": 12, "selection": "shallow"}, None, "k=12 exceeds dataset size n=11"),
-            ({"k": 5}, None, "^selection 'all' ranks no items"),
             ({"k": 12, "selection": "shallow"}, [0.5, 1.0], "k=12 exceeds dataset size n=11"),
-            ({"k": 0}, [0.5, 1.0], "^selection 'all' ranks no items"),
         ],
     )
     def test_attack_budget_rejected_before_any_output(self, tmp_path, attack, sweep, match):

@@ -440,7 +440,7 @@ class TestTrainMechanism:
         rng = np.random.default_rng(16)
         make_data = random_classification_data if base == "logistic" else random_regression_data
         data = make_data(rng, n=12, d=3)
-        victim = VictimSpec("output", base, lam=1.0, epsilon=1.0, rho=0.3)
+        victim = VictimSpec("output", base, lam=1.0, epsilon=1.0, rho=0.3 if base == "ridge" else None)
         name = "_logistic" if base == "logistic" else "_ridge"
         solver = getattr(learners, name)
         calls = []
@@ -485,7 +485,8 @@ def test_stacked_rows_match_single_draws(mechanism, base, seed, m, warm):
     rng = np.random.default_rng(seed)
     make_data = random_classification_data if base == "logistic" else random_regression_data
     data = make_data(rng)
-    victim = VictimSpec(mechanism, base, lam=float(rng.uniform(0.5, 4.0)), epsilon=1.0, rho=0.5)
+    lam = float(rng.uniform(0.5, 4.0))
+    victim = VictimSpec(mechanism, base, lam=lam, epsilon=1.0, rho=0.5 if base == "ridge" else None)
     b = rng.standard_normal((m, data.dim)) * rng.uniform(0.1, 3.0)
     start = ModelParams(rng.standard_normal(data.dim)) if warm else None
     stacked = train_mechanism(victim, data, b, warm_start=start)
@@ -688,6 +689,6 @@ def test_dataset_sequence_needs_a_logistic_victim(mechanism, base):
     rng = np.random.default_rng(18)
     make_data = random_classification_data if base == "logistic" else random_regression_data
     datas = [make_data(rng, n=11, d=3) for _ in range(2)]
-    victim = VictimSpec(mechanism, base, lam=1.5, epsilon=1.0, rho=0.5)
+    victim = VictimSpec(mechanism, base, lam=1.5, epsilon=1.0, rho=0.5 if base == "ridge" else None)
     with pytest.raises(ValueError, match="objective-perturbation logistic victim"):
         train_mechanism(victim, datas, rng.standard_normal((2, 3)))

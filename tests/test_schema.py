@@ -28,7 +28,7 @@ COST = CostDescriptor("label-aversion")
 DATA = DataSource("gen-1d", n=3)
 VALID = [
     ATTACK,
-    VICTIM,
+    VictimSpec("objective", "ridge", lam=1.0, epsilon=0.1, rho=1.0),  # only a ridge victim takes rho
     CostSpec(Goal.PARAMETER_TARGETING, target_model=ModelParams([0.0])),
     BoundQuery(0.0, 0.1),
     COST,
@@ -352,6 +352,8 @@ def test_tuple_fields_declare_their_entries():
         ("data", "kind: csv", "csv data source needs a path"),
         ("eval", "kind: csv", "csv eval source needs a path"),
         ("cost", "target: [1.0]", "target applies to parameter targeting only"),
+        ("victim", "rho: 0.5", "rho is the ridge victim's model-space radius: a logistic victim takes none"),
+        ("attack", "selection: all", "'all' is not a valid SelectionMethod"),
     ],
 )
 def test_yaml_of_the_wrong_type_is_refused_at_load(section, text, message):
