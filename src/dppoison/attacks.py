@@ -13,14 +13,15 @@ under a modification penalty, then rank by how far each item moved).
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import BaseLearner, Dataset, ModelParams, eval_cost, modification_distances, project_rows_inplace
-from .core import AtLeast, Count, Mechanism, Positive, _check_fields, _checked
-from .gradients import batch_item_gradients, cost_gradient
+from .core import AtLeast, Count, Mechanism, Positive, _check_fields, _check_finite, _checked
+from .gradients import _stacked_logistic_grads, batch_item_gradients, cost_gradient
 from .learners import SolverError, sample_noise, train_mechanism
 from .rng import STAGE_SELECT, STAGE_SGD, _entropy, substream
 
@@ -154,12 +155,15 @@ def shallow_scores(victim, data, cost, mode, m_select, rng):
 
 class _Lane:
     """One attack of a lockstep descent: its items (sorted, distinct, each in
-    [0, n)) and their moved coordinates, its noise stream and radial scale, its
-    current dataset and model (the next warm start), the steps it completed,
-    the SolverError that stopped it, if one did, and the (features, labels)
-    it keeps, by iteration: 0 and the steps in record."""
+    [0, n)), their clean coordinates X0, y0 and moved ones Xs, ys (from
+    its descent on, the rows ``span`` of the buffer that holds every
+    moving lane's rows), its noise stream and radial scale, its current
+    dataset and model (the next warm start; a stacked lane's are set when
+    it leaves the stack), the steps it completed, the SolverError that
+    stopped it, if one did, and the (features, labels) it keeps, by
+    iteration: 0 and the recorded steps."""
 
-    def __init__(self, data, items, rng, scale, record=frozenset()):
+    def __init__(self, data, items, rng, scale):
         items = np.sort(np.asarray(items, dtype=int))
         if len(items) > 0 and (items[0] < 0 or items[-1] >= data.n):
             raise ValueError("selected indices out of range")
@@ -167,37 +171,75 @@ class _Lane:
             raise ValueError("selected indices must be distinct")
         self.items = items
         self.X0, self.y0 = data.X[items], data.y[items]
-        self.Xs, self.ys = self.X0.copy(), self.y0.copy()
+        self.Xs, self.ys, self.span = self.X0, self.y0, None
         self.rng, self.scale = rng, scale
         self.clean = self.data = data
         self.rows = slice(None) if len(items) == data.n else items
         self.model = self.error = None
-        self.steps, self.record, self.kept = 0, record, {0: (self.X0, self.y0)}
+        self.steps, self.kept = 0, {0: (self.X0, self.y0)}
+
+
+def _joined(arrays):
+    """np.concatenate(arrays), or the one array itself: a lone lane's copy
+    would take about 2% of a relaxed step's time at n = 1598, and its
+    memory."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _lane_gradients(victim, cost, lanes, draws):
-    """(model, features, labels) of each lane at its noise draw. Several
-    objective-perturbation logistic lanes share one batched Newton with
-    per-row data; any other lane is trained alone. A SolverError names
-    the failed lanes in its rows."""
-    if len(lanes) > 1 and victim.mechanism is Mechanism.OBJECTIVE and victim.base is BaseLearner.LOGISTIC:
-        warm = ModelParams([lane.model.theta for lane in lanes])
-        stack = train_mechanism(victim, [lane.data for lane in lanes], np.array(draws), warm_start=warm)
-        models = [ModelParams(theta) for theta in stack.theta]
-    else:
-        models = []
-        for i, (lane, b) in enumerate(zip(lanes, draws)):
-            try:
-                models.append(train_mechanism(victim, lane.data, b, warm_start=lane.model))
-            except SolverError as exc:
-                raise SolverError(str(exc), [i]) from exc
-    return [
-        (model, *batch_item_gradients(victim, lane.data, model, b, cost_gradient(cost, model), lane.items))
+    """(models, features, labels): each lane trained alone at its noise
+    draw, from its own model, and the lanes' item gradients
+    (batch_item_gradients) concatenated in lane order. A SolverError names
+    the failed lane in its rows."""
+    models = []
+    for i, (lane, b) in enumerate(zip(lanes, draws)):
+        try:
+            models.append(train_mechanism(victim, lane.data, b, warm_start=lane.model))
+        except SolverError as exc:
+            raise SolverError(str(exc), [i]) from exc
+    grads = [
+        batch_item_gradients(victim, lane.data, model, b, cost_gradient(cost, model), lane.items)
         for lane, model, b in zip(lanes, models, draws)
     ]
+    return models, *map(_joined, zip(*grads))
 
 
-def _descend(victim, cost, lanes, eta, alpha, T, mode):
+class _Stack:
+    """Two or more objective-perturbation logistic lanes trained as one
+    stack: their (m, n, d) features and (m, n) labels, which each step
+    writes the moved rows into, their (m, d) models (the next warm starts),
+    and the lane and item of each moved row, in buffer order."""
+
+    def __init__(self, lanes):
+        self.X, self.y = np.stack([lane.data.X for lane in lanes]), np.stack([lane.data.y for lane in lanes])
+        self.theta = np.stack([lane.model.theta for lane in lanes])
+        sizes = [len(lane.items) for lane in lanes]
+        self.which = np.repeat(np.arange(len(lanes)), sizes), np.concatenate([lane.items for lane in lanes])
+
+    def gradients(self, victim, cost, draws):
+        """(models, features, labels) at the lanes' noise draws, the models
+        as one (m, d) array: one batched Newton, then every lane's item
+        gradients in one pass. A SolverError names the failed lanes in its
+        rows."""
+        model = train_mechanism(victim, (self.X, self.y), np.array(draws), warm_start=ModelParams(self.theta))
+        grads = cost_gradient(cost, model)
+        return model.theta, *_stacked_logistic_grads(self.X, self.y, model.theta, victim.lam, grads, *self.which)
+
+    def step(self, theta, Xs, ys):
+        """Take a step's models and moved rows, which are checked here as
+        with_modified checks a lone lane's."""
+        _check_finite(Xs, ys)
+        self.X[self.which], self.y[self.which] = Xs, ys
+        self.theta = theta
+
+    def release(self, lanes):
+        """Give each lane its dataset and model as of the last step."""
+        for lane, theta in zip(lanes, self.theta):
+            lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
+            lane.model = ModelParams(theta)
+
+
+def _descend(victim, cost, lanes, eta, alpha, T, mode, record=frozenset()):
     """Projected gradient descent of the lanes in lockstep, T steps.
 
     Each step trains the victim on each lane's data (a fresh draw from
@@ -205,46 +247,75 @@ def _descend(victim, cost, lanes, eta, alpha, T, mode):
     from the lane's previous model (its base model, the released one minus
     the draw, under output perturbation), moves its items along their
     gradients plus alpha times their displacement, projects them back to
-    the feasible set, and keeps their snapshot if the step is in the
-    lane's record. Each step's dataset is made from the clean one, so none
-    keeps an earlier alive. A logistic victim's label gradient is zero, so
-    its labels never move. A lane with no items neither draws noise nor
-    trains. When a solve fails, the first failed lane keeps the error and
-    stops, as do the lanes after it (a sweep ends at its first failed row);
-    the lanes before it solve the step again with the same draws. The
+    the feasible set, and keeps their snapshot if the step is in record.
+    The moving lanes' rows are one buffer, in lane order, so a step makes
+    one update, one projection and one snapshot copy for all of them.
+    Two or more objective-perturbation logistic lanes are trained as one
+    _Stack, and a lane gets its dataset when it leaves the stack; any
+    other lane is trained alone, on a dataset each step makes from the
+    clean one, so none keeps an earlier alive. A logistic victim's label
+    gradient is zero, so its labels never move. A lane with no items
+    neither draws noise nor trains. When a solve fails, the first failed
+    lane keeps the error and stops, as do the lanes after it (a sweep ends
+    at its first failed row); the lanes before it solve the step again
+    with the same draws, and a lane left alone leaves the stack. The
     descent ends early once every lane that moves has stopped.
     """
     for lane in lanes:
         if len(lane.items) == 0:  # it takes every step in place
-            lane.steps, lane.kept = T, {t: (lane.X0, lane.y0) for t in sorted({0, T} | lane.record)}
-    dpv = AttackMode(mode) is AttackMode.DPV
+            lane.steps, lane.kept = T, {t: (lane.X0, lane.y0) for t in sorted({0, T} | set(record))}
     moving = [lane for lane in lanes if len(lane.items) > 0]
-    for _ in range(T if moving else 0):
+    if not moving:
+        return
+    dpv = AttackMode(mode) is AttackMode.DPV
+    # lane i owns the rows ends[i] - k_i:ends[i], so dropping lanes j: keeps a prefix
+    ends = np.cumsum([len(lane.items) for lane in moving])
+    X0, y0 = _joined([lane.X0 for lane in moving]), _joined([lane.y0 for lane in moving])
+    Xs, ys = X0.copy(), y0.copy()
+    for lane, end in zip(moving, ends):
+        lane.span = slice(end - len(lane.items), end)
+        lane.Xs, lane.ys = Xs[lane.span], ys[lane.span]
+    stacks = victim.mechanism is Mechanism.OBJECTIVE and victim.base is BaseLearner.LOGISTIC
+    stack = _Stack(moving) if stacks and len(moving) > 1 else None
+    for t in range(1, T + 1):
         draws = [_noise(lane.data.dim, dpv, lane.scale, lane.rng) for lane in moving]
         while True:
             try:
-                results = _lane_gradients(victim, cost, moving, draws)
+                if stack is None:
+                    models, feat, lab = _lane_gradients(victim, cost, moving, draws)
+                else:
+                    models, feat, lab = stack.gradients(victim, cost, draws)
                 break
             except SolverError as exc:
                 j = int(min(exc.rows))
                 moving[j].error = exc
+                if stack is not None:
+                    stack.release(moving)
                 del moving[j:], draws[j:]
                 if not moving:
                     return
-        for lane, b, (model, feat, lab) in zip(moving, draws, results):
-            if victim.mechanism is Mechanism.OUTPUT:
-                model = ModelParams(model.theta - b, model.mu)
-            lane.model = model
-            if alpha:  # feat and lab are fresh arrays
-                feat += alpha * (lane.Xs - lane.X0)
-                lab += alpha * (lane.ys - lane.y0)
-            lane.Xs -= eta * feat
-            lane.ys -= eta * lab
-            project_rows_inplace(lane.Xs, lane.ys)
-            lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
-            lane.steps += 1
-            if lane.steps in lane.record:
-                lane.kept[lane.steps] = (lane.Xs.copy(), lane.ys.copy())
+                Xs, ys, X0, y0 = (a[: ends[j - 1]] for a in (Xs, ys, X0, y0))
+                stack = _Stack(moving) if stack is not None and len(moving) > 1 else None
+        if alpha:  # feat and lab are fresh arrays
+            feat += alpha * (Xs - X0)
+            lab += alpha * (ys - y0)
+        Xs -= eta * feat
+        ys -= eta * lab
+        project_rows_inplace(Xs, ys)
+        if stack is None:
+            for lane, b, model in zip(moving, draws, models):
+                lane.model = ModelParams(model.theta - b, model.mu) if victim.mechanism is Mechanism.OUTPUT else model
+                lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
+        else:
+            stack.step(models, Xs, ys)
+        for lane in moving:
+            lane.steps = t
+        if t in record:
+            Xc, yc = Xs.copy(), ys.copy()
+            for lane in moving:
+                lane.kept[t] = (Xc[lane.span], yc[lane.span])
+    if stack is not None:
+        stack.release(moving)
 
 
 def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):
@@ -315,12 +386,12 @@ def run_attack(victim, data, cost, config, seed=0, selected=None, record=None):
         raise ValueError(f"recorded iterations must lie in [0, T={config.T}], got {record.tolist()}")
     if selected is None:
         selected = select_items(victim, data, cost, config, seed)
-    lane = _Lane(data, selected, substream(seed, STAGE_SGD), victim.noise_scale_for(data.n), set(record.tolist()))
+    lane = _Lane(data, selected, substream(seed, STAGE_SGD), victim.noise_scale_for(data.n))
     costs, final = [], None
     try:
         lane.model = clean = train_mechanism(victim, data, np.zeros(data.dim))
         costs.append(eval_cost(cost, clean))
-        _descend(victim, cost, [lane], config.eta, 0.0, config.T, config.mode)
+        _descend(victim, cost, [lane], config.eta, 0.0, config.T, config.mode, set(record.tolist()))
         if lane.error is not None:
             raise lane.error
         final = train_mechanism(victim, lane.data, np.zeros(data.dim), warm_start=clean)
@@ -350,12 +421,25 @@ def sweep_attacks(victim, data, cost, config, selections, seeds, scales):
     substream of seeds[i], as run_attack(victim, data, cost, config,
     seeds[i], selections[i]) does with the victim's own noise scale. Every
     attack starts warm from one noiseless solve on the clean data; no
-    surrogate is trained on the final data. Returns (finals, error):
-    the final datasets of the attacks before the first whose solve
-    failed, and that attack's SolverError ("solver failure after s steps:
-    ...") or None. A failed clean solve fails the first attack at step 0.
-    An index outside [0, n) raises ValueError before any solve.
+    surrogate is trained on the final data. The attacks are lanes of one
+    _descend: an objective-perturbation logistic victim's moving lanes,
+    two or more, are trained and differentiated as one stack, and any
+    other victim's one at a time, each bit for bit run_attack's Step II.
+    Returns (finals, error): the final datasets of the attacks before the
+    first whose solve failed, and that attack's SolverError ("solver
+    failure after s steps: ...") or None. A failed clean solve fails the
+    first attack at step 0. Before any solve, ValueError refuses
+    selections, seeds and scales of unequal lengths, a scale that is not
+    finite and nonnegative, and an index outside [0, n) or given twice.
     """
+    if not len(selections) == len(seeds) == len(scales):
+        raise ValueError(
+            f"selections, seeds and scales need one entry per attack, "
+            f"got {len(selections)}, {len(seeds)} and {len(scales)}"
+        )
+    for i, scale in enumerate(scales):
+        if not 0.0 <= scale < math.inf:
+            raise ValueError(f"scales[{i}] must be finite and nonnegative, got {scale!r}")
     lanes = [
         _Lane(data, items, substream(seed, STAGE_SGD), scale) for items, seed, scale in zip(selections, seeds, scales)
     ]

@@ -114,13 +114,13 @@ def AtLeast(m, tp=int):
 
 def _checked(name, value, tp):
     """value as a field annotated tp stores it, else ValueError. Optional:
-    may be None; numpy scalar: stored as a Python one; enum: stored as the
-    member; Literal: one of the choices; int: an integer, not a bool;
-    float: a real number, not a bool, finite (as every int is) unless its
-    range allows inf; dict[K, V]: keys pass K, values V; tuple[T, ...] or
-    tuple[T1, T2]: a tuple or list (of that length) whose entry i passes
-    its type as <name>[i], stored as a tuple; other class: an instance;
-    Annotated[tp, range]: tp, then the range."""
+    may be None; numpy scalar: stored as a Python one; enum: one of the
+    members' values, stored as the member; Literal: one of the choices;
+    int: an integer, not a bool; float: a real number, not a bool, finite
+    (as every int is) unless its range allows inf; dict[K, V]: keys pass
+    K, values V; tuple[T, ...] or tuple[T1, T2]: a tuple or list (of that
+    length) whose entry i passes its type as <name>[i], stored as a tuple;
+    other class: an instance; Annotated[tp, range]: tp, then the range."""
     if typing.get_origin(tp) is typing.Union:  # Optional[tp]
         if value is None:
             return None
@@ -143,6 +143,9 @@ def _checked(name, value, tp):
             raise ValueError(f"{name} must be a list{f' of {len(types)} entries' if fixed else ''}, got {value!r}")
         value = tuple(_checked(f"{name}[{i}]", v, types[i if fixed else 0]) for i, v in enumerate(value))
     elif issubclass(tp, enum.Enum):
+        choices = tuple(member.value for member in tp)
+        if value not in choices:  # a member equals its str value
+            raise ValueError(f"{name} must be one of {choices}, got {value!r}")
         value = tp(value)
     elif tp is int:
         if isinstance(value, bool) or not isinstance(value, int):

@@ -30,22 +30,24 @@ __all__ = [
 
 
 def cost_gradient(cost, model):
-    """Analytic gradient of eval_cost in the model parameters."""
+    """Analytic gradient of eval_cost in the model parameters: a (d,)
+    array for one model, an (m, d) one, a row per model, for a stack."""
     if cost.dim != model.dim:
         raise ValueError(f"dimension mismatch: cost is {cost.dim}d, model is {model.dim}d")
     theta = model.theta
     if cost.goal is Goal.PARAMETER_TARGETING:
         return theta - cost.target_model.theta
     X = cost.eval_set.X
-    y = cost.eval_set.y
+    # a stack's products hold one column per model, so .T is a no-op for one
+    y = cost.eval_set.y if theta.ndim == 1 else cost.eval_set.y[:, None]
     m = len(cost.eval_set)
     if cost.loss == "logistic":
-        g = -(X.T @ (y * sigmoid(-y * (X @ theta)))) / m
+        g = -(X.T @ (y * sigmoid(-y * (X @ theta.T)))) / m
     else:
-        g = X.T @ (X @ theta - y) / m
+        g = X.T @ (X @ theta.T - y) / m
     if cost.goal is Goal.LABEL_AVERSION:
-        return -g
-    return g
+        return -g.T
+    return g.T
 
 
 def _logistic_grads(X, y, theta_eff, lam, cost_grad, idx):
@@ -60,6 +62,24 @@ def _logistic_grads(X, y, theta_eff, lam, cost_grad, idx):
     xv = X[idx] @ v
     d_feat = (y[idx] * p[idx])[:, None] * v[None, :] - (w[idx] * xv)[:, None] * theta_eff[None, :]
     return d_feat, np.zeros(len(idx))
+
+
+def _stacked_logistic_grads(X, y, theta, lam, cost_grads, lanes, rows):
+    """_logistic_grads for m objective-perturbation logistic models at
+    once: model i, theta[i], was trained on (X[i], y[i]), with X (m, n, d)
+    and y (m, n), and cost_grads[i] is its cost gradient. The m Hessians
+    are one batched product and their m systems one solve; item j is row
+    rows[j] of dataset lanes[j], taken with its model's v and theta.
+    Returns ((len(rows), d), (len(rows),)) arrays."""
+    p = sigmoid(-y * (X @ theta[:, :, None])[:, :, 0])
+    w = p * (1.0 - p)
+    # learners._row_products' Hessian rows pay off over a solve's iterations, not once
+    H = lam * np.eye(X.shape[2]) + X.transpose(0, 2, 1) @ (X * w[:, :, None])
+    v = np.linalg.solve(H, cost_grads[:, :, None])[:, :, 0][lanes]
+    x, p, w, theta = X[lanes, rows], p[lanes, rows], w[lanes, rows], theta[lanes]
+    xv = np.einsum("ij,ij->i", x, v)
+    d_feat = (y[lanes, rows] * p)[:, None] * v - (w * xv)[:, None] * theta
+    return d_feat, np.zeros(len(rows))
 
 
 def _ridge_grads(data, theta_eff, lam, mu, cost_grad, idx):

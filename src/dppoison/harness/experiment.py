@@ -504,8 +504,9 @@ def _sweep_rows(config, data, cost, out_dir, summary):
                 selections.append(select_items(row_victim, data, cost, atk, seed))
         except SolverError as exc:
             failure = exc
-    scales = [row_victim.noise_scale_for(data.n) for row_victim in victims[: len(selections)]]
-    finals, error = sweep_attacks(victim, data, cost, atk, selections, seeds, scales)
+    rows = len(selections)  # an epsilon sweep's failed selection ends the rows
+    scales = [row_victim.noise_scale_for(data.n) for row_victim in victims[:rows]]
+    finals, error = sweep_attacks(victim, data, cost, atk, selections, seeds[:rows], scales)
     summary["sweep_rows"] = []
     for i, (value, row_victim, final_data) in enumerate(zip(values, victims, finals)):
         row = {kind: value}

@@ -49,12 +49,13 @@ def sample_noise(dim, scale, rng):
 
     This is the spherically symmetric distribution with density
     proportional to exp(-||b|| / scale); the mean norm is dim * scale.
-    scale=0 is accepted as the degenerate zero-noise limit.
+    scale=0 is accepted as the degenerate zero-noise limit; a scale that
+    is negative, infinite or nan is refused.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
+    if not 0.0 <= scale < math.inf:
+        raise ValueError(f"scale must be finite and nonnegative, got {scale!r}")
     r = rng.gamma(shape=dim, scale=scale)
     g = rng.standard_normal(dim)
     nrm = math.sqrt(g @ g)  # what np.linalg.norm computes, with less dispatch
@@ -202,28 +203,25 @@ def train_base_logistic(data, lam, b=None, *, warm_start=None):
 
     b is one (d,) draw, which returns one model, or an (m, d) stack of
     draws, which returns a stack of m (one ModelParams). data is one
-    Dataset, or a sequence of m datasets of one shape, one per row of a
-    stack. warm_start is one model, or a stack of one per row. A stack is
-    solved by one batched damped Newton; a single draw uses the scalar
-    solver, which is faster for one row.
+    Dataset, or the (features, labels) arrays of m datasets, (m, n, d)
+    and (m, n), one per row of a stack. warm_start is one model, or a
+    stack of one per row. A stack is solved by one batched damped Newton;
+    a single draw uses the scalar solver, which is faster for one row.
 
     Without a warm start, a solve on one Dataset starts at the linear
     response theta0 - H0^-1 b of the noiseless model theta0, solved from
     zero, with H0 its Hessian; both are cached per (dataset, lam), so a
-    noiseless solve returns theta0 itself. A sequence of datasets without
-    a warm start starts at zero."""
+    noiseless solve returns theta0 itself. Stacked datasets without a
+    warm start start at zero."""
     return _logistic(data, _checked("lam", lam, Positive), b, warm_start)
 
 
 def _logistic(data, lam, b, warm_start):  # train_base_logistic, with lam already checked
-    if isinstance(data, Dataset):
-        X, y = data.X, data.y
-    else:
-        X, y = np.stack([ds.X for ds in data]), np.stack([ds.y for ds in data])
+    X, y = (data.X, data.y) if isinstance(data, Dataset) else data
     _check_classification_labels(y)
     b = _as_noise(b, X.shape[-1])
-    if X.ndim == 3 and b.shape != X.shape[::2]:
-        raise ValueError("a sequence of m datasets needs an (m, d) noise stack")
+    if not isinstance(data, Dataset) and (X.ndim != 3 or b.shape != X.shape[::2]):
+        raise ValueError("the (m, n, d) features of m datasets need an (m, d) noise stack")
     warm = None if warm_start is None else warm_start.theta
     if warm is None and X.ndim == 2:
         theta0, H0 = data.cached(("logistic", lam), lambda: _noiseless_logistic(X, y, lam))
@@ -310,15 +308,16 @@ def train_mechanism(victim, data, b, *, warm_start=None):
 
     b is one (d,) draw, which returns one model, or an (m, d) stack of
     draws, which returns a stack of m (one ModelParams). data is one
-    Dataset, or, for an objective-perturbation logistic victim, a sequence
-    of m datasets, one per row of a stack, with a stack of warm starts.
+    Dataset, or, for an objective-perturbation logistic victim, the
+    (features, labels) arrays of m datasets, (m, n, d) and (m, n), one
+    per row of a stack, with a stack of warm starts.
     Output perturbation solves the noiseless base learner of one dataset
     from a cold start once (Dataset.cached), so the blocks of a
     Monte-Carlo estimate share it."""
     if isinstance(data, Dataset):
         b = _as_noise(b, data.dim)
     elif victim.mechanism is not Mechanism.OBJECTIVE or victim.base is not BaseLearner.LOGISTIC:
-        raise ValueError("a sequence of datasets needs an objective-perturbation logistic victim")
+        raise ValueError("stacked datasets need an objective-perturbation logistic victim")
     if victim.mechanism is Mechanism.OBJECTIVE:
         return _train_base(victim, data, b, warm_start)
     if warm_start is None:

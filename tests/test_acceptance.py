@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_mode, record_criterion
+from seed_claims import budget_steps, gap_steps, monotone_within_noise
 from dppoison import (
     BoundQuery,
     CostSpec,
@@ -392,26 +393,12 @@ def test_criterion_6_one_dimensional_flip(one_d_run):
     assert passed
 
 
-def _monotone_within_noise(rows):
-    """mean non-increasing along the rows within 2 * stderr per step."""
-    worst = -np.inf
-    ok = True
-    for (ma, sa), (mb, sb) in zip(rows, rows[1:]):
-        slack = 2.0 * float(np.hypot(sa, sb))
-        excess = mb - ma - slack
-        worst = max(worst, excess)
-        if excess > 0:
-            ok = False
-    return ok, worst
-
-
 def test_criterion_7_budget_monotonicity(ksweep_runs):
     details = []
     passed = True
     for goal, out in ksweep_runs.items():
         _, rows = _read_costs(out)
-        means = [(r[1], r[2]) for r in rows]
-        ok, worst = _monotone_within_noise(means)
+        ok, worst = monotone_within_noise(budget_steps(rows))
         passed = passed and ok
         details.append(f"{goal} worst step excess {worst:+.4f}")
     record_criterion(
@@ -444,8 +431,8 @@ def test_criterion_8_vertebral_flip(vertebral_runs):
 def test_criterion_9_gap_shrinks_with_epsilon(eps_sweep_run):
     out, _ = eps_sweep_run
     _, rows = _read_costs(out)
-    gaps = [(r[1] - r[3], r[2]) for r in rows]
-    ok, worst = _monotone_within_noise(gaps)
+    gaps = gap_steps(rows)
+    ok, worst = monotone_within_noise(gaps)
     record_criterion(
         9,
         "gap between attack cost and bound non-increasing in epsilon",

@@ -550,6 +550,10 @@ def test_step_datasets_keep_no_earlier_one_alive(monkeypatch, base, items):
     assert lane.clean is data
 
 
+def no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran")
+
+
 class TestSweepAttacks:
     @pytest.mark.parametrize(
         "mechanism, base",
@@ -620,6 +624,107 @@ class TestSweepAttacks:
         monkeypatch.undo()
         lone = run_attack(victim, data, cost, config, 1, selections[0])
         np.testing.assert_allclose(finals[0].X, lone.final_data.X, rtol=0, atol=1e-10)
+
+    def test_stack_keeps_the_lanes_before_a_failed_one(self, monkeypatch):
+        # lane 2 of 4 fails at its fourth step: lanes 0 and 1 go on as a
+        # stack of two, and lanes 2 and 3 keep the data of step 3
+        victim, data, cost = small_logistic_setup(28)
+        config = AttackConfig(k=2, T=6)
+        stacked = []
+
+        def fourth_step_fails_in_row_two(victim, data, b, warm_start=None):
+            if np.ndim(b) == 2:
+                stacked.append(len(b))
+                if len(stacked) == 4:
+                    raise SolverError("instrumented failure", [3, 2])
+            return train_mechanism(victim, data, b, warm_start=warm_start)
+
+        monkeypatch.setattr(attacks, "train_mechanism", fourth_step_fails_in_row_two)
+        selections = [np.array([0, 1]), np.array([2, 3, 4]), np.array([5]), np.array([6, 7])]
+        scale = victim.noise_scale_for(data.n)
+        lanes = [attacks._Lane(data, items, substream(seed, STAGE_SGD), scale) for seed, items in enumerate(selections)]
+        for lane in lanes:
+            lane.model = train_mechanism(victim, data, np.zeros(2))
+        attacks._descend(victim, cost, lanes, config.eta, 0.0, config.T, config.mode)
+        assert stacked == [4, 4, 4, 4, 2, 2, 2]
+        assert [lane.steps for lane in lanes] == [6, 6, 3, 3]
+        assert [lane.error is None for lane in lanes] == [True, True, False, True]
+        monkeypatch.undo()
+        for seed, (items, lane) in enumerate(zip(selections, lanes)):
+            lone = run_attack(victim, data, cost, dataclasses.replace(config, T=lane.steps), seed, items)
+            np.testing.assert_allclose(lane.data.X, lone.final_data.X, rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(lane.data.X[items], lane.Xs)
+
+    @pytest.mark.parametrize(
+        "mechanism, base",
+        [("objective", "logistic"), ("output", "logistic"), ("objective", "ridge"), ("output", "ridge")],
+    )
+    def test_a_step_projects_all_lanes_at_once(self, monkeypatch, mechanism, base):
+        # five lanes' moved rows are one buffer: each step projects it once,
+        # and objective-perturbation logistic lanes take their item
+        # gradients as one stack, with no per-lane batch_item_gradients call
+        rng = np.random.default_rng(29)
+        make_data = random_classification_data if base == "logistic" else random_regression_data
+        data = make_data(rng, n=20, d=2)
+        victim = VictimSpec(mechanism, base, lam=1.0, epsilon=1.0, rho=0.6 if base == "ridge" else None)
+        cost = random_cost(rng, data, base)
+        calls = {"project": 0, "batch": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(attacks, "project_rows_inplace", counted("project", attacks.project_rows_inplace))
+        monkeypatch.setattr(attacks, "batch_item_gradients", counted("batch", batch_item_gradients))
+        selections = [np.arange(3 * i, 3 * i + i + 1) for i in range(5)]
+        scale = victim.noise_scale_for(data.n)
+        config = AttackConfig(k=5, T=4)
+        finals, error = attacks.sweep_attacks(victim, data, cost, config, selections, range(5), [scale] * 5)
+        assert error is None and len(finals) == 5
+        stacked = (mechanism, base) == ("objective", "logistic")
+        assert calls == {"project": 4, "batch": 0 if stacked else 4 * 5}
+
+    @pytest.mark.parametrize("base", ["logistic", "ridge"])
+    def test_non_finite_rows_are_refused(self, monkeypatch, base):
+        # a step whose moved rows are not finite raises ValueError, whether
+        # the lanes' rows are checked as one stack or by with_modified
+        rng = np.random.default_rng(30)
+        make_data = random_classification_data if base == "logistic" else random_regression_data
+        data = make_data(rng, n=10, d=2)
+        victim = VictimSpec("objective", base, lam=1.0, epsilon=1.0, rho=0.6 if base == "ridge" else None)
+        cost = random_cost(rng, data, base)
+
+        def nan_gradients(function):
+            return lambda *args: tuple(np.full_like(a, np.nan) for a in function(*args))
+
+        monkeypatch.setattr(attacks, "batch_item_gradients", nan_gradients(batch_item_gradients))
+        monkeypatch.setattr(attacks, "_stacked_logistic_grads", nan_gradients(attacks._stacked_logistic_grads))
+        selections = [np.array([0, 1]), np.array([2, 3, 4])]
+        scale = victim.noise_scale_for(data.n)
+        with pytest.raises(ValueError, match="features and labels must be finite"):
+            attacks.sweep_attacks(victim, data, cost, AttackConfig(k=2, T=3), selections, [1, 2], [scale] * 2)
+
+    @pytest.mark.parametrize("short", ["selections", "seeds", "scales"])
+    def test_unequal_lengths_are_refused_before_any_solve(self, monkeypatch, short):
+        # zip would drop the attacks past the shortest argument
+        victim, data, cost = small_logistic_setup(31)
+        monkeypatch.setattr(attacks, "train_mechanism", no_solve)
+        args = {"selections": [[0, 1], [2, 3], [4, 5]], "seeds": [1, 2, 3], "scales": [0.5] * 3}
+        args[short] = args[short][:2]
+        lengths = ", ".join(str(len(args[name])) for name in ("selections", "seeds")) + f" and {len(args['scales'])}"
+        message = rf"^selections, seeds and scales need one entry per attack, got {lengths}$"
+        with pytest.raises(ValueError, match=message):
+            attacks.sweep_attacks(victim, data, cost, AttackConfig(k=2, T=3), **args)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -0.5])
+    def test_bad_scale_is_refused_before_any_solve(self, monkeypatch, scale):
+        victim, data, cost = small_logistic_setup(31)
+        monkeypatch.setattr(attacks, "train_mechanism", no_solve)
+        with pytest.raises(ValueError, match=rf"^scales\[1\] must be finite and nonnegative, got {scale!r}$"):
+            attacks.sweep_attacks(victim, data, cost, AttackConfig(k=2, T=3), [[0], [1]], [1, 2], [0.5, scale])
 
     def test_failed_ridge_lane_ends_the_list(self, monkeypatch):
         # ridge lanes are solved one at a time; the failed one is named by

@@ -24,8 +24,27 @@ from dppoison import (
     train_base_ridge_constrained,
     train_mechanism,
 )
-from dppoison import learners
+from dppoison import gradients, learners
 from dppoison.harness import estimate_attack_cost
+
+
+# every goal, and loss, that an objective-perturbation logistic victim's
+# attack cost takes
+GOALS_AND_LOSSES = [
+    ("parameter-targeting", "logistic"),
+    ("label-targeting", "logistic"),
+    ("label-targeting", "squared"),
+    ("label-aversion", "logistic"),
+    ("label-aversion", "squared"),
+]
+
+
+def goal_cost(rng, goal, loss, d):
+    """A CostSpec of goal and loss: a random target, or six random
+    evaluation items with +-1 labels."""
+    if goal == "parameter-targeting":
+        return CostSpec(goal=goal, target_model=ModelParams(rng.standard_normal(d)), loss=loss)
+    return CostSpec(goal=goal, eval_set=random_classification_data(rng, n=6, d=d), loss=loss)
 
 
 def item_gradient(victim, data, i, model, b, cost_grad):
@@ -75,6 +94,64 @@ class TestCostGradient:
         c = CostSpec(goal=Goal.PARAMETER_TARGETING, target_model=ModelParams([1.0, 2.0]))
         with pytest.raises(ValueError):
             cost_gradient(c, ModelParams([1.0]))
+
+    @pytest.mark.parametrize("goal, loss", GOALS_AND_LOSSES)
+    def test_stack_rows_are_single_models(self, goal, loss):
+        # row i of a stack's gradient is model i's; a label goal's stack
+        # takes matrix-matrix products where one model takes matrix-vector
+        # ones, whose sums round differently, so the rows agree to 1e-12
+        # relative (parameter targeting is one subtraction, bit for bit)
+        rng = np.random.default_rng(4)
+        cost = goal_cost(rng, goal, loss, d=3)
+        thetas = rng.standard_normal((5, 3))
+        stack = cost_gradient(cost, ModelParams(thetas))
+        assert stack.shape == (5, 3)
+        for theta, row in zip(thetas, stack):
+            single = cost_gradient(cost, ModelParams(theta))
+            if goal == "parameter-targeting":
+                np.testing.assert_array_equal(row, single)
+            np.testing.assert_allclose(row, single, rtol=0, atol=1e-12 * np.max(np.abs(single)))
+
+
+class TestStackedLogisticGradients:
+    @pytest.mark.parametrize("goal, loss", GOALS_AND_LOSSES)
+    def test_lanes_match_their_own_batch_item_gradients(self, goal, loss):
+        # four objective-perturbation logistic models, each trained on the
+        # clean data with its own items moved, with ragged k per lane and a
+        # k = 0 lane: the one-pass stack gives each lane's items what
+        # batch_item_gradients gives them from that lane's model alone. The
+        # stack's batched products and solve sum in another order than the
+        # single lane's matrix-vector kernels, so the two agree to 1e-12
+        # relative to the largest entry (250 random instances of this test
+        # differed by at most 8.3e-16)
+        rng = np.random.default_rng(12)
+        clean = random_classification_data(rng, n=14, d=3)
+        victim = VictimSpec("objective", "logistic", lam=1.3, epsilon=1.0)
+        cost = goal_cost(rng, goal, loss, d=3)
+        selections = [np.array([0, 4, 9]), np.arange(0), np.array([1, 2, 3, 7, 13]), np.array([8])]
+        datas, models = [], []
+        for items in selections:
+            moved = rng.standard_normal((len(items), 3)) * 0.4
+            datas.append(clean.with_modified(items, moved, clean.y[items]))
+            models.append(train_mechanism(victim, datas[-1], rng.standard_normal(3)))
+        X, y = np.stack([ds.X for ds in datas]), np.stack([ds.y for ds in datas])
+        theta = np.stack([model.theta for model in models])
+        lanes = np.repeat(np.arange(4), [len(items) for items in selections])
+        rows = np.concatenate(selections)
+        feats, labels = gradients._stacked_logistic_grads(
+            X, y, theta, victim.lam, cost_gradient(cost, ModelParams(theta)), lanes, rows
+        )
+        assert feats.shape == (9, 3)
+        np.testing.assert_array_equal(labels, np.zeros(9))
+        for i, (ds, model, items) in enumerate(zip(datas, models, selections)):
+            want, want_labels = batch_item_gradients(
+                victim, ds, model, np.zeros(3), cost_gradient(cost, model), items
+            )
+            np.testing.assert_array_equal(want_labels, np.zeros(len(items)))
+            got = feats[lanes == i]
+            assert got.shape == want.shape
+            if len(items):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 class TestScalarOracle:

@@ -61,6 +61,12 @@ class TestSampleNoise:
         with pytest.raises(ValueError):
             sample_noise(2, -1.0, rng)
 
+    @pytest.mark.parametrize("scale", [-1.0, np.nan, np.inf])
+    def test_scale_must_be_finite_and_nonnegative(self, scale):
+        # nan fails every comparison, so a "scale < 0" test would let it through
+        with pytest.raises(ValueError, match=r"^scale must be finite and nonnegative, got "):
+            sample_noise(2, scale, np.random.default_rng(0))
+
     def test_zero_direction_is_drawn_again(self):
         # an all-zero normal draw has no direction; the sampler draws again
         class Stub:
@@ -662,21 +668,25 @@ def test_per_row_data_rows_match_scalar_solves(seed, m, n, d, warm, nan_row):
 
 @pytest.mark.parametrize("mechanism", ["objective"])
 def test_dataset_sequence_rows_match_single_solves(mechanism):
-    # train_mechanism on m datasets with an (m, d) stack: row i is the
-    # single-draw solve of its dataset from its own warm start, to rounding
+    # train_mechanism on the stacked arrays of m datasets with an (m, d)
+    # stack: row i is the single-draw solve of its dataset from its own
+    # warm start, to rounding
     rng = np.random.default_rng(17)
     datas = [random_classification_data(rng, n=11, d=3) for _ in range(4)]
+    stacked = np.stack([ds.X for ds in datas]), np.stack([ds.y for ds in datas])
     victim = VictimSpec(mechanism, "logistic", lam=1.5, epsilon=1.0)
     B = rng.standard_normal((4, 3))
     starts = ModelParams(rng.standard_normal((4, 3)))
     for warm in (None, starts):
-        stack = train_mechanism(victim, datas, B, warm_start=warm)
+        stack = train_mechanism(victim, stacked, B, warm_start=warm)
         assert stack.theta.shape == (4, 3) and stack.mu == 0.0
         for i, (ds, b, theta) in enumerate(zip(datas, B, stack.theta)):
             single = train_mechanism(victim, ds, b, warm_start=None if warm is None else ModelParams(warm.theta[i]))
             np.testing.assert_allclose(theta, single.theta, rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="noise stack"):
-        train_mechanism(victim, datas, B[0])
+        train_mechanism(victim, stacked, B[0])
+    with pytest.raises(ValueError, match="noise stack"):  # the arrays of one dataset are no stack
+        train_mechanism(victim, (datas[0].X, datas[0].y), B)
 
 
 @pytest.mark.parametrize(
@@ -689,6 +699,7 @@ def test_dataset_sequence_needs_a_logistic_victim(mechanism, base):
     rng = np.random.default_rng(18)
     make_data = random_classification_data if base == "logistic" else random_regression_data
     datas = [make_data(rng, n=11, d=3) for _ in range(2)]
+    stacked = np.stack([ds.X for ds in datas]), np.stack([ds.y for ds in datas])
     victim = VictimSpec(mechanism, base, lam=1.5, epsilon=1.0, rho=0.5 if base == "ridge" else None)
     with pytest.raises(ValueError, match="objective-perturbation logistic victim"):
-        train_mechanism(victim, datas, rng.standard_normal((2, 3)))
+        train_mechanism(victim, stacked, rng.standard_normal((2, 3)))

@@ -353,7 +353,13 @@ def test_tuple_fields_declare_their_entries():
         ("eval", "kind: csv", "csv eval source needs a path"),
         ("cost", "target: [1.0]", "target applies to parameter targeting only"),
         ("victim", "rho: 0.5", "rho is the ridge victim's model-space radius: a logistic victim takes none"),
-        ("attack", "selection: all", "'all' is not a valid SelectionMethod"),
+        # an enum field names itself and its choices, as a Literal one does
+        ("attack", "selection: all", "selection must be one of ('shallow', 'deep'), got 'all'"),
+        ("attack", "mode: DPV", "mode must be one of ('dpv', 'sv'), got 'DPV'"),
+        ("victim", "mechanism: input", "mechanism must be one of ('objective', 'output'), got 'input'"),
+        ("victim", "base: 1", "base must be one of ('logistic', 'ridge'), got 1"),
+        ("cost", "goal: [label-targeting]",
+         "goal must be one of ('parameter-targeting', 'label-targeting', 'label-aversion'), got ['label-targeting']"),
     ],
 )
 def test_yaml_of_the_wrong_type_is_refused_at_load(section, text, message):
