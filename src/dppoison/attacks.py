@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .core import BaseLearner, Dataset, ModelParams, eval_cost, modification_distances, project_rows_inplace
-from .core import AtLeast, Count, Mechanism, Positive, _check_fields, _check_finite, _checked
-from .gradients import _stacked_logistic_grads, batch_item_gradients, cost_gradient
-from .learners import SolverError, sample_noise, train_mechanism
+from .core import AtLeast, Count, Mechanism, Positive, _check_fields, _check_finite, _checked, _gram
+from .gradients import _ridge_grads, _stacked_logistic_grads, batch_item_gradients, cost_gradient
+from .learners import SolverError, _ridge_solve, sample_noise, train_mechanism
 from .rng import STAGE_SELECT, STAGE_SGD, _entropy, substream
 
 __all__ = [
@@ -159,9 +159,11 @@ class _Lane:
     its descent on, the rows ``span`` of the buffer that holds every
     moving lane's rows), its noise stream and radial scale, its current
     dataset and model (the next warm start; a stacked lane's are set when
-    it leaves the stack), the steps it completed, the SolverError that
-    stopped it, if one did, and the (features, labels) it keeps, by
-    iteration: 0 and the recorded steps."""
+    it leaves the stack, and a ridge lane's dataset when it leaves the
+    descent, while its model, which no ridge solve reads, stays the one it
+    started with), the steps it completed, the SolverError that stopped
+    it, if one did, and the (features, labels) it keeps, by iteration: 0
+    and the recorded steps."""
 
     def __init__(self, data, items, rng, scale):
         items = np.sort(np.asarray(items, dtype=int))
@@ -187,10 +189,10 @@ def _joined(arrays):
 
 
 def _lane_gradients(victim, cost, lanes, draws):
-    """(models, features, labels): each lane trained alone at its noise
-    draw, from its own model, and the lanes' item gradients
-    (batch_item_gradients) concatenated in lane order. A SolverError names
-    the failed lane in its rows."""
+    """(models, features, labels): each logistic lane trained alone at its
+    noise draw, on its dataset and from its own model, and the lanes' item
+    gradients (batch_item_gradients) concatenated in lane order. A
+    SolverError names the failed lane in its rows."""
     models = []
     for i, (lane, b) in enumerate(zip(lanes, draws)):
         try:
@@ -238,6 +240,67 @@ class _Stack:
             lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
             lane.model = ModelParams(theta)
 
+    def drop(self, lanes, j):
+        """Release the lanes, after lane j failed: the stack of the lanes
+        before it, or None for a lane left alone, trains on."""
+        self.release(lanes)
+        return _Stack(lanes[:j]) if j > 1 else None
+
+
+class _RidgeLanes:
+    """Ridge lanes, each solved alone on its own X'X and X'y, with no
+    dataset per step. At the first step these are the clean dataset's,
+    with its cached eigenbasis; after it, the clean Gram of the lane's
+    unmoved rows (Dataset.gram_without, the cache entry that the lane's
+    datasets read) plus its moved rows' products, summed as with_modified's
+    dataset sums them, so each step is bit for bit a step on that dataset."""
+
+    def __init__(self, lanes):
+        self.lanes = list(lanes)
+        self.kept = [lane.clean.gram_without(lane.rows)[1] for lane in lanes]
+
+    def gradients(self, victim, cost, draws):
+        """(models, features, labels) as _lane_gradients gives them: each
+        lane's solve (_ridge_solve) and its items' gradients (_ridge_grads),
+        as train_mechanism and batch_item_gradients would take them on the
+        lane's dataset. A SolverError names the failed lane in its rows."""
+        output = victim.mechanism is Mechanism.OUTPUT
+        models, grads = [], []
+        for i, (lane, kept, b) in enumerate(zip(self.lanes, self.kept, draws)):
+            if lane.steps == 0:
+                (_, Xty), (evals, Q) = lane.clean.gram, lane.clean.gram_eigh
+            else:
+                moved = _gram(lane.Xs, lane.ys)
+                XtX, Xty = kept[0] + moved[0], kept[1] + moved[1]
+                evals, Q = np.linalg.eigh(XtX)
+            try:
+                # output perturbation solves its base learner and releases theta + b
+                theta, mu = _ridge_solve(Xty, evals, Q, victim.lam, victim.rho, 0.0 if output else b)
+            except SolverError as exc:
+                raise SolverError(str(exc), [i]) from exc
+            model = ModelParams(theta + b if output else theta, mu)
+            # differentiated at (theta + b) - b, as batch_item_gradients does
+            theta_eff = model.theta - b if output else model.theta
+            cost_grad = cost_gradient(cost, model)
+            grads.append(_ridge_grads(evals, Q, lane.Xs, lane.ys, theta_eff, victim.lam, mu, cost_grad))
+            models.append(model)
+        return models, *map(_joined, zip(*grads))
+
+    def step(self, models, Xs, ys):
+        """Check a step's moved rows, as with_modified checks a lone lane's;
+        ridge solves take no warm start, so the models are not kept."""
+        _check_finite(Xs, ys)
+
+    def release(self, lanes):
+        """Give each lane its dataset as of the last step."""
+        for lane in lanes:
+            lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
+
+    def drop(self, lanes, j):
+        """Release lanes j:, after lane j failed; the lanes before it train on."""
+        self.release(lanes[j:])
+        return _RidgeLanes(lanes[:j])
+
 
 def _descend(victim, cost, lanes, eta, alpha, T, mode, record=frozenset()):
     """Projected gradient descent of the lanes in lockstep, T steps.
@@ -250,9 +313,11 @@ def _descend(victim, cost, lanes, eta, alpha, T, mode, record=frozenset()):
     the feasible set, and keeps their snapshot if the step is in record.
     The moving lanes' rows are one buffer, in lane order, so a step makes
     one update, one projection and one snapshot copy for all of them.
-    Two or more objective-perturbation logistic lanes are trained as one
-    _Stack, and a lane gets its dataset when it leaves the stack; any
-    other lane is trained alone, on a dataset each step makes from the
+    Ridge lanes (_RidgeLanes) solve each step on their own statistics and
+    make no dataset per step: a lane gets its dataset when it leaves the
+    descent. Two or more objective-perturbation logistic lanes are trained
+    as one _Stack, and a lane gets its dataset when it leaves the stack;
+    any other lane is trained alone, on a dataset each step makes from the
     clean one, so none keeps an earlier alive. A logistic victim's label
     gradient is zero, so its labels never move. A lane with no items
     neither draws noise nor trains. When a solve fails, the first failed
@@ -275,47 +340,48 @@ def _descend(victim, cost, lanes, eta, alpha, T, mode, record=frozenset()):
     for lane, end in zip(moving, ends):
         lane.span = slice(end - len(lane.items), end)
         lane.Xs, lane.ys = Xs[lane.span], ys[lane.span]
-    stacks = victim.mechanism is Mechanism.OBJECTIVE and victim.base is BaseLearner.LOGISTIC
-    stack = _Stack(moving) if stacks and len(moving) > 1 else None
+    if victim.base is BaseLearner.RIDGE:
+        group = _RidgeLanes(moving)
+    else:  # None: each lane is trained alone, on its dataset (_lane_gradients)
+        group = _Stack(moving) if victim.mechanism is Mechanism.OBJECTIVE and len(moving) > 1 else None
     for t in range(1, T + 1):
         draws = [_noise(lane.data.dim, dpv, lane.scale, lane.rng) for lane in moving]
         while True:
             try:
-                if stack is None:
+                if group is None:
                     models, feat, lab = _lane_gradients(victim, cost, moving, draws)
                 else:
-                    models, feat, lab = stack.gradients(victim, cost, draws)
+                    models, feat, lab = group.gradients(victim, cost, draws)
                 break
             except SolverError as exc:
                 j = int(min(exc.rows))
                 moving[j].error = exc
-                if stack is not None:
-                    stack.release(moving)
+                if group is not None:
+                    group = group.drop(moving, j)
                 del moving[j:], draws[j:]
                 if not moving:
                     return
                 Xs, ys, X0, y0 = (a[: ends[j - 1]] for a in (Xs, ys, X0, y0))
-                stack = _Stack(moving) if stack is not None and len(moving) > 1 else None
         if alpha:  # feat and lab are fresh arrays
             feat += alpha * (Xs - X0)
             lab += alpha * (ys - y0)
         Xs -= eta * feat
         ys -= eta * lab
         project_rows_inplace(Xs, ys)
-        if stack is None:
+        if group is None:
             for lane, b, model in zip(moving, draws, models):
                 lane.model = ModelParams(model.theta - b, model.mu) if victim.mechanism is Mechanism.OUTPUT else model
                 lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
         else:
-            stack.step(models, Xs, ys)
+            group.step(models, Xs, ys)
         for lane in moving:
             lane.steps = t
         if t in record:
             Xc, yc = Xs.copy(), ys.copy()
             for lane in moving:
                 lane.kept[t] = (Xc[lane.span], yc[lane.span])
-    if stack is not None:
-        stack.release(moving)
+    if group is not None:
+        group.release(moving)
 
 
 def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):

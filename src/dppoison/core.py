@@ -238,9 +238,9 @@ class Dataset:
         """(X'X, X'y), the ridge sufficient statistics: formed on first
         use, then cached for the life of the dataset; read-only. A dataset
         made by with_modified adds its replaced rows' products to its
-        source's Gram of the other rows, which the source caches per index
-        array with its distinct rows, so a step that moves k rows costs
-        O(k d^2)."""
+        source's Gram of the other rows (gram_without), so it costs
+        O(k d^2) for k replaced rows. A ridge attack lane reads the same
+        Gram of its unmoved rows and forms each step's statistics itself."""
         return self.cached("gram", self._form_gram)
 
     @property
@@ -248,22 +248,35 @@ class Dataset:
         """(evals, Q), np.linalg.eigh of X'X, cached as gram is."""
         return self.cached("gram eigh", lambda: tuple(map(_readonly, np.linalg.eigh(self.gram[0]))))
 
+    def gram_without(self, index):
+        """(rows, (X'X, X'y) of the other rows): the distinct rows of index
+        (an index array in [0, n), or slice(None) for all) and the Gram of
+        the rows outside it, both cached per index array (keyed by its
+        bytes), so each is formed once for the many datasets and steps
+        that replace the same rows."""
+        key = repr(index) if isinstance(index, slice) else index.tobytes()
+        # a repeated index replaced one row, so the Gram reads the distinct rows
+        rows = index if isinstance(index, slice) else self.cached(("rows", key), lambda: np.unique(index))
+        return rows, self.cached(("kept", key), lambda: _gram(np.delete(self._X, rows, 0), np.delete(self._y, rows)))
+
     def _form_gram(self):
         if self._source is None:
             return tuple(map(_readonly, _gram(self._X, self._y)))
         (source, index), self._source = self._source, None
-        key = repr(index) if isinstance(index, slice) else index.tobytes()
-        # a repeated index replaced one row, so the Gram reads the distinct rows
-        rows = index if isinstance(index, slice) else source.cached(("rows", key), lambda: np.unique(index))
-        kept = source.cached(("kept", key), lambda: _gram(np.delete(source.X, rows, 0), np.delete(source.y, rows)))
+        rows, kept = source.gram_without(index)
         return tuple(_readonly(a + b) for a, b in zip(kept, _gram(self._X[rows], self._y[rows])))
 
     def with_modified(self, indices, features, labels):
-        """Return a copy with the items at indices (an index array, or slice(None)
-        for all) replaced. Only the replaced values are checked; the kept ones were."""
+        """Return a copy with the items at indices (an index array in [0, n),
+        or slice(None) for all) replaced; an index outside [0, n) is refused,
+        since a negative one would name a row twice. Only the replaced values
+        are checked; the kept ones were."""
+        idx = indices if isinstance(indices, slice) else np.asarray(indices, dtype=int)
+        outside = None if isinstance(idx, slice) else idx[(idx < 0) | (idx >= self.n)]
+        if outside is not None and outside.size:
+            raise ValueError(f"item indices must lie in [0, {self.n}), got {outside.tolist()}")
         X = self._X.copy()
         y = self._y.copy()
-        idx = indices if isinstance(indices, slice) else np.asarray(indices, dtype=int)
         X[idx] = features
         y[idx] = labels
         _check_finite(features, labels)

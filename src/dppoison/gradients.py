@@ -82,12 +82,12 @@ def _stacked_logistic_grads(X, y, theta, lam, cost_grads, lanes, rows):
     return d_feat, np.zeros(len(rows))
 
 
-def _ridge_grads(data, theta_eff, lam, mu, cost_grad, idx):
-    """Feature and label gradients for ridge victims, in the dataset's
-    cached eigenbasis of X'X. Returns ((len(idx), d), (len(idx),)) arrays."""
-    evals, Q = data.gram_eigh
+def _ridge_grads(evals, Q, X, y, theta_eff, lam, mu, cost_grad):
+    """Feature and label gradients of the items (X, y) for ridge victims,
+    in the eigenbasis (evals, Q) of the training data's X'X, at the
+    effective parameter theta_eff (as for _logistic_grads) and dual mu.
+    Returns ((len(X), d), (len(X),)) arrays."""
     v = Q @ ((Q.T @ cost_grad) / (evals + lam + mu))
-    X, y = data.X.take(idx, axis=0), data.y.take(idx)  # the rows X[idx] copies, faster
     xv = X @ v
     resid = X @ theta_eff - y
     # -(xv theta' + resid v') as one rank-two product: several times faster than two outer products
@@ -108,7 +108,8 @@ def batch_item_gradients(victim, data, model, b, cost_grad, indices):
         theta_eff = theta_eff - np.asarray(b, dtype=float)
     if victim.base is BaseLearner.LOGISTIC:
         return _logistic_grads(data.X, data.y, theta_eff, victim.lam, cost_grad, idx)
-    return _ridge_grads(data, theta_eff, victim.lam, model.mu, cost_grad, idx)
+    X, y = data.X.take(idx, axis=0), data.y.take(idx)  # the rows X[idx] copies, faster
+    return _ridge_grads(*data.gram_eigh, X, y, theta_eff, victim.lam, model.mu, cost_grad)
 
 
 def finite_difference_oracle(victim, data, i, b, cost, h=1e-5):

@@ -285,17 +285,25 @@ def train_base_ridge_constrained(data, lam, rho, b=None):
 
 def _ridge(data, lam, rho, b):  # train_base_ridge_constrained, with lam and rho already checked
     b = _as_noise(b, data.dim)
-    Xty = data.gram[1]
-    evals, Q = data.gram_eigh
+    Xty, (evals, Q) = data.gram[1], data.gram_eigh
     rows = b.reshape(-1, data.dim)
     theta, mu = np.empty(rows.shape), np.zeros(len(rows))
     for i, row in enumerate(rows):
-        c = Q.T @ (Xty - row)
-        theta[i] = Q @ (c / (evals + lam))
-        if math.sqrt(theta[i] @ theta[i]) > rho:  # what np.linalg.norm computes
-            mu[i] = _ridge_dual(evals, c, lam, rho)
-            theta[i] = Q @ (c / (evals + lam + mu[i]))
+        theta[i], mu[i] = _ridge_solve(Xty, evals, Q, lam, rho, row)
     return ModelParams(theta[0], mu[0]) if b.ndim == 1 else ModelParams(theta, mu)
+
+
+def _ridge_solve(Xty, evals, Q, lam, rho, b):
+    """(theta, mu) of norm-constrained ridge at one (d,) draw b, from X'y
+    and the eigenbasis (evals, Q) of X'X: theta = Q z(mu) with z(mu) =
+    Q'(X'y - b) / (evals + lam + mu), at mu = 0 if that is feasible,
+    else at the constraint's dual (_ridge_dual)."""
+    c = Q.T @ (Xty - b)
+    theta = Q @ (c / (evals + lam))
+    if math.sqrt(theta @ theta) > rho:  # what np.linalg.norm computes
+        mu = _ridge_dual(evals, c, lam, rho)
+        return Q @ (c / (evals + lam + mu)), mu
+    return theta, 0.0
 
 
 def train_mechanism(victim, data, b, *, warm_start=None):

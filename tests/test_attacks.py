@@ -525,9 +525,11 @@ class TestRunAttack:
 @pytest.mark.parametrize("base", ["ridge", "logistic"])
 @pytest.mark.parametrize("items", [[2, 7, 9], list(range(12))], ids=["some-items", "every-item"])
 def test_step_datasets_keep_no_earlier_one_alive(monkeypatch, base, items):
-    # each step's dataset is made from the clean one, so nothing holds a
-    # step's dataset once the lane has moved on: no chain of datasets grows
-    # with T, whether or not a solve formed the dataset's Gram matrix
+    # a logistic lane makes each step's dataset from the clean one, so
+    # nothing holds a step's dataset once the lane has moved on: no chain of
+    # datasets grows with T, whether or not a solve formed the dataset's
+    # Gram matrix; a ridge lane makes none per step, only its last, once,
+    # when it leaves the descent
     rng = np.random.default_rng(5)
     make_data = random_regression_data if base == "ridge" else random_classification_data
     data = make_data(rng, n=12, d=3)
@@ -546,8 +548,78 @@ def test_step_datasets_keep_no_earlier_one_alive(monkeypatch, base, items):
     attacks._descend(victim, cost, [lane], 0.5, 1e-4, 6, AttackMode.DPV)
     monkeypatch.undo()
     gc.collect()
-    assert [step() is None for step in steps] == [True] * 5 + [False]
-    assert lane.clean is data
+    assert [step() is None for step in steps] == ([False] if base == "ridge" else [True] * 5 + [False])
+    assert steps[-1]() is lane.data and lane.clean is data
+
+
+def ridge_reference(victim, data, cost, items, rng, scale, eta, alpha, T, mode, mus):
+    """A ridge lane's descent on a dataset per step, which with_modified
+    makes from the clean one: train_mechanism, then batch_item_gradients
+    on it. Appends each step's dual to mus; returns the final dataset and
+    the (features, labels) of every iteration."""
+    rows = slice(None) if len(items) == data.n else items
+    X0, y0 = data.X[items], data.y[items]
+    Xs, ys = X0.copy(), y0.copy()
+    current, kept = data, [(X0, y0)]
+    for _ in range(T):
+        b = learners.sample_noise(data.dim, scale, rng) if mode == "dpv" else np.zeros(data.dim)
+        model = train_mechanism(victim, current, b)
+        mus.append(model.mu)
+        feat, lab = batch_item_gradients(victim, current, model, b, cost_gradient(cost, model), items)
+        if alpha:
+            feat += alpha * (Xs - X0)
+            lab += alpha * (ys - y0)
+        Xs -= eta * feat
+        ys -= eta * lab
+        attacks.project_rows_inplace(Xs, ys)
+        current = data.with_modified(rows, Xs, ys)
+        kept.append((Xs.copy(), ys.copy()))
+    return current, kept
+
+
+@pytest.mark.parametrize("mechanism", ["objective", "output"])
+@pytest.mark.parametrize("mode", ["dpv", "sv"])
+def test_ridge_lanes_step_bit_for_bit_as_on_a_dataset(monkeypatch, mechanism, mode):
+    # a ridge lane solves each step on its own X'X and X'y with no dataset
+    # per step; the relaxed attack, run_attack and a sweep's lanes are still
+    # bit for bit the dataset-per-step path, with the constraint both slack
+    # (mu = 0) and active (mu > 0) along the way
+    rng = np.random.default_rng(40)
+    data = random_regression_data(rng, n=30, d=3)
+    free = train_mechanism(VictimSpec(mechanism, "ridge", lam=1.0, epsilon=4.0, rho=100.0), data, np.zeros(3))
+    # rho just above the clean model's norm, a target far outside it
+    victim = VictimSpec(mechanism, "ridge", lam=1.0, epsilon=4.0, rho=1.2 * np.linalg.norm(free.theta))
+    cost = CostSpec(goal=Goal.PARAMETER_TARGETING, target_model=ModelParams(6.0 * free.theta))
+    scale, mus = victim.noise_scale_for(data.n), []
+
+    def same(got, want):
+        return got.X.tobytes() == want.X.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+    relaxed = relaxed_attack(victim, data, cost, 1e-2, 0.5, 8, mode, np.random.default_rng(0))
+    args = (scale, 0.5, 1e-2, 8, mode, mus)
+    assert same(relaxed, ridge_reference(victim, data, cost, np.arange(data.n), np.random.default_rng(0), *args)[0])
+
+    config = AttackConfig(k=5, T=8, eta=0.5, mode=mode)
+    items = np.array([0, 3, 4, 11, 20])
+    trace = run_attack(victim, data, cost, config, seed=3, selected=items)
+    want, kept = ridge_reference(victim, data, cost, items, substream(3, STAGE_SGD), scale, 0.5, 0.0, 8, mode, mus)
+    assert same(trace.final_data, want)
+    assert trace.features.tobytes() == np.stack([x for x, _ in kept]).tobytes()
+    assert trace.labels.tobytes() == np.stack([y for _, y in kept]).tobytes()
+    surrogates = [train_mechanism(victim, d, np.zeros(3)) for d in (data, want)]
+    assert trace.surrogate_costs.tobytes() == np.array([eval_cost(cost, m) for m in surrogates]).tobytes()
+    assert trace.final_model.theta.tobytes() == surrogates[1].theta.tobytes()
+
+    selections, seeds, scales = [items[:2], np.array([1, 7, 9, 25]), items], [4, 5, 6], [scale, scale / 2, 2 * scale]
+    made, with_modified = [], Dataset.with_modified
+    monkeypatch.setattr(Dataset, "with_modified", lambda self, *a: made.append(1) or with_modified(self, *a))
+    finals, error = attacks.sweep_attacks(victim, data, cost, config, selections, seeds, scales)
+    monkeypatch.undo()
+    assert error is None and len(made) == 3  # one dataset per lane, none per step
+    for final, lane_items, seed, lane_scale in zip(finals, selections, seeds, scales):
+        rng = substream(seed, STAGE_SGD)
+        assert same(final, ridge_reference(victim, data, cost, lane_items, rng, lane_scale, 0.5, 0.0, 8, mode, mus)[0])
+    assert any(mu > 0 for mu in mus) and any(mu == 0 for mu in mus)
 
 
 def no_solve(*args, **kwargs):
@@ -662,7 +734,8 @@ class TestSweepAttacks:
     def test_a_step_projects_all_lanes_at_once(self, monkeypatch, mechanism, base):
         # five lanes' moved rows are one buffer: each step projects it once,
         # and objective-perturbation logistic lanes take their item
-        # gradients as one stack, with no per-lane batch_item_gradients call
+        # gradients as one stack, with no per-lane item-gradient call
+        # (batch_item_gradients, or a ridge lane's _ridge_grads)
         rng = np.random.default_rng(29)
         make_data = random_classification_data if base == "logistic" else random_regression_data
         data = make_data(rng, n=20, d=2)
@@ -679,6 +752,7 @@ class TestSweepAttacks:
 
         monkeypatch.setattr(attacks, "project_rows_inplace", counted("project", attacks.project_rows_inplace))
         monkeypatch.setattr(attacks, "batch_item_gradients", counted("batch", batch_item_gradients))
+        monkeypatch.setattr(attacks, "_ridge_grads", counted("batch", attacks._ridge_grads))
         selections = [np.arange(3 * i, 3 * i + i + 1) for i in range(5)]
         scale = victim.noise_scale_for(data.n)
         config = AttackConfig(k=5, T=4)
@@ -690,7 +764,8 @@ class TestSweepAttacks:
     @pytest.mark.parametrize("base", ["logistic", "ridge"])
     def test_non_finite_rows_are_refused(self, monkeypatch, base):
         # a step whose moved rows are not finite raises ValueError, whether
-        # the lanes' rows are checked as one stack or by with_modified
+        # the lanes' rows are checked as one stack (logistic) or by the
+        # ridge lanes' step
         rng = np.random.default_rng(30)
         make_data = random_classification_data if base == "logistic" else random_regression_data
         data = make_data(rng, n=10, d=2)
@@ -702,6 +777,7 @@ class TestSweepAttacks:
 
         monkeypatch.setattr(attacks, "batch_item_gradients", nan_gradients(batch_item_gradients))
         monkeypatch.setattr(attacks, "_stacked_logistic_grads", nan_gradients(attacks._stacked_logistic_grads))
+        monkeypatch.setattr(attacks, "_ridge_grads", nan_gradients(attacks._ridge_grads))
         selections = [np.array([0, 1]), np.array([2, 3, 4])]
         scale = victim.noise_scale_for(data.n)
         with pytest.raises(ValueError, match="features and labels must be finite"):
@@ -728,29 +804,35 @@ class TestSweepAttacks:
 
     def test_failed_ridge_lane_ends_the_list(self, monkeypatch):
         # ridge lanes are solved one at a time; the failed one is named by
-        # its lane index, so lane 0 runs to the end and lane 2 is dropped
+        # its lane index, so lane 0 runs to the end and lane 2 is dropped;
+        # each lane makes its dataset once, when it leaves the descent
         rng = np.random.default_rng(25)
         data = random_regression_data(rng, n=10, d=2)
         victim = VictimSpec("objective", "ridge", lam=1.0, epsilon=1.0, rho=0.6)
         cost = random_cost(rng, data, "ridge")
         config = AttackConfig(k=2, T=5)
-        warm = []
+        solves, made, with_modified = [], [], Dataset.with_modified
 
-        def third_solve_of_lane_one_fails(victim, data, b, warm_start=None):
-            if warm_start is not None:
-                warm.append(1)
-                # three lanes per step, lane 1 second: its third step's solve
-                if len(warm) == 8:
-                    raise SolverError("instrumented failure")
-            return train_mechanism(victim, data, b, warm_start=warm_start)
+        def third_solve_of_lane_one_fails(*args):
+            solves.append(1)
+            # three lanes per step, lane 1 second: its third step's solve
+            if len(solves) == 8:
+                raise SolverError("instrumented failure")
+            return learners._ridge_solve(*args)
 
-        monkeypatch.setattr(attacks, "train_mechanism", third_solve_of_lane_one_fails)
+        def counted(self, indices, *args):
+            made.append(indices.tolist())
+            return with_modified(self, indices, *args)
+
+        monkeypatch.setattr(attacks, "_ridge_solve", third_solve_of_lane_one_fails)
+        monkeypatch.setattr(Dataset, "with_modified", counted)
         selections = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
         scale = victim.noise_scale_for(data.n)
         finals, error = attacks.sweep_attacks(victim, data, cost, config, selections, [1, 2, 3], [scale] * 3)
         assert len(finals) == 1
         assert isinstance(error, SolverError)
         assert str(error) == "solver failure after 2 steps: instrumented failure"
+        assert made == [[2, 3], [4, 5], [0, 1]]
         monkeypatch.undo()
         lone = run_attack(victim, data, cost, config, 1, selections[0])
         np.testing.assert_array_equal(finals[0].X, lone.final_data.X)

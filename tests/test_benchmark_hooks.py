@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_classification_data, random_regression_data
+from conftest import random_classification_data
 from dppoison import (
     AttackConfig,
     CostSpec,
@@ -130,10 +130,12 @@ def test_attack_loops_pass_index_arrays(monkeypatch, mechanism):
     # the tracer takes len() of the indices of every batch_item_gradients
     # call and compares it with the data's n; a lane that moves every item
     # (the relaxed attack) passes slice(None) to with_modified, but must
-    # still pass its items to the gradients as an integer index array
+    # still pass its items to the gradients as an integer index array. A
+    # lone logistic lane calls batch_item_gradients every step (a ridge
+    # lane takes its gradients from its own statistics)
     rng = np.random.default_rng(3)
-    data = random_regression_data(rng, n=9, d=2)
-    victim = VictimSpec(mechanism, "ridge", lam=1.0, epsilon=1.0, rho=0.5)
+    data = random_classification_data(rng, n=9, d=2)
+    victim = VictimSpec(mechanism, "logistic", lam=1.0, epsilon=1.0)
     cost = CostSpec(goal=Goal.PARAMETER_TARGETING, target_model=ModelParams([0.3, -0.2]))
     seen = []
 

@@ -157,6 +157,21 @@ class TestDataset:
         np.testing.assert_allclose(modified.gram[0], X.T @ X, rtol=0, atol=1e-12)
         np.testing.assert_allclose(modified.gram[1], X.T @ y, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("indices", [[-1, 4], [5], [0, -6]])
+    def test_index_outside_the_rows_is_refused(self, indices):
+        # a negative index aliased a row: [-1, 4] on n = 5 wrote row 4
+        # twice, and the Gram, which reads np.unique's rows, counted it twice
+        rng = np.random.default_rng(11)
+        d = Dataset(rng.uniform(-0.5, 0.5, (5, 3)), rng.uniform(-1, 1, 5))
+        k = len(indices)
+        features, labels = rng.uniform(-0.5, 0.5, (k, 3)), rng.uniform(-1, 1, k)
+        with pytest.raises(ValueError, match=r"^item indices must lie in \[0, 5\), got \[-?\d+\]$"):
+            d.with_modified(indices, features, labels)
+        in_range = np.asarray(indices) % 5
+        modified = d.with_modified(in_range, features, labels)
+        np.testing.assert_allclose(modified.gram[0], modified.X.T @ modified.X, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(modified.gram[1], modified.X.T @ modified.y, rtol=0, atol=1e-12)
+
     def test_distinct_rows_are_found_once_per_index_array(self, monkeypatch):
         # an attack moves the same items every step, each step from the
         # clean dataset, so np.unique runs on the first step only
