@@ -154,16 +154,17 @@ def shallow_scores(victim, data, cost, mode, m_select, rng):
 
 
 class _Lane:
-    """One attack of a lockstep descent: its items (sorted, distinct, each in
-    [0, n)), their clean coordinates X0, y0 and moved ones Xs, ys (from
-    its descent on, the rows ``span`` of the buffer that holds every
-    moving lane's rows), its noise stream and radial scale, its current
-    dataset and model (the next warm start; a stacked lane's are set when
-    it leaves the stack, and a ridge lane's dataset when it leaves the
-    descent, while its model, which no ridge solve reads, stays the one it
-    started with), the steps it completed, the SolverError that stopped
-    it, if one did, and the (features, labels) it keeps, by iteration: 0
-    and the recorded steps."""
+    """One attack of a lockstep descent: its items (sorted, distinct, each
+    in [0, n)), the rows its datasets replace in the clean one (the items,
+    or slice(None) for all n, which with_modified writes faster), their
+    clean coordinates X0, y0 and moved ones Xs, ys (from its descent on, the
+    rows ``span`` of the buffer that holds every moving lane's rows), its
+    noise stream and radial scale, its current dataset and model (the next
+    warm start; a stacked lane's are set when it leaves the stack, and a
+    ridge lane's dataset when it leaves the descent, while its model, which
+    no ridge solve reads, stays the one it started with), the steps it
+    completed, the SolverError that stopped it, if one did, and the
+    (features, labels) it keeps, by iteration: 0 and the recorded steps."""
 
     def __init__(self, data, items, rng, scale):
         items = np.sort(np.asarray(items, dtype=int))
@@ -249,40 +250,33 @@ class _Stack:
 
 class _RidgeLanes:
     """Ridge lanes, each solved alone on its own X'X and X'y, with no
-    dataset per step. At the first step these are the clean dataset's,
-    with its cached eigenbasis; after it, the clean Gram of the lane's
-    unmoved rows (Dataset.gram_without, the cache entry that the lane's
-    datasets read) plus its moved rows' products, summed as with_modified's
-    dataset sums them, so each step is bit for bit a step on that dataset."""
+    dataset per step: the Gram of the lane's unmoved rows, formed once,
+    when the lanes start, plus its moved rows' products."""
 
     def __init__(self, lanes):
         self.lanes = list(lanes)
-        self.kept = [lane.clean.gram_without(lane.rows)[1] for lane in lanes]
+        self.kept = [
+            _gram(np.delete(lane.clean.X, lane.items, 0), np.delete(lane.clean.y, lane.items)) for lane in lanes
+        ]
 
     def gradients(self, victim, cost, draws):
         """(models, features, labels) as _lane_gradients gives them: each
         lane's solve (_ridge_solve) and its items' gradients (_ridge_grads),
-        as train_mechanism and batch_item_gradients would take them on the
-        lane's dataset. A SolverError names the failed lane in its rows."""
+        as train_mechanism and batch_item_gradients take them on a dataset.
+        Output perturbation differentiates at the solved base model. A
+        SolverError names the failed lane in its rows."""
         output = victim.mechanism is Mechanism.OUTPUT
         models, grads = [], []
         for i, (lane, kept, b) in enumerate(zip(self.lanes, self.kept, draws)):
-            if lane.steps == 0:
-                (_, Xty), (evals, Q) = lane.clean.gram, lane.clean.gram_eigh
-            else:
-                moved = _gram(lane.Xs, lane.ys)
-                XtX, Xty = kept[0] + moved[0], kept[1] + moved[1]
-                evals, Q = np.linalg.eigh(XtX)
+            moved = _gram(lane.Xs, lane.ys)
+            evals, Q = np.linalg.eigh(kept[0] + moved[0])
             try:
                 # output perturbation solves its base learner and releases theta + b
-                theta, mu = _ridge_solve(Xty, evals, Q, victim.lam, victim.rho, 0.0 if output else b)
+                theta, mu = _ridge_solve(kept[1] + moved[1], evals, Q, victim.lam, victim.rho, 0.0 if output else b)
             except SolverError as exc:
                 raise SolverError(str(exc), [i]) from exc
             model = ModelParams(theta + b if output else theta, mu)
-            # differentiated at (theta + b) - b, as batch_item_gradients does
-            theta_eff = model.theta - b if output else model.theta
-            cost_grad = cost_gradient(cost, model)
-            grads.append(_ridge_grads(evals, Q, lane.Xs, lane.ys, theta_eff, victim.lam, mu, cost_grad))
+            grads.append(_ridge_grads(evals, Q, lane.Xs, lane.ys, theta, victim.lam, mu, cost_gradient(cost, model)))
             models.append(model)
         return models, *map(_joined, zip(*grads))
 
@@ -297,34 +291,36 @@ class _RidgeLanes:
             lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
 
     def drop(self, lanes, j):
-        """Release lanes j:, after lane j failed; the lanes before it train on."""
+        """Release lanes j:, after lane j failed; the lanes before it keep their Grams."""
         self.release(lanes[j:])
-        return _RidgeLanes(lanes[:j])
+        del self.lanes[j:], self.kept[j:]
+        return self
 
 
 def _descend(victim, cost, lanes, eta, alpha, T, mode, record=frozenset()):
     """Projected gradient descent of the lanes in lockstep, T steps.
 
-    Each step trains the victim on each lane's data (a fresh draw from
-    the lane's stream in DPV mode, zero noise in SV mode), warm-started
-    from the lane's previous model (its base model, the released one minus
-    the draw, under output perturbation), moves its items along their
-    gradients plus alpha times their displacement, projects them back to
-    the feasible set, and keeps their snapshot if the step is in record.
-    The moving lanes' rows are one buffer, in lane order, so a step makes
-    one update, one projection and one snapshot copy for all of them.
-    Ridge lanes (_RidgeLanes) solve each step on their own statistics and
-    make no dataset per step: a lane gets its dataset when it leaves the
-    descent. Two or more objective-perturbation logistic lanes are trained
-    as one _Stack, and a lane gets its dataset when it leaves the stack;
-    any other lane is trained alone, on a dataset each step makes from the
-    clean one, so none keeps an earlier alive. A logistic victim's label
-    gradient is zero, so its labels never move. A lane with no items
-    neither draws noise nor trains. When a solve fails, the first failed
-    lane keeps the error and stops, as do the lanes after it (a sweep ends
-    at its first failed row); the lanes before it solve the step again
-    with the same draws, and a lane left alone leaves the stack. The
-    descent ends early once every lane that moves has stopped.
+    Each step trains the victim on each lane's data (a fresh draw from the
+    lane's stream in DPV mode, zero noise in SV mode), a logistic one
+    warm-started from the lane's previous model (its base model, the
+    released one minus the draw, under output perturbation), moves its items
+    along their gradients plus alpha times their displacement, projects them
+    back to the feasible set, and keeps their snapshot if the step is in
+    record. The moving lanes' rows are one buffer, in lane order, so a step
+    makes one update, one projection and one snapshot copy for all of them.
+    Ridge lanes (_RidgeLanes) solve each step on the Gram of their unmoved
+    rows plus their moved rows' products and make no dataset per step: a
+    lane gets its dataset when it leaves the descent. Two or more
+    objective-perturbation logistic lanes are trained as one _Stack, and a
+    lane gets its dataset when it leaves the stack; any other lane is
+    trained alone, on a dataset each step makes from the clean one, so none
+    keeps an earlier alive. A logistic victim's label gradient is zero, so
+    its labels never move. A lane with no items neither draws noise nor
+    trains. When a solve fails, the first failed lane keeps the error and
+    stops, as do the lanes after it (a sweep ends at its first failed row);
+    the lanes before it solve the step again with the same draws, and a lane
+    left alone leaves the stack. The descent ends early once every lane that
+    moves has stopped.
     """
     for lane in lanes:
         if len(lane.items) == 0:  # it takes every step in place

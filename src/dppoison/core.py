@@ -184,7 +184,7 @@ class Dataset:
     their position in the original dataset.
     """
 
-    __slots__ = ("_X", "_y", "_cache", "_source", "__weakref__")
+    __slots__ = ("_X", "_y", "_cache", "__weakref__")
 
     def __init__(self, features, labels):
         X = np.array(features, dtype=float)
@@ -196,13 +196,12 @@ class Dataset:
         _check_finite(X, y)
         self._freeze(X, y)
 
-    def _freeze(self, X, y, source=None):
+    def _freeze(self, X, y):
         X.setflags(write=False)
         y.setflags(write=False)
         self._X = X
         self._y = y
         self._cache = {}
-        self._source = source  # (dataset, replaced rows) until gram is formed
 
     @property
     def X(self):
@@ -235,41 +234,20 @@ class Dataset:
 
     @property
     def gram(self):
-        """(X'X, X'y), the ridge sufficient statistics: formed on first
-        use, then cached for the life of the dataset; read-only. A dataset
-        made by with_modified adds its replaced rows' products to its
-        source's Gram of the other rows (gram_without), so it costs
-        O(k d^2) for k replaced rows. A ridge attack lane reads the same
-        Gram of its unmoved rows and forms each step's statistics itself."""
-        return self.cached("gram", self._form_gram)
+        """(X'X, X'y) of the dataset's rows, the ridge sufficient
+        statistics: formed on first use, then cached for the life of the
+        dataset; read-only."""
+        return self.cached("gram", lambda: tuple(map(_readonly, _gram(self._X, self._y))))
 
     @property
     def gram_eigh(self):
         """(evals, Q), np.linalg.eigh of X'X, cached as gram is."""
         return self.cached("gram eigh", lambda: tuple(map(_readonly, np.linalg.eigh(self.gram[0]))))
 
-    def gram_without(self, index):
-        """(rows, (X'X, X'y) of the other rows): the distinct rows of index
-        (an index array in [0, n), or slice(None) for all) and the Gram of
-        the rows outside it, both cached per index array (keyed by its
-        bytes), so each is formed once for the many datasets and steps
-        that replace the same rows."""
-        key = repr(index) if isinstance(index, slice) else index.tobytes()
-        # a repeated index replaced one row, so the Gram reads the distinct rows
-        rows = index if isinstance(index, slice) else self.cached(("rows", key), lambda: np.unique(index))
-        return rows, self.cached(("kept", key), lambda: _gram(np.delete(self._X, rows, 0), np.delete(self._y, rows)))
-
-    def _form_gram(self):
-        if self._source is None:
-            return tuple(map(_readonly, _gram(self._X, self._y)))
-        (source, index), self._source = self._source, None
-        rows, kept = source.gram_without(index)
-        return tuple(_readonly(a + b) for a, b in zip(kept, _gram(self._X[rows], self._y[rows])))
-
     def with_modified(self, indices, features, labels):
         """Return a copy with the items at indices (an index array in [0, n),
         or slice(None) for all) replaced; an index outside [0, n) is refused,
-        since a negative one would name a row twice. Only the replaced values
+        since a negative index aliases another row. Only the replaced values
         are checked; the kept ones were."""
         idx = indices if isinstance(indices, slice) else np.asarray(indices, dtype=int)
         outside = None if isinstance(idx, slice) else idx[(idx < 0) | (idx >= self.n)]
@@ -281,7 +259,7 @@ class Dataset:
         y[idx] = labels
         _check_finite(features, labels)
         modified = Dataset.__new__(Dataset)
-        modified._freeze(X, y, (self, idx))
+        modified._freeze(X, y)
         return modified
 
 

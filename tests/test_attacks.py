@@ -577,12 +577,20 @@ def ridge_reference(victim, data, cost, items, rng, scale, eta, alpha, T, mode, 
     return current, kept
 
 
+# A ridge lane sums its X'X as the Gram of its unmoved rows plus its moved
+# rows' products, the reference's dataset as X'X of all its rows: the same
+# sums in another order. Over the 8 steps below no compared value moved by
+# more than 2.2e-16 (one ulp of 1), so 1e-12 leaves almost four orders of
+# magnitude of room; one wrong term moves a value by far more.
+RIDGE_ATOL = 1e-12
+
+
 @pytest.mark.parametrize("mechanism", ["objective", "output"])
 @pytest.mark.parametrize("mode", ["dpv", "sv"])
-def test_ridge_lanes_step_bit_for_bit_as_on_a_dataset(monkeypatch, mechanism, mode):
+def test_ridge_lanes_step_as_on_a_dataset(monkeypatch, mechanism, mode):
     # a ridge lane solves each step on its own X'X and X'y with no dataset
-    # per step; the relaxed attack, run_attack and a sweep's lanes are still
-    # bit for bit the dataset-per-step path, with the constraint both slack
+    # per step; the relaxed attack, run_attack and a sweep's lanes are the
+    # dataset-per-step path to rounding, with the constraint both slack
     # (mu = 0) and active (mu > 0) along the way
     rng = np.random.default_rng(40)
     data = random_regression_data(rng, n=30, d=3)
@@ -592,23 +600,27 @@ def test_ridge_lanes_step_bit_for_bit_as_on_a_dataset(monkeypatch, mechanism, mo
     cost = CostSpec(goal=Goal.PARAMETER_TARGETING, target_model=ModelParams(6.0 * free.theta))
     scale, mus = victim.noise_scale_for(data.n), []
 
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=RIDGE_ATOL)
+
     def same(got, want):
-        return got.X.tobytes() == want.X.tobytes() and got.y.tobytes() == want.y.tobytes()
+        close(got.X, want.X)
+        close(got.y, want.y)
 
     relaxed = relaxed_attack(victim, data, cost, 1e-2, 0.5, 8, mode, np.random.default_rng(0))
     args = (scale, 0.5, 1e-2, 8, mode, mus)
-    assert same(relaxed, ridge_reference(victim, data, cost, np.arange(data.n), np.random.default_rng(0), *args)[0])
+    same(relaxed, ridge_reference(victim, data, cost, np.arange(data.n), np.random.default_rng(0), *args)[0])
 
     config = AttackConfig(k=5, T=8, eta=0.5, mode=mode)
     items = np.array([0, 3, 4, 11, 20])
     trace = run_attack(victim, data, cost, config, seed=3, selected=items)
     want, kept = ridge_reference(victim, data, cost, items, substream(3, STAGE_SGD), scale, 0.5, 0.0, 8, mode, mus)
-    assert same(trace.final_data, want)
-    assert trace.features.tobytes() == np.stack([x for x, _ in kept]).tobytes()
-    assert trace.labels.tobytes() == np.stack([y for _, y in kept]).tobytes()
+    same(trace.final_data, want)
+    close(trace.features, np.stack([x for x, _ in kept]))
+    close(trace.labels, np.stack([y for _, y in kept]))
     surrogates = [train_mechanism(victim, d, np.zeros(3)) for d in (data, want)]
-    assert trace.surrogate_costs.tobytes() == np.array([eval_cost(cost, m) for m in surrogates]).tobytes()
-    assert trace.final_model.theta.tobytes() == surrogates[1].theta.tobytes()
+    close(trace.surrogate_costs, [eval_cost(cost, m) for m in surrogates])
+    close(trace.final_model.theta, surrogates[1].theta)
 
     selections, seeds, scales = [items[:2], np.array([1, 7, 9, 25]), items], [4, 5, 6], [scale, scale / 2, 2 * scale]
     made, with_modified = [], Dataset.with_modified
@@ -618,7 +630,7 @@ def test_ridge_lanes_step_bit_for_bit_as_on_a_dataset(monkeypatch, mechanism, mo
     assert error is None and len(made) == 3  # one dataset per lane, none per step
     for final, lane_items, seed, lane_scale in zip(finals, selections, seeds, scales):
         rng = substream(seed, STAGE_SGD)
-        assert same(final, ridge_reference(victim, data, cost, lane_items, rng, lane_scale, 0.5, 0.0, 8, mode, mus)[0])
+        same(final, ridge_reference(victim, data, cost, lane_items, rng, lane_scale, 0.5, 0.0, 8, mode, mus)[0])
     assert any(mu > 0 for mu in mus) and any(mu == 0 for mu in mus)
 
 

@@ -104,47 +104,24 @@ class TestDataset:
             XtX[0, 0] = 9.0
         with pytest.raises(ValueError):
             Xty[0] = 9.0
-        # a modified dataset forms its own: its source's Gram of the
-        # unreplaced rows plus the replaced rows' products, exactly, which
-        # is X'X to rounding
+        # a modified dataset forms its own, from its own rows
         d2 = d.with_modified([2], [[0.1, 0.2, 0.3]], [0.5])
-        keep = np.arange(7) != 2
-        Xk, yk, Xr, yr = d2.X[keep], d2.y[keep], d2.X[[2]], d2.y[[2]]
-        assert np.array_equal(d2.gram[0], Xk.T @ Xk + Xr.T @ Xr)
-        assert np.array_equal(d2.gram[1], Xk.T @ yk + Xr.T @ yr)
-        np.testing.assert_allclose(d2.gram[0], d2.X.T @ d2.X, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(d2.gram[1], d2.X.T @ d2.y, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(d2.gram[0], d2.X.T @ d2.X) and np.array_equal(d2.gram[1], d2.X.T @ d2.y)
         assert not (d2.gram[0].flags.writeable or d2.gram[1].flags.writeable)
         assert np.array_equal(d.gram[0], d.X.T @ d.X)
 
     @pytest.mark.parametrize(
-        "indices, replaced",
-        [([4, 1, 4], [1, 4]), ([], []), (np.arange(9), np.arange(9)), (slice(None), np.arange(9))],
+        "indices",
+        [[4, 1, 4], [], np.arange(9), slice(None)],
         ids=["repeated", "empty", "all-rows", "slice"],
     )
-    def test_modified_gram_counts_each_replaced_row_once(self, indices, replaced):
+    def test_modified_gram_counts_each_replaced_row_once(self, indices):
         rng = np.random.default_rng(2)
         d = Dataset(rng.uniform(-0.5, 0.5, (9, 4)), rng.uniform(-1, 1, 9))
         k = len(np.arange(9)[indices])
         d2 = d.with_modified(indices, rng.uniform(-0.5, 0.5, (k, 4)), rng.uniform(-1, 1, k))
-        keep = np.ones(9, dtype=bool)
-        keep[replaced] = False
-        Xk, yk, Xr, yr = d2.X[keep], d2.y[keep], d2.X[replaced], d2.y[replaced]
-        assert np.array_equal(d2.gram[0], Xk.T @ Xk + Xr.T @ Xr)
-        assert np.array_equal(d2.gram[1], Xk.T @ yk + Xr.T @ yr)
-        np.testing.assert_allclose(d2.gram[0], d2.X.T @ d2.X, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(d2.gram[1], d2.X.T @ d2.y, rtol=1e-14, atol=1e-15)
-
-    def test_unreplaced_gram_is_formed_once_per_index_array(self):
-        rng = np.random.default_rng(3)
-        d = Dataset(rng.uniform(-0.5, 0.5, (8, 3)), rng.uniform(-1, 1, 8))
-        for indices in ([1, 5], [5, 1], [1, 5, 5], [2], [1, 5], [2]):
-            k = len(indices)
-            d.with_modified(indices, rng.uniform(-0.5, 0.5, (k, 3)), rng.uniform(-1, 1, k)).gram
-        # keyed by the index array's bytes, so [1, 5], [5, 1], [1, 5, 5] and
-        # [2] each hold their distinct rows and their unreplaced Gram; the
-        # source's own Gram was never read
-        assert len(d._cache) == 8
+        assert np.array_equal(d2.gram[0], d2.X.T @ d2.X)
+        assert np.array_equal(d2.gram[1], d2.X.T @ d2.y)
 
     @pytest.mark.parametrize("indices", [[5, 1], [1, 5, 5], [6, 2, 6, 0]], ids=["unsorted", "repeated", "both"])
     def test_gram_of_repeated_and_unsorted_indices(self, indices):
@@ -159,8 +136,8 @@ class TestDataset:
 
     @pytest.mark.parametrize("indices", [[-1, 4], [5], [0, -6]])
     def test_index_outside_the_rows_is_refused(self, indices):
-        # a negative index aliased a row: [-1, 4] on n = 5 wrote row 4
-        # twice, and the Gram, which reads np.unique's rows, counted it twice
+        # a negative index aliases another row: [-1, 4] on n = 5 names row 4
+        # twice
         rng = np.random.default_rng(11)
         d = Dataset(rng.uniform(-0.5, 0.5, (5, 3)), rng.uniform(-1, 1, 5))
         k = len(indices)
@@ -171,24 +148,6 @@ class TestDataset:
         modified = d.with_modified(in_range, features, labels)
         np.testing.assert_allclose(modified.gram[0], modified.X.T @ modified.X, rtol=0, atol=1e-12)
         np.testing.assert_allclose(modified.gram[1], modified.X.T @ modified.y, rtol=0, atol=1e-12)
-
-    def test_distinct_rows_are_found_once_per_index_array(self, monkeypatch):
-        # an attack moves the same items every step, each step from the
-        # clean dataset, so np.unique runs on the first step only
-        rng = np.random.default_rng(8)
-        d = Dataset(rng.uniform(-0.5, 0.5, (8, 3)), rng.uniform(-1, 1, 8))
-        unique, calls = np.unique, []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return unique(*args, **kwargs)
-
-        monkeypatch.setattr(np, "unique", counted)
-        items = np.array([1, 4, 6])
-        for _ in range(10):
-            modified = d.with_modified(items, rng.uniform(-0.5, 0.5, (3, 3)), rng.uniform(-1, 1, 3))
-            np.testing.assert_allclose(modified.gram[0], modified.X.T @ modified.X, rtol=0, atol=1e-12)
-        assert len(calls) == 1
 
     def test_gram_eigh_is_cached_and_readonly(self):
         rng = np.random.default_rng(4)

@@ -37,7 +37,9 @@ import pytest
 # 7.6e-13 and 1.4e-10 at full scale, since the solves stop anywhere
 # within GRAD_TOL; solving ridge victims in the eigenbasis of X'X, with
 # Newton steps on the constraint dual, moved a trace cell by at most
-# 9.8e-12 here and 6.1e-11 at full scale. The attack feeds each of its 50 SGD steps into the
+# 9.8e-12 here and 6.1e-11 at full scale, and summing a ridge lane's X'X
+# as the Gram of its unmoved rows plus its moved rows' products moved a
+# trace cell by at most 3.6e-12 here and 7.5e-12 at full scale. The attack feeds each of its 50 SGD steps into the
 # next, so such moves can grow, and 1e-9 leaves the largest one here
 # almost three orders of magnitude of room. A change in what is computed moves
 # cells by more: loosening the logistic stopping tolerance from 1e-10 to
