@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .core import BaseLearner, Dataset, ModelParams, eval_cost, modification_distances, project_rows_inplace
-from .core import AtLeast, Count, Mechanism, Positive, _check_fields, _check_finite, _checked, _gram
+from .core import AtLeast, Count, Mechanism, Positive, _check_fields, _check_finite, _checked, _gram, _indices
 from .gradients import _ridge_grads, _stacked_logistic_grads, batch_item_gradients, cost_gradient
-from .learners import SolverError, _ridge_solve, sample_noise, train_mechanism
+from .learners import SolverError, _ridge_solve, _solve_logistic_rows, sample_noise, train_mechanism
 from .rng import STAGE_SELECT, STAGE_SGD, _entropy, substream
 
 __all__ = [
@@ -135,6 +135,7 @@ def shallow_scores(victim, data, cost, mode, m_select, rng):
     DPV mode averages the stochastic gradient over m_select noise draws
     before taking norms; SV mode uses the exact zero-noise gradient.
     """
+    _checked("m_select", m_select, AtLeast(1))
     dpv = AttackMode(mode) is AttackMode.DPV
     n, idx = data.n, np.arange(data.n)
     acc_f, acc_l = np.zeros((n, data.dim)), np.zeros(n)
@@ -159,15 +160,14 @@ class _Lane:
     or slice(None) for all n, which with_modified writes faster), their
     clean coordinates X0, y0 and moved ones Xs, ys (from its descent on, the
     rows ``span`` of the buffer that holds every moving lane's rows), its
-    noise stream and radial scale, its current dataset and model (the next
-    warm start; a stacked lane's are set when it leaves the stack, and a
-    ridge lane's dataset when it leaves the descent, while its model, which
-    no ridge solve reads, stays the one it started with), the steps it
+    noise stream and radial scale, its dataset and model (the next warm
+    start) as its lane group last gave them (a ridge lane's model, which no
+    ridge solve reads, stays the one it started with), the steps it
     completed, the SolverError that stopped it, if one did, and the
     (features, labels) it keeps, by iteration: 0 and the recorded steps."""
 
     def __init__(self, data, items, rng, scale):
-        items = np.sort(np.asarray(items, dtype=int))
+        items = np.sort(_indices(items))
         if len(items) > 0 and (items[0] < 0 or items[-1] >= data.n):
             raise ValueError("selected indices out of range")
         if np.any(items[1:] == items[:-1]):
@@ -189,22 +189,40 @@ def _joined(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _lane_gradients(victim, cost, lanes, draws):
-    """(models, features, labels): each logistic lane trained alone at its
-    noise draw, on its dataset and from its own model, and the lanes' item
-    gradients (batch_item_gradients) concatenated in lane order. A
-    SolverError names the failed lane in its rows."""
-    models = []
-    for i, (lane, b) in enumerate(zip(lanes, draws)):
-        try:
-            models.append(train_mechanism(victim, lane.data, b, warm_start=lane.model))
-        except SolverError as exc:
-            raise SolverError(str(exc), [i]) from exc
-    grads = [
-        batch_item_gradients(victim, lane.data, model, b, cost_gradient(cost, model), lane.items)
-        for lane, model, b in zip(lanes, models, draws)
-    ]
-    return models, *map(_joined, zip(*grads))
+class _Lone:
+    """Lanes trained one at a time, each on a dataset each step makes from
+    the clean one, so none keeps an earlier alive. A lane group (_Lone,
+    _Stack or _RidgeLanes) is passed the moving lanes, in lane order:
+    gradients gives their next warm starts and their items' gradients, or a
+    SolverError naming the failed lanes in its rows; step takes the starts
+    and the step's moved rows; release gives each lane its dataset and model
+    as of the last step; drop(lanes, j) releases lanes j:, after lane j
+    failed, and returns the group of the lanes before it."""
+
+    def gradients(self, victim, cost, lanes, draws):
+        """train_mechanism, then batch_item_gradients, lane by lane; an
+        output lane starts at its base model, the released one minus b."""
+        output = victim.mechanism is Mechanism.OUTPUT
+        starts, grads = [], []
+        for i, (lane, b) in enumerate(zip(lanes, draws)):
+            try:
+                model = train_mechanism(victim, lane.data, b, warm_start=lane.model)
+            except SolverError as exc:
+                raise SolverError(str(exc), [i]) from exc
+            grads.append(batch_item_gradients(victim, lane.data, model, b, cost_gradient(cost, model), lane.items))
+            starts.append(ModelParams(model.theta - b, model.mu) if output else model)
+        return starts, *map(_joined, zip(*grads))
+
+    def step(self, lanes, starts, Xs, ys):
+        for lane, start in zip(lanes, starts):
+            lane.model = start
+            lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
+
+    def release(self, lanes):
+        """Each step gave the lanes theirs."""
+
+    def drop(self, lanes, j):
+        return self
 
 
 class _Stack:
@@ -219,33 +237,26 @@ class _Stack:
         sizes = [len(lane.items) for lane in lanes]
         self.which = np.repeat(np.arange(len(lanes)), sizes), np.concatenate([lane.items for lane in lanes])
 
-    def gradients(self, victim, cost, draws):
-        """(models, features, labels) at the lanes' noise draws, the models
-        as one (m, d) array: one batched Newton, then every lane's item
-        gradients in one pass. A SolverError names the failed lanes in its
-        rows."""
-        model = train_mechanism(victim, (self.X, self.y), np.array(draws), warm_start=ModelParams(self.theta))
-        grads = cost_gradient(cost, model)
-        return model.theta, *_stacked_logistic_grads(self.X, self.y, model.theta, victim.lam, grads, *self.which)
+    def gradients(self, victim, cost, lanes, draws):
+        """One batched Newton (_solve_logistic_rows) for the (m, d) models,
+        then every lane's item gradients in one pass."""
+        theta = _solve_logistic_rows(self.X, self.y, victim.lam, np.array(draws), self.theta)
+        grads = cost_gradient(cost, ModelParams(theta))
+        return theta, *_stacked_logistic_grads(self.X, self.y, theta, victim.lam, grads, *self.which)
 
-    def step(self, theta, Xs, ys):
-        """Take a step's models and moved rows, which are checked here as
-        with_modified checks a lone lane's."""
-        _check_finite(Xs, ys)
+    def step(self, lanes, theta, Xs, ys):
         self.X[self.which], self.y[self.which] = Xs, ys
         self.theta = theta
 
     def release(self, lanes):
-        """Give each lane its dataset and model as of the last step."""
         for lane, theta in zip(lanes, self.theta):
             lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
             lane.model = ModelParams(theta)
 
     def drop(self, lanes, j):
-        """Release the lanes, after lane j failed: the stack of the lanes
-        before it, or None for a lane left alone, trains on."""
+        """The lanes before lane j train on as a stack, or alone if one is left."""
         self.release(lanes)
-        return _Stack(lanes[:j]) if j > 1 else None
+        return _Stack(lanes[:j]) if j > 1 else _Lone()
 
 
 class _RidgeLanes:
@@ -254,20 +265,18 @@ class _RidgeLanes:
     when the lanes start, plus its moved rows' products."""
 
     def __init__(self, lanes):
-        self.lanes = list(lanes)
         self.kept = [
             _gram(np.delete(lane.clean.X, lane.items, 0), np.delete(lane.clean.y, lane.items)) for lane in lanes
         ]
 
-    def gradients(self, victim, cost, draws):
-        """(models, features, labels) as _lane_gradients gives them: each
-        lane's solve (_ridge_solve) and its items' gradients (_ridge_grads),
-        as train_mechanism and batch_item_gradients take them on a dataset.
-        Output perturbation differentiates at the solved base model. A
-        SolverError names the failed lane in its rows."""
+    def gradients(self, victim, cost, lanes, draws):
+        """_ridge_solve, then _ridge_grads, lane by lane, as train_mechanism
+        and batch_item_gradients take them on a dataset; output perturbation
+        differentiates at the solved base model. No ridge solve reads a warm
+        start."""
         output = victim.mechanism is Mechanism.OUTPUT
-        models, grads = [], []
-        for i, (lane, kept, b) in enumerate(zip(self.lanes, self.kept, draws)):
+        grads = []
+        for i, (lane, kept, b) in enumerate(zip(lanes, self.kept, draws)):
             moved = _gram(lane.Xs, lane.ys)
             evals, Q = np.linalg.eigh(kept[0] + moved[0])
             try:
@@ -277,50 +286,42 @@ class _RidgeLanes:
                 raise SolverError(str(exc), [i]) from exc
             model = ModelParams(theta + b if output else theta, mu)
             grads.append(_ridge_grads(evals, Q, lane.Xs, lane.ys, theta, victim.lam, mu, cost_gradient(cost, model)))
-            models.append(model)
-        return models, *map(_joined, zip(*grads))
+        return None, *map(_joined, zip(*grads))
 
-    def step(self, models, Xs, ys):
-        """Check a step's moved rows, as with_modified checks a lone lane's;
-        ridge solves take no warm start, so the models are not kept."""
-        _check_finite(Xs, ys)
+    def step(self, lanes, starts, Xs, ys):
+        """The lanes' rows are views of Xs and ys."""
 
     def release(self, lanes):
-        """Give each lane its dataset as of the last step."""
         for lane in lanes:
             lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
 
     def drop(self, lanes, j):
-        """Release lanes j:, after lane j failed; the lanes before it keep their Grams."""
+        """The lanes before lane j keep their Grams."""
         self.release(lanes[j:])
-        del self.lanes[j:], self.kept[j:]
+        del self.kept[j:]
         return self
 
 
 def _descend(victim, cost, lanes, eta, alpha, T, mode, record=frozenset()):
     """Projected gradient descent of the lanes in lockstep, T steps.
 
-    Each step trains the victim on each lane's data (a fresh draw from the
-    lane's stream in DPV mode, zero noise in SV mode), a logistic one
-    warm-started from the lane's previous model (its base model, the
-    released one minus the draw, under output perturbation), moves its items
-    along their gradients plus alpha times their displacement, projects them
-    back to the feasible set, and keeps their snapshot if the step is in
-    record. The moving lanes' rows are one buffer, in lane order, so a step
-    makes one update, one projection and one snapshot copy for all of them.
-    Ridge lanes (_RidgeLanes) solve each step on the Gram of their unmoved
-    rows plus their moved rows' products and make no dataset per step: a
-    lane gets its dataset when it leaves the descent. Two or more
-    objective-perturbation logistic lanes are trained as one _Stack, and a
-    lane gets its dataset when it leaves the stack; any other lane is
-    trained alone, on a dataset each step makes from the clean one, so none
-    keeps an earlier alive. A logistic victim's label gradient is zero, so
-    its labels never move. A lane with no items neither draws noise nor
-    trains. When a solve fails, the first failed lane keeps the error and
-    stops, as do the lanes after it (a sweep ends at its first failed row);
-    the lanes before it solve the step again with the same draws, and a lane
-    left alone leaves the stack. The descent ends early once every lane that
-    moves has stopped.
+    Each step draws noise for each lane (from its stream in DPV mode, zero
+    in SV mode), has the lanes' group train the victim on their data, a
+    logistic one warm-started from the lane's previous model (its base
+    model, the released one minus the draw, under output perturbation),
+    moves their items along their gradients plus alpha times their
+    displacement, projects them back to the feasible set, refuses them
+    unless finite, and keeps their snapshot if the step is in record. The
+    moving lanes' rows are one buffer, in lane order, so a step makes one
+    update, one projection and one snapshot copy for all of them. The group
+    is _RidgeLanes for a ridge victim, one _Stack for two or more
+    objective-perturbation logistic lanes, else _Lone. A logistic victim's
+    label gradient is zero, so its labels never move. A lane with no items
+    neither draws noise nor trains. When a solve fails, the first failed
+    lane keeps the error and stops, as do the lanes after it (a sweep ends
+    at its first failed row); the lanes before it solve the step again with
+    the same draws, and a stack left with one lane hands it to _Lone. The
+    descent ends early once every lane that moves has stopped.
     """
     for lane in lanes:
         if len(lane.items) == 0:  # it takes every step in place
@@ -338,22 +339,20 @@ def _descend(victim, cost, lanes, eta, alpha, T, mode, record=frozenset()):
         lane.Xs, lane.ys = Xs[lane.span], ys[lane.span]
     if victim.base is BaseLearner.RIDGE:
         group = _RidgeLanes(moving)
-    else:  # None: each lane is trained alone, on its dataset (_lane_gradients)
-        group = _Stack(moving) if victim.mechanism is Mechanism.OBJECTIVE and len(moving) > 1 else None
+    elif victim.mechanism is Mechanism.OBJECTIVE and len(moving) > 1:
+        group = _Stack(moving)
+    else:
+        group = _Lone()
     for t in range(1, T + 1):
         draws = [_noise(lane.data.dim, dpv, lane.scale, lane.rng) for lane in moving]
         while True:
             try:
-                if group is None:
-                    models, feat, lab = _lane_gradients(victim, cost, moving, draws)
-                else:
-                    models, feat, lab = group.gradients(victim, cost, draws)
+                starts, feat, lab = group.gradients(victim, cost, moving, draws)
                 break
             except SolverError as exc:
                 j = int(min(exc.rows))
                 moving[j].error = exc
-                if group is not None:
-                    group = group.drop(moving, j)
+                group = group.drop(moving, j)
                 del moving[j:], draws[j:]
                 if not moving:
                     return
@@ -364,20 +363,15 @@ def _descend(victim, cost, lanes, eta, alpha, T, mode, record=frozenset()):
         Xs -= eta * feat
         ys -= eta * lab
         project_rows_inplace(Xs, ys)
-        if group is None:
-            for lane, b, model in zip(moving, draws, models):
-                lane.model = ModelParams(model.theta - b, model.mu) if victim.mechanism is Mechanism.OUTPUT else model
-                lane.data = lane.clean.with_modified(lane.rows, lane.Xs, lane.ys)
-        else:
-            group.step(models, Xs, ys)
+        _check_finite(Xs, ys)
+        group.step(moving, starts, Xs, ys)
         for lane in moving:
             lane.steps = t
         if t in record:
             Xc, yc = Xs.copy(), ys.copy()
             for lane in moving:
                 lane.kept[t] = (Xc[lane.span], yc[lane.span])
-    if group is not None:
-        group.release(moving)
+    group.release(moving)
 
 
 def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):
@@ -389,6 +383,8 @@ def relaxed_attack(victim, data, cost, alpha, eta, T, mode, rng):
     runs need a correspondingly small step size.
     """
     _checked("alpha", alpha, Positive)
+    _checked("eta", eta, Positive)
+    _checked("T", T, Count)
     lane = _Lane(data, np.arange(data.n), rng, victim.noise_scale_for(data.n))
     _descend(victim, cost, [lane], eta, alpha, T, mode)
     if lane.error is not None:
@@ -485,14 +481,16 @@ def sweep_attacks(victim, data, cost, config, selections, seeds, scales):
     attack starts warm from one noiseless solve on the clean data; no
     surrogate is trained on the final data. The attacks are lanes of one
     _descend: an objective-perturbation logistic victim's moving lanes,
-    two or more, are trained and differentiated as one stack, and any
-    other victim's one at a time, each bit for bit run_attack's Step II.
+    two or more, are trained and differentiated as one _Stack, to rounding
+    run_attack's Step II, and any other victim's one at a time (_Lone or
+    _RidgeLanes), each bit for bit run_attack's Step II.
     Returns (finals, error): the final datasets of the attacks before the
     first whose solve failed, and that attack's SolverError ("solver
     failure after s steps: ...") or None. A failed clean solve fails the
     first attack at step 0. Before any solve, ValueError refuses
     selections, seeds and scales of unequal lengths, a scale that is not
-    finite and nonnegative, and an index outside [0, n) or given twice.
+    finite and nonnegative, and an index that is no integer, lies outside
+    [0, n) or is given twice.
     """
     if not len(selections) == len(seeds) == len(scales):
         raise ValueError(

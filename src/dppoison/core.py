@@ -172,6 +172,15 @@ def _gram(X, y):
     return X.T @ X, X.T @ y
 
 
+def _indices(indices):
+    """An index array as ints; a non-empty one must be integers already,
+    since a cast would truncate floats and take booleans as 0 and 1."""
+    idx = np.asarray(indices)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"item indices must be integers, got dtype {idx.dtype}")
+    return idx.astype(int, copy=False)
+
+
 def _check_finite(*arrays):
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("features and labels must be finite")
@@ -245,11 +254,11 @@ class Dataset:
         return self.cached("gram eigh", lambda: tuple(map(_readonly, np.linalg.eigh(self.gram[0]))))
 
     def with_modified(self, indices, features, labels):
-        """Return a copy with the items at indices (an index array in [0, n),
-        or slice(None) for all) replaced; an index outside [0, n) is refused,
-        since a negative index aliases another row. Only the replaced values
+        """Return a copy with the items at indices (an integer index array
+        in [0, n), or slice(None) for all) replaced; an index outside [0, n)
+        is refused, since a negative index aliases another row. Only the replaced values
         are checked; the kept ones were."""
-        idx = indices if isinstance(indices, slice) else np.asarray(indices, dtype=int)
+        idx = indices if isinstance(indices, slice) else _indices(indices)
         outside = None if isinstance(idx, slice) else idx[(idx < 0) | (idx >= self.n)]
         if outside is not None and outside.size:
             raise ValueError(f"item indices must lie in [0, {self.n}), got {outside.tolist()}")

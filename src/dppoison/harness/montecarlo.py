@@ -44,7 +44,9 @@ def estimate_attack_cost(victim, data, cost, T_e, seed):
     """Estimate E_b[C(M(data, b))] from T_e independent noise draws.
 
     Sample s always uses the dedicated stream substream(seed, s), which
-    rng.substreams derives, and a cold solver start. Draws are trained and
+    rng.substreams derives, and no warm start, so its solve starts where
+    train_mechanism starts one (a logistic draw at the linear response of
+    the dataset's cached noiseless model). Draws are trained and
     evaluated in blocks of _BLOCK rows, one train_mechanism and one
     eval_cost call per block; the last block is padded with zero rows whose
     results are dropped. Every block has the same shape, so draw s depends

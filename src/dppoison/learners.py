@@ -3,9 +3,9 @@
 Provides the spherically symmetric noise sampler, a damped-Newton solver
 for L2-regularized logistic regression (optionally with a linear noise
 term in the objective) and its batched form for a stack of noise draws,
-on one dataset or on one dataset per draw, a norm-constrained ridge
-solver that returns the dual variable of the constraint, and the
-mechanism dispatcher.
+on one dataset or on one dataset per draw (an attack's lockstep lanes),
+a norm-constrained ridge solver that returns the dual variable of the
+constraint, and the mechanism dispatcher.
 
 All solvers are pure functions of (data, noise): repeated calls return
 bit-identical results. Problem sizes here are small and dense, so
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import BaseLearner, Dataset, Mechanism, ModelParams, Positive, _checked, sigmoid
+from .core import BaseLearner, Mechanism, ModelParams, Positive, _checked, sigmoid
 
 __all__ = [
     "SolverError",
@@ -178,11 +178,6 @@ def _solve_logistic_rows(X, y, lam, B, warm_start=None):
     )
 
 
-def _check_classification_labels(y):
-    if not np.all(np.abs(y) == 1.0):
-        raise ValueError("classification labels must be -1 or +1")
-
-
 def _as_noise(b, dim):
     """b as floats: one (dim,) draw or an (m, dim) stack of draws; None is
     one all-zero draw."""
@@ -202,32 +197,28 @@ def train_base_logistic(data, lam, b=None, *, warm_start=None):
     within GRAD_TOL.
 
     b is one (d,) draw, which returns one model, or an (m, d) stack of
-    draws, which returns a stack of m (one ModelParams). data is one
-    Dataset, or the (features, labels) arrays of m datasets, (m, n, d)
-    and (m, n), one per row of a stack. warm_start is one model, or a
-    stack of one per row. A stack is solved by one batched damped Newton;
-    a single draw uses the scalar solver, which is faster for one row.
+    draws, which returns a stack of m (one ModelParams). warm_start is one
+    model, or a stack of one per row. A stack is solved by one batched
+    damped Newton; a single draw uses the scalar solver, which is faster
+    for one row.
 
-    Without a warm start, a solve on one Dataset starts at the linear
-    response theta0 - H0^-1 b of the noiseless model theta0, solved from
-    zero, with H0 its Hessian; both are cached per (dataset, lam), so a
-    noiseless solve returns theta0 itself. Stacked datasets without a
-    warm start start at zero."""
+    Without a warm start, a solve starts at the linear response
+    theta0 - H0^-1 b of the noiseless model theta0, solved from zero, with
+    H0 its Hessian; both are cached per (dataset, lam), so a noiseless
+    solve returns theta0 itself."""
     return _logistic(data, _checked("lam", lam, Positive), b, warm_start)
 
 
 def _logistic(data, lam, b, warm_start):  # train_base_logistic, with lam already checked
-    X, y = (data.X, data.y) if isinstance(data, Dataset) else data
-    _check_classification_labels(y)
-    b = _as_noise(b, X.shape[-1])
-    if not isinstance(data, Dataset) and (X.ndim != 3 or b.shape != X.shape[::2]):
-        raise ValueError("the (m, n, d) features of m datasets need an (m, d) noise stack")
+    if not np.all(np.abs(data.y) == 1.0):
+        raise ValueError("classification labels must be -1 or +1")
+    b = _as_noise(b, data.dim)
     warm = None if warm_start is None else warm_start.theta
-    if warm is None and X.ndim == 2:
-        theta0, H0 = data.cached(("logistic", lam), lambda: _noiseless_logistic(X, y, lam))
+    if warm is None:
+        theta0, H0 = data.cached(("logistic", lam), lambda: _noiseless_logistic(data.X, data.y, lam))
         warm = theta0 - np.linalg.solve(H0, b.T).T
     solve = _solve_logistic if b.ndim == 1 else _solve_logistic_rows
-    return ModelParams(solve(X, y, lam, b, warm), 0.0)
+    return ModelParams(solve(data.X, data.y, lam, b, warm), 0.0)
 
 
 def _noiseless_logistic(X, y, lam):
@@ -315,17 +306,11 @@ def train_mechanism(victim, data, b, *, warm_start=None):
     given (data, b).
 
     b is one (d,) draw, which returns one model, or an (m, d) stack of
-    draws, which returns a stack of m (one ModelParams). data is one
-    Dataset, or, for an objective-perturbation logistic victim, the
-    (features, labels) arrays of m datasets, (m, n, d) and (m, n), one
-    per row of a stack, with a stack of warm starts.
-    Output perturbation solves the noiseless base learner of one dataset
-    from a cold start once (Dataset.cached), so the blocks of a
-    Monte-Carlo estimate share it."""
-    if isinstance(data, Dataset):
-        b = _as_noise(b, data.dim)
-    elif victim.mechanism is not Mechanism.OBJECTIVE or victim.base is not BaseLearner.LOGISTIC:
-        raise ValueError("stacked datasets need an objective-perturbation logistic victim")
+    draws, which returns a stack of m (one ModelParams). Output
+    perturbation solves the noiseless base learner of a dataset from a
+    cold start once (Dataset.cached), so the blocks of a Monte-Carlo
+    estimate share it."""
+    b = _as_noise(b, data.dim)
     if victim.mechanism is Mechanism.OBJECTIVE:
         return _train_base(victim, data, b, warm_start)
     if warm_start is None:

@@ -105,6 +105,15 @@ class TestShallowSelection:
         dpv = shallow_scores(quiet, data, cost, AttackMode.DPV, 20, np.random.default_rng(0))
         np.testing.assert_allclose(dpv, sv, atol=1e-6)
 
+    @pytest.mark.parametrize("mode", ["dpv", "sv"])
+    @pytest.mark.parametrize("m_select", [0, -3])
+    def test_invalid_m_select(self, monkeypatch, mode, m_select):
+        # zero draws would average to all-nan scores, as AttackConfig refuses
+        victim, data, cost = small_logistic_setup(3)
+        monkeypatch.setattr(attacks, "train_mechanism", no_solve)
+        with pytest.raises(ValueError, match=rf"^m_select must be at least 1, got {m_select}$"):
+            shallow_scores(victim, data, cost, mode, m_select, np.random.default_rng(0))
+
     def test_output_draws_share_one_base_solve(self, monkeypatch):
         # the base model is solved once for the dataset's cache (the noiseless
         # solve from zero, then the draw-free solve from it), not once a draw
@@ -153,6 +162,23 @@ class TestRelaxedAttack:
         victim, data, cost = small_logistic_setup(6)
         with pytest.raises(ValueError, match=r"^alpha must be positive, got 0\.0$"):
             relaxed_attack(victim, data, cost, 0.0, 1.0, 5, AttackMode.SV, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "eta, T, message",
+        [
+            (-1.0, 5, r"^eta must be positive, got -1\.0$"),
+            (0.0, 5, r"^eta must be positive, got 0\.0$"),
+            (1.0, -2, r"^T must be nonnegative, got -2$"),
+            (1.0, 2.5, r"^T must be an integer, got 2\.5$"),
+        ],
+        ids=["negative-eta", "zero-eta", "negative-T", "fractional-T"],
+    )
+    def test_invalid_eta_and_T(self, eta, T, message):
+        # a negative eta would run gradient ascent, a negative T return the
+        # clean data, as AttackConfig refuses them
+        victim, data, cost = small_logistic_setup(6)
+        with pytest.raises(ValueError, match=message):
+            relaxed_attack(victim, data, cost, 1e-4, eta, T, AttackMode.SV, np.random.default_rng(0))
 
     def test_solver_failure_is_raised(self, monkeypatch):
         victim, data, cost = small_logistic_setup(6)
@@ -690,14 +716,13 @@ class TestSweepAttacks:
         config = AttackConfig(k=2, T=5)
         stacked = []
 
-        def third_step_fails_in_row_one(victim, data, b, warm_start=None):
-            if np.ndim(b) == 2:
-                stacked.append(len(b))
-                if len(stacked) == 3:
-                    raise SolverError("instrumented failure", [1])
-            return train_mechanism(victim, data, b, warm_start=warm_start)
+        def third_step_fails_in_row_one(X, y, lam, B, warm_start=None):
+            stacked.append(len(B))
+            if len(stacked) == 3:
+                raise SolverError("instrumented failure", [1])
+            return learners._solve_logistic_rows(X, y, lam, B, warm_start)
 
-        monkeypatch.setattr(attacks, "train_mechanism", third_step_fails_in_row_one)
+        monkeypatch.setattr(attacks, "_solve_logistic_rows", third_step_fails_in_row_one)
         selections = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
         scale = victim.noise_scale_for(data.n)
         finals, error = attacks.sweep_attacks(victim, data, cost, config, selections, [1, 2, 3], [scale] * 3)
@@ -709,6 +734,41 @@ class TestSweepAttacks:
         lone = run_attack(victim, data, cost, config, 1, selections[0])
         np.testing.assert_allclose(finals[0].X, lone.final_data.X, rtol=0, atol=1e-10)
 
+    def test_lone_lanes_keep_the_lanes_before_a_failed_one(self, monkeypatch):
+        # three output-perturbation lanes, trained one at a time: lane 1
+        # fails at its third step, so lane 0 runs on alone, bit for bit
+        # run_attack, and lanes 1 and 2 keep the data of step 2
+        victim, data, cost = small_logistic_setup(32, mechanism="output")
+        config = AttackConfig(k=2, T=5)
+        warm, descents, descend = [], [], attacks._descend
+
+        def third_step_fails_in_lane_one(victim, data, b, warm_start=None):
+            if warm_start is not None:  # the lanes' steps, in lane order
+                warm.append(1)
+                if len(warm) == 8:
+                    raise SolverError("instrumented failure")
+            return train_mechanism(victim, data, b, warm_start=warm_start)
+
+        def recorded(victim, cost, lanes, *args):
+            descents.append(lanes)
+            return descend(victim, cost, lanes, *args)
+
+        monkeypatch.setattr(attacks, "train_mechanism", third_step_fails_in_lane_one)
+        monkeypatch.setattr(attacks, "_descend", recorded)
+        selections = [np.array([0, 1]), np.array([2, 3, 4]), np.array([5, 6])]
+        scale = victim.noise_scale_for(data.n)
+        finals, error = attacks.sweep_attacks(victim, data, cost, config, selections, [1, 2, 3], [scale] * 3)
+        monkeypatch.undo()
+        assert str(error) == "solver failure after 2 steps: instrumented failure"
+        [lanes] = descents
+        assert [lane.steps for lane in lanes] == [5, 2, 2]
+        assert [lane.error is None for lane in lanes] == [True, False, True]
+        assert len(finals) == 1 and finals[0] is lanes[0].data
+        for seed, (items, lane) in enumerate(zip(selections, lanes), start=1):
+            lone = run_attack(victim, data, cost, dataclasses.replace(config, T=lane.steps), seed, items)
+            np.testing.assert_array_equal(lane.data.X, lone.final_data.X)
+            np.testing.assert_array_equal(lane.data.X[items], lane.Xs)
+
     def test_stack_keeps_the_lanes_before_a_failed_one(self, monkeypatch):
         # lane 2 of 4 fails at its fourth step: lanes 0 and 1 go on as a
         # stack of two, and lanes 2 and 3 keep the data of step 3
@@ -716,14 +776,13 @@ class TestSweepAttacks:
         config = AttackConfig(k=2, T=6)
         stacked = []
 
-        def fourth_step_fails_in_row_two(victim, data, b, warm_start=None):
-            if np.ndim(b) == 2:
-                stacked.append(len(b))
-                if len(stacked) == 4:
-                    raise SolverError("instrumented failure", [3, 2])
-            return train_mechanism(victim, data, b, warm_start=warm_start)
+        def fourth_step_fails_in_row_two(X, y, lam, B, warm_start=None):
+            stacked.append(len(B))
+            if len(stacked) == 4:
+                raise SolverError("instrumented failure", [3, 2])
+            return learners._solve_logistic_rows(X, y, lam, B, warm_start)
 
-        monkeypatch.setattr(attacks, "train_mechanism", fourth_step_fails_in_row_two)
+        monkeypatch.setattr(attacks, "_solve_logistic_rows", fourth_step_fails_in_row_two)
         selections = [np.array([0, 1]), np.array([2, 3, 4]), np.array([5]), np.array([6, 7])]
         scale = victim.noise_scale_for(data.n)
         lanes = [attacks._Lane(data, items, substream(seed, STAGE_SGD), scale) for seed, items in enumerate(selections)]
@@ -773,15 +832,20 @@ class TestSweepAttacks:
         stacked = (mechanism, base) == ("objective", "logistic")
         assert calls == {"project": 4, "batch": 0 if stacked else 4 * 5}
 
-    @pytest.mark.parametrize("base", ["logistic", "ridge"])
-    def test_non_finite_rows_are_refused(self, monkeypatch, base):
+    @pytest.mark.parametrize(
+        "mechanism, base",
+        [("objective", "logistic"), ("output", "logistic"), ("objective", "ridge")],
+        ids=["logistic", "output-logistic", "ridge"],
+    )
+    def test_non_finite_rows_are_refused(self, monkeypatch, mechanism, base):
         # a step whose moved rows are not finite raises ValueError, whether
-        # the lanes' rows are checked as one stack (logistic) or by the
-        # ridge lanes' step
+        # the lanes are trained as one stack (objective-perturbation
+        # logistic), one at a time on a dataset each (output logistic) or
+        # on their Grams (ridge)
         rng = np.random.default_rng(30)
         make_data = random_classification_data if base == "logistic" else random_regression_data
         data = make_data(rng, n=10, d=2)
-        victim = VictimSpec("objective", base, lam=1.0, epsilon=1.0, rho=0.6 if base == "ridge" else None)
+        victim = VictimSpec(mechanism, base, lam=1.0, epsilon=1.0, rho=0.6 if base == "ridge" else None)
         cost = random_cost(rng, data, base)
 
         def nan_gradients(function):
@@ -866,10 +930,11 @@ class TestSweepAttacks:
         monkeypatch.setattr(attacks, "train_mechanism", None)
         assert attacks.sweep_attacks(victim, data, cost, AttackConfig(k=2, T=3), [], [], []) == ([], None)
 
-    @pytest.mark.parametrize("bad", ["-1", "n", "repeat"])
+    @pytest.mark.parametrize("bad", ["-1", "n", "repeat", "fraction"])
     def test_lanes_check_their_items(self, monkeypatch, bad):
         # a lane sorts its items, as run_attack does, and an index outside
-        # [0, n), or one given twice, is rejected before any solve
+        # [0, n), one given twice or one that is no integer (a cast would
+        # truncate 0.7 to item 0) is rejected before any solve
         victim, data, cost = small_logistic_setup(26)
         config = AttackConfig(k=3, T=4)
         scale = victim.noise_scale_for(data.n)
@@ -879,8 +944,11 @@ class TestSweepAttacks:
         np.testing.assert_array_equal(final.X, lone.final_data.X)
         solves = []
         monkeypatch.setattr(attacks, "train_mechanism", lambda *args, **kwargs: solves.append(args))
-        second = {"-1": -1, "n": data.n, "repeat": 2}[bad]
-        message = "selected indices must be distinct" if bad == "repeat" else "selected indices out of range"
+        second = {"-1": -1, "n": data.n, "repeat": 2, "fraction": 0.7}[bad]
+        message = {
+            "repeat": "selected indices must be distinct",
+            "fraction": r"^item indices must be integers, got dtype float64$",
+        }.get(bad, "selected indices out of range")
         selections = [np.array([0, 1]), np.array([2, second])]
         with pytest.raises(ValueError, match=message):
             attacks.sweep_attacks(victim, data, cost, config, selections, [4, 5], [scale] * 2)

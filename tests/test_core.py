@@ -149,6 +149,20 @@ class TestDataset:
         np.testing.assert_allclose(modified.gram[0], modified.X.T @ modified.X, rtol=0, atol=1e-12)
         np.testing.assert_allclose(modified.gram[1], modified.X.T @ modified.y, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "indices, dtype",
+        [(np.array([True, False]), "bool"), ([0.7, 3.2], "float64"), (np.array([1.0, 0.0]), "float64")],
+        ids=["mask", "fractional", "whole-floats"],
+    )
+    def test_non_integer_indices_are_refused(self, indices, dtype):
+        # a cast would take the mask [True, False] as rows [1, 0] and
+        # truncate 0.7 and 3.2 to rows 0 and 3
+        d = Dataset([[0.1], [0.2], [0.3], [0.4]], [1.0, 1.0, -1.0, -1.0])
+        with pytest.raises(ValueError, match=rf"^item indices must be integers, got dtype {dtype}$"):
+            d.with_modified(indices, [[0.8], [0.9]], [-1.0, 1.0])
+        assert d.with_modified([], np.zeros((0, 1)), []).X.tolist() == d.X.tolist()
+        assert d.with_modified(np.array([1, 0], dtype=np.uint8), [[0.8], [0.9]], [-1.0, 1.0]).X[1, 0] == 0.8
+
     def test_gram_eigh_is_cached_and_readonly(self):
         rng = np.random.default_rng(4)
         d = Dataset(rng.uniform(-0.5, 0.5, (10, 3)), rng.uniform(-1, 1, 10))

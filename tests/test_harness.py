@@ -1188,16 +1188,15 @@ class TestSweepConfigs:
         raw["sweep"] = {"kind": "k", "values": [2, 5, 8]}
         stacked = []
 
-        def row_two_fails_at_its_second_step(victim, data, b, warm_start=None):
+        def row_two_fails_at_its_second_step(X, y, lam, B, warm_start=None):
             # the rows step in lockstep, one lane per row in row order, so
             # row 2 (k=5) is row 1 of each stacked solve
-            if np.ndim(b) == 2:
-                stacked.append(1)
-                if len(stacked) == 2:
-                    raise SolverError("instrumented failure", [1])
-            return train_mechanism(victim, data, b, warm_start=warm_start)
+            stacked.append(1)
+            if len(stacked) == 2:
+                raise SolverError("instrumented failure", [1])
+            return learners._solve_logistic_rows(X, y, lam, B, warm_start)
 
-        monkeypatch.setattr(attacks, "train_mechanism", row_two_fails_at_its_second_step)
+        monkeypatch.setattr(attacks, "_solve_logistic_rows", row_two_fails_at_its_second_step)
         out = tmp_path / "ksweep"
         summary = run_experiment(config_from_dict(raw), str(out))
         assert summary["error"] == (
@@ -1254,18 +1253,17 @@ class TestSweepConfigs:
         raw["sweep"] = {"kind": "epsilon", "values": [0.5, 1.0, 2.0]}
         stacked, estimated = [], []
 
-        def row_two_fails_at_its_second_step(victim, data, b, warm_start=None):
-            if np.ndim(b) == 2:
-                stacked.append(1)
-                if len(stacked) == 2:
-                    raise SolverError("instrumented failure", [1])
-            return train_mechanism(victim, data, b, warm_start=warm_start)
+        def row_two_fails_at_its_second_step(X, y, lam, B, warm_start=None):
+            stacked.append(1)
+            if len(stacked) == 2:
+                raise SolverError("instrumented failure", [1])
+            return learners._solve_logistic_rows(X, y, lam, B, warm_start)
 
         def recorded(victim, *args):
             estimated.append(victim.epsilon)
             return estimate_attack_cost(victim, *args)
 
-        monkeypatch.setattr(attacks, "train_mechanism", row_two_fails_at_its_second_step)
+        monkeypatch.setattr(attacks, "_solve_logistic_rows", row_two_fails_at_its_second_step)
         monkeypatch.setattr(experiment, "estimate_attack_cost", recorded)
         out = tmp_path / "esweep"
         summary = run_experiment(config_from_dict(raw), str(out))
@@ -1291,13 +1289,12 @@ class TestSweepConfigs:
             draws.append(1)
             return sample_noise(*args)
 
-        def recorded(victim, data, b, warm_start=None):
-            if np.ndim(b) == 2:
-                stacks.append(len(b))
-            return train_mechanism(victim, data, b, warm_start=warm_start)
+        def recorded(X, y, lam, B, warm_start=None):
+            stacks.append(len(B))
+            return learners._solve_logistic_rows(X, y, lam, B, warm_start)
 
         monkeypatch.setattr(attacks, "sample_noise", counted_noise)
-        monkeypatch.setattr(attacks, "train_mechanism", recorded)
+        monkeypatch.setattr(attacks, "_solve_logistic_rows", recorded)
         out = tmp_path / "ksweep"
         summary = run_experiment(cfg, str(out))
         assert summary["error"] is None

@@ -664,42 +664,3 @@ def test_per_row_data_rows_match_scalar_solves(seed, m, n, d, warm, nan_row):
         single = learners._solve_logistic(ds.X, ds.y, lam, b, start)
         scale = max(1.0, float(np.max(np.abs(single))))
         assert np.max(np.abs(theta - single)) <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("mechanism", ["objective"])
-def test_dataset_sequence_rows_match_single_solves(mechanism):
-    # train_mechanism on the stacked arrays of m datasets with an (m, d)
-    # stack: row i is the single-draw solve of its dataset from its own
-    # warm start, to rounding
-    rng = np.random.default_rng(17)
-    datas = [random_classification_data(rng, n=11, d=3) for _ in range(4)]
-    stacked = np.stack([ds.X for ds in datas]), np.stack([ds.y for ds in datas])
-    victim = VictimSpec(mechanism, "logistic", lam=1.5, epsilon=1.0)
-    B = rng.standard_normal((4, 3))
-    starts = ModelParams(rng.standard_normal((4, 3)))
-    for warm in (None, starts):
-        stack = train_mechanism(victim, stacked, B, warm_start=warm)
-        assert stack.theta.shape == (4, 3) and stack.mu == 0.0
-        for i, (ds, b, theta) in enumerate(zip(datas, B, stack.theta)):
-            single = train_mechanism(victim, ds, b, warm_start=None if warm is None else ModelParams(warm.theta[i]))
-            np.testing.assert_allclose(theta, single.theta, rtol=0, atol=1e-12)
-    with pytest.raises(ValueError, match="noise stack"):
-        train_mechanism(victim, stacked, B[0])
-    with pytest.raises(ValueError, match="noise stack"):  # the arrays of one dataset are no stack
-        train_mechanism(victim, (datas[0].X, datas[0].y), B)
-
-
-@pytest.mark.parametrize(
-    "mechanism, base",
-    [("objective", "ridge"), ("output", "ridge"), ("output", "logistic")],
-    ids=["objective", "output", "output-logistic"],
-)
-def test_dataset_sequence_needs_a_logistic_victim(mechanism, base):
-    # only an objective-perturbation logistic victim stacks datasets
-    rng = np.random.default_rng(18)
-    make_data = random_classification_data if base == "logistic" else random_regression_data
-    datas = [make_data(rng, n=11, d=3) for _ in range(2)]
-    stacked = np.stack([ds.X for ds in datas]), np.stack([ds.y for ds in datas])
-    victim = VictimSpec(mechanism, base, lam=1.5, epsilon=1.0, rho=0.5 if base == "ridge" else None)
-    with pytest.raises(ValueError, match="objective-perturbation logistic victim"):
-        train_mechanism(victim, stacked, rng.standard_normal((2, 3)))
